@@ -48,7 +48,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "serve-p2p",
-        "coordinator vs mailbox-mesh exchange at 4 shards, both churn biases and publish cadences (emits BENCH_serve.json)",
+        "mailbox-mesh exchange and dirty-diff collect at 4 shards, three churn biases and two publish cadences (emits BENCH_serve.json)",
     ),
     (
         "weights",
@@ -68,7 +68,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "churn",
-        "adversarial churn suite: named break-it scenarios x shards {1,4} x both engines, roster quality scored per window (emits BENCH_churn.json)",
+        "adversarial churn suite: named break-it scenarios x shards {1,4}, roster quality scored per window (emits BENCH_churn.json)",
     ),
 ];
 
@@ -110,11 +110,9 @@ fn run(id: &str, scale: &Scale) -> bool {
 }
 
 /// Extra knobs for the serve experiments (`--shards N`, `--out FILE`,
-/// `--roster-out FILE`, `--engine coordinator|mailbox`).
+/// `--roster-out FILE`, `--backend dense|paged`).
 struct ServeOpts {
     shards: usize,
-    engine: rslpa_serve::ExchangeMode,
-    engine_given: bool,
     backend: rslpa_graph::StorageBackend,
     backend_given: bool,
     out: Option<String>,
@@ -125,8 +123,6 @@ impl Default for ServeOpts {
     fn default() -> Self {
         Self {
             shards: 1,
-            engine: rslpa_serve::ExchangeMode::Mailbox,
-            engine_given: false,
             backend: rslpa_graph::StorageBackend::Dense,
             backend_given: false,
             out: None,
@@ -139,17 +135,16 @@ fn run_serve(id: &str, opts: &ServeOpts, smoke: bool) -> bool {
     let out = |default: &str| opts.out.clone().unwrap_or_else(|| default.to_string());
     let roster = opts.roster_out.as_deref();
     if (id == "serve-sharded" || id == "serve-p2p")
-        && (opts.shards != 1 || roster.is_some() || opts.engine_given || opts.backend_given)
+        && (opts.shards != 1 || roster.is_some() || opts.backend_given)
     {
-        // The sweeps fix their own shard counts/engines and check rosters
+        // The sweeps fix their own shard counts and check rosters
         // internally; a silently-ignored flag would mislead.
-        eprintln!("{id} does not take --shards, --engine, --backend, or --roster-out");
+        eprintln!("{id} does not take --shards, --backend, or --roster-out");
         std::process::exit(2);
     }
     match id {
         "serve" => exp_serve::serve_to(
             &ServeWorkload {
-                engine: opts.engine,
                 backend: opts.backend,
                 ..ServeWorkload::full_sharded(opts.shards)
             },
@@ -158,7 +153,6 @@ fn run_serve(id: &str, opts: &ServeOpts, smoke: bool) -> bool {
         ),
         "serve-smoke" => exp_serve::serve_to(
             &ServeWorkload {
-                engine: opts.engine,
                 backend: opts.backend,
                 ..ServeWorkload::smoke_sharded(opts.shards)
             },
@@ -168,7 +162,6 @@ fn run_serve(id: &str, opts: &ServeOpts, smoke: bool) -> bool {
         "serve-rmat" => exp_serve::serve_to(
             &ServeWorkload {
                 shards: opts.shards,
-                engine: opts.engine,
                 backend: opts.backend,
                 ..ServeWorkload::full_rmat()
             },
@@ -191,10 +184,7 @@ fn usage() {
     eprintln!("  serve-smoke    CI-scale serve workload (not part of 'all')");
     eprintln!("  serve-rmat     full serve workload over an R-MAT web graph (not part of 'all')");
     eprintln!("  weights-smoke  CI-scale weight-pass comparison (not part of 'all')");
-    eprintln!(
-        "serve options: --shards N, --engine coordinator|mailbox, --backend dense|paged, \
-         --out FILE, --roster-out FILE"
-    );
+    eprintln!("serve options: --shards N, --backend dense|paged, --out FILE, --roster-out FILE");
     eprintln!("weights options: --out FILE");
     eprintln!("scale options: --smoke (n=2^17 instead of 2^20), --out FILE");
     eprintln!("serve-p2p options: --smoke (CI-scale localized-churn sweep at 1/4/8 shards)");
@@ -231,7 +221,6 @@ fn main() {
     } else {
         false
     };
-    let engine_arg = take_option(&mut args, "--engine");
     let backend_arg = take_option(&mut args, "--backend");
     let serve_opts = ServeOpts {
         shards: take_option(&mut args, "--shards")
@@ -242,16 +231,6 @@ fn main() {
                 })
             })
             .unwrap_or(1),
-        engine: engine_arg
-            .as_deref()
-            .map(|v| {
-                v.parse().unwrap_or_else(|e| {
-                    eprintln!("--engine: {e}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or_default(),
-        engine_given: engine_arg.is_some(),
         backend: backend_arg
             .as_deref()
             .map(|v| {
@@ -272,7 +251,6 @@ fn main() {
         std::process::exit(2);
     };
     let serve_flags_given = serve_opts.shards != 1
-        || serve_opts.engine_given
         || serve_opts.backend_given
         || serve_opts.out.is_some()
         || serve_opts.roster_out.is_some();
@@ -285,7 +263,7 @@ fn main() {
         && target != "churn"
     {
         eprintln!(
-            "--shards/--engine/--backend/--out/--roster-out only apply to serve/weights/scale/trace experiments"
+            "--shards/--backend/--out/--roster-out only apply to serve/weights/scale/trace experiments"
         );
         std::process::exit(2);
     }
@@ -313,11 +291,7 @@ fn main() {
             eprintln!("[{id} done in {:.1}s]\n", t.elapsed().as_secs_f64());
         }
     } else if target == "scale" {
-        if serve_opts.shards != 1
-            || serve_opts.engine_given
-            || serve_opts.backend_given
-            || serve_opts.roster_out.is_some()
-        {
+        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
             eprintln!("scale takes only --smoke and --out");
             std::process::exit(2);
         }
@@ -332,11 +306,7 @@ fn main() {
             .unwrap_or_else(|| "BENCH_serve.json".to_string());
         exp_scale::scale(&w, &out);
     } else if target == "trace" {
-        if serve_opts.shards != 1
-            || serve_opts.engine_given
-            || serve_opts.backend_given
-            || serve_opts.roster_out.is_some()
-        {
+        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
             eprintln!("trace takes only --smoke, --out, and --trace-out");
             std::process::exit(2);
         }
@@ -347,11 +317,7 @@ fn main() {
         let trace_file = trace_out.unwrap_or_else(|| "BENCH_trace.json".to_string());
         exp_trace::trace(smoke, &out, &trace_file);
     } else if target == "churn" {
-        if serve_opts.shards != 1
-            || serve_opts.engine_given
-            || serve_opts.backend_given
-            || serve_opts.roster_out.is_some()
-        {
+        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
             eprintln!("churn takes only --smoke, --scenario, and --out");
             std::process::exit(2);
         }
@@ -367,11 +333,7 @@ fn main() {
             .unwrap_or_else(|| "BENCH_churn.json".to_string());
         exp_churn::churn(&w, &out);
     } else if target == "barrier" {
-        if serve_opts.shards != 1
-            || serve_opts.engine_given
-            || serve_opts.backend_given
-            || serve_opts.roster_out.is_some()
-        {
+        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
             eprintln!("barrier takes only --out");
             std::process::exit(2);
         }
@@ -387,7 +349,7 @@ fn main() {
             std::process::exit(2);
         }
     } else if target.starts_with("weights") {
-        if serve_opts.shards != 1 || serve_opts.engine_given || serve_opts.roster_out.is_some() {
+        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
             eprintln!("weights experiments take only --out");
             std::process::exit(2);
         }

@@ -6,9 +6,9 @@
 //! incrementality handles best. This driver runs the four named
 //! adversarial generators from [`rslpa_gen::adversarial`] (plus a
 //! uniform-churn control over the same planted backbone) through
-//! [`rslpa_serve`] at shards {1, 4} under both exchange engines, scoring
-//! every published roster against the tracked ground-truth cover with
-//! `rslpa_metrics` (ONMI / F1 / omega) and reading the dirty-region and
+//! [`rslpa_serve`] at shards {1, 4}, scoring every published roster
+//! against the tracked ground-truth cover with `rslpa_metrics`
+//! (ONMI / F1 / omega) and reading the dirty-region and
 //! boundary-ship counters the repair plane now surfaces. The output —
 //! `BENCH_churn.json` — is the honest answer to "where does incremental
 //! publish degenerate toward full recompute?": a scenario whose
@@ -22,9 +22,7 @@ use rslpa_gen::gn::{gn_benchmark, GnParams};
 use rslpa_gen::{named_scenarios, ChurnScenario, GroundTruthTrack, ScenarioWindow};
 use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph};
 use rslpa_metrics::{avg_f1, omega_index, overlapping_nmi};
-use rslpa_serve::{
-    BarrierOnly, CommunityService, ExchangeMode, QualityWindow, ServeConfig, StatsReport,
-};
+use rslpa_serve::{BarrierOnly, CommunityService, QualityWindow, ServeConfig, StatsReport};
 
 use crate::host_cores;
 use crate::report::{f3, Table};
@@ -40,19 +38,19 @@ pub struct ChurnWorkload {
     pub windows: usize,
     /// Detector iterations `T`.
     pub iterations: usize,
-    /// Shard counts swept (each × both engines).
+    /// Shard counts swept.
     pub shards: [usize; 2],
     /// Base seed for generators and the service.
     pub seed: u64,
     /// Optional scenario-name filter (`--scenario NAME`): replay only the
-    /// named scenario across the full shards × engine sweep. Break-it
+    /// named scenario across the full shard sweep. Break-it
     /// ratios need the uniform control and are skipped unless it runs.
     pub scenario: Option<String>,
 }
 
 impl ChurnWorkload {
-    /// The committed configuration: every scenario × shards {1,4} × both
-    /// engines at full generator scale.
+    /// The committed configuration: every scenario × shards {1,4} at full
+    /// generator scale.
     pub fn full() -> Self {
         Self {
             mode: "full",
@@ -165,8 +163,6 @@ pub struct ChurnRun {
     pub scenario: &'static str,
     /// Maintenance shards.
     pub shards: usize,
-    /// Exchange engine.
-    pub engine: ExchangeMode,
     /// Edit ops submitted (insert + delete, no barriers).
     pub edits_submitted: u64,
     /// First submit → final barrier, seconds.
@@ -185,12 +181,7 @@ pub struct ChurnRun {
 
 /// Replay one freshly-seeded scenario through a service, scoring every
 /// barrier window's published roster against the tracked cover.
-fn run_one(
-    scenario: &mut dyn ChurnScenario,
-    w: &ChurnWorkload,
-    shards: usize,
-    engine: ExchangeMode,
-) -> ChurnRun {
+fn run_one(scenario: &mut dyn ChurnScenario, w: &ChurnWorkload, shards: usize) -> ChurnRun {
     let (graph, truth0) = scenario.seed_graph();
     let mut track = GroundTruthTrack::seeded(truth0);
     let mut shadow = DynamicGraph::new(graph.clone());
@@ -198,8 +189,7 @@ fn run_one(
         graph,
         ServeConfig::quick(w.iterations, w.seed)
             .with_policy(BarrierOnly)
-            .with_shards(shards)
-            .with_exchange(engine),
+            .with_shards(shards),
     );
     let ingest = service.ingest();
     let mut submitted = 0u64;
@@ -239,7 +229,6 @@ fn run_one(
     ChurnRun {
         scenario: scenario.name(),
         shards,
-        engine,
         edits_submitted: submitted,
         ingest_secs,
         edits_per_sec: stats.edits_enqueued as f64 / ingest_secs.max(1e-9),
@@ -247,13 +236,6 @@ fn run_one(
         final_fingerprint,
         final_communities,
         stats,
-    }
-}
-
-fn engine_label(engine: ExchangeMode) -> &'static str {
-    match engine {
-        ExchangeMode::Coordinator => "coordinator",
-        ExchangeMode::Mailbox => "mailbox",
     }
 }
 
@@ -292,27 +274,24 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
     }
     let selected = |name: &str| w.scenario.as_deref().is_none_or(|f| f == name);
     eprintln!(
-        "[churn:{}] {} windows x shards {:?} x both engines, T={}",
+        "[churn:{}] {} windows x shards {:?}, T={}",
         w.mode, w.windows, w.shards, w.iterations
     );
     let mut runs: Vec<ChurnRun> = Vec::new();
     for &shards in &w.shards {
-        for engine in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            for scenario in &mut scenario_suite(w.smoke, w.seed) {
-                if !selected(scenario.name()) {
-                    continue;
-                }
-                let t = Instant::now();
-                let run = run_one(scenario.as_mut(), w, shards, engine);
-                eprintln!(
-                    "[churn] {} shards={} engine={} done in {:.1}s",
-                    run.scenario,
-                    shards,
-                    engine_label(engine),
-                    t.elapsed().as_secs_f64()
-                );
-                runs.push(run);
+        for scenario in &mut scenario_suite(w.smoke, w.seed) {
+            if !selected(scenario.name()) {
+                continue;
             }
+            let t = Instant::now();
+            let run = run_one(scenario.as_mut(), w, shards);
+            eprintln!(
+                "[churn] {} shards={} done in {:.1}s",
+                run.scenario,
+                shards,
+                t.elapsed().as_secs_f64()
+            );
+            runs.push(run);
         }
     }
 
@@ -320,8 +299,8 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         all_names.iter().copied().filter(|n| selected(n)).collect();
 
     // Bit-identity: every config of a scenario must publish the same
-    // final roster bytes (fingerprint) — partitioning and transport are
-    // throughput knobs, never semantics knobs, even under break-it churn.
+    // final roster bytes (fingerprint) — partitioning is a throughput
+    // knob, never a semantics knob, even under break-it churn.
     let mut bit_identical = true;
     for name in &scenario_names {
         let fps: Vec<u64> = runs
@@ -335,12 +314,12 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         }
     }
 
-    // Break-it ratios vs the uniform control, compared within the same
-    // (shards, engine) configuration. Tracked per metric: ship ratio is
-    // only meaningful where collect actually ships (the mailbox engine).
-    let control = |shards: usize, engine: ExchangeMode| -> Option<&ChurnRun> {
+    // Break-it ratios vs the uniform control, compared at the same shard
+    // count. Tracked per metric: ship ratio is only meaningful where
+    // collect actually ships (shards > 1).
+    let control = |shards: usize| -> Option<&ChurnRun> {
         runs.iter()
-            .find(|r| r.scenario == "uniform_control" && r.shards == shards && r.engine == engine)
+            .find(|r| r.scenario == "uniform_control" && r.shards == shards)
     };
     let mut worst_dirty: Option<(String, f64)> = None;
     let mut worst_ship: Option<(String, f64)> = None;
@@ -348,15 +327,10 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         if r.scenario == "uniform_control" {
             continue;
         }
-        let Some(c) = control(r.shards, r.engine) else {
+        let Some(c) = control(r.shards) else {
             continue;
         };
-        let label = format!(
-            "{} (shards={}, {})",
-            r.scenario,
-            r.shards,
-            engine_label(r.engine)
-        );
+        let label = format!("{} (shards={})", r.scenario, r.shards);
         let dirty_ratio = r.stats.dirty_fraction() / c.stats.dirty_fraction().max(1e-12);
         if worst_dirty.as_ref().is_none_or(|(_, d)| dirty_ratio > *d) {
             worst_dirty = Some((label.clone(), dirty_ratio));
@@ -374,7 +348,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         &[
             "scenario",
             "shards",
-            "engine",
             "edits/s",
             "dirty frac",
             "ship ratio",
@@ -387,7 +360,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         table.row(vec![
             r.scenario.to_string(),
             r.shards.to_string(),
-            engine_label(r.engine).to_string(),
             format!("{:.0}", r.edits_per_sec),
             f3(r.stats.dirty_fraction()),
             f3(r.stats.ship_ratio()),
@@ -411,7 +383,7 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         .iter()
         .map(|r| {
             format!(
-                "    {{\"scenario\": \"{}\", \"shards\": {}, \"engine\": \"{}\", \
+                "    {{\"scenario\": \"{}\", \"shards\": {}, \
                  \"edits_submitted\": {}, \"ingest_secs\": {:.4}, \"edits_per_sec\": {:.1}, \
                  \"final_epoch\": {}, \"weights_fingerprint\": \"{:016x}\", \
                  \"final_communities\": {}, \"dirty_vertices\": {}, \"dirty_span\": {}, \
@@ -423,7 +395,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
                  \"quality_per_window\": [{}]}}",
                 r.scenario,
                 r.shards,
-                engine_label(r.engine),
                 r.edits_submitted,
                 r.ingest_secs,
                 r.edits_per_sec,
@@ -460,7 +431,7 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
     let json = format!(
         "{{\n  \"experiment\": \"churn\",\n  \"mode\": \"{}\",\n  \
          \"config\": {{\"windows\": {}, \"iterations\": {}, \"shards\": {:?}, \
-         \"engines\": [\"coordinator\", \"mailbox\"], \"seed\": {}, \"cores\": {}}},\n  \
+         \"seed\": {}, \"cores\": {}}},\n  \
          \"scenarios\": [{}],\n  \
          \"bit_identical\": {},\n  \"worst_stress\": {},\n  \"runs\": [\n{}\n  ]\n}}\n",
         w.mode,
@@ -482,7 +453,7 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
     eprintln!("[churn] wrote {out_path}");
     assert!(
         bit_identical,
-        "adversarial churn diverged across shard counts / engines"
+        "adversarial churn diverged across shard counts"
     );
 }
 

@@ -3,11 +3,12 @@
 //! Not a paper experiment — this drives `rslpa_serve` the way the ROADMAP's
 //! production north star would be driven: a writer replays a stream of
 //! edits (micro-batched by the ingestion policy) while reader threads
-//! hammer the snapshot query API at a configured read/write ratio. The
-//! driver reports sustained edits/sec and query latency percentiles and
-//! writes them to `BENCH_serve.json`, giving the perf trajectory a data
-//! point per PR.
+//! hammer the snapshot query API for the whole replay, at a configured
+//! read/write ratio or more. The driver reports sustained edits/sec and
+//! query latency percentiles and writes them to `BENCH_serve.json`,
+//! giving the perf trajectory a data point per PR.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,9 +18,7 @@ use rslpa_gen::webgraph::{rmat, RmatParams};
 use rslpa_graph::rng::DetRng;
 use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph, EditBatch, StorageBackend, VertexId};
 use rslpa_serve::trace::Dump;
-use rslpa_serve::{
-    BySize, CommunityService, ExchangeMode, LatencySummary, ServeConfig, TraceOptions,
-};
+use rslpa_serve::{BySize, CommunityService, LatencySummary, ServeConfig, TraceOptions};
 
 use crate::host_cores;
 
@@ -64,7 +63,8 @@ pub struct ServeWorkload {
     /// Edits generated per workload round (each round is one valid
     /// uniform batch against the evolving graph).
     pub round_edits: usize,
-    /// Interleaved queries per edit (the read/write ratio).
+    /// Interleaved queries per edit: the readers' quota, a floor on the
+    /// read/write ratio (readers keep going until the final barrier).
     pub queries_per_edit: usize,
     /// Reader threads sharing the query quota.
     pub query_threads: usize,
@@ -74,9 +74,6 @@ pub struct ServeWorkload {
     pub snapshot_every: usize,
     /// Maintenance shards (1 = the single-writer baseline).
     pub shards: usize,
-    /// Boundary-exchange transport for `shards > 1`: the peer-to-peer
-    /// mailbox mesh (default) or the coordinator-relayed baseline.
-    pub engine: ExchangeMode,
     /// Edit-stream bias: the paper's uniform rewiring, or churn that
     /// respects the planted communities (the realistic serving case,
     /// where partition locality exists to be exploited).
@@ -102,7 +99,6 @@ impl ServeWorkload {
             flush_size: 256,
             snapshot_every: 8,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 42,
         }
@@ -140,7 +136,6 @@ impl ServeWorkload {
             flush_size: 128,
             snapshot_every: 4,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 42,
         }
@@ -164,7 +159,8 @@ pub struct ServeBenchResult {
     pub ingest_secs: f64,
     /// Sustained write throughput including snapshot publishing.
     pub edits_per_sec: f64,
-    /// Wall seconds the reader threads ran.
+    /// Wall seconds the reader threads ran (at least the whole ingest:
+    /// readers stop only once the final barrier has returned).
     pub query_secs: f64,
     /// Aggregate read throughput across reader threads.
     pub queries_per_sec: f64,
@@ -179,10 +175,12 @@ pub struct ServeBenchResult {
     /// weights; diffed alongside the roster in CI).
     pub final_weights_fingerprint: u64,
     /// Per-window query-latency summaries: one interval per barrier
-    /// checkpoint (≈10 windows per run), from
+    /// checkpoint (≈10 windows per run) plus a trailing window for the
+    /// queries after the last checkpoint, from
     /// [`HistogramSnapshot::delta_since`](rslpa_serve::HistogramSnapshot::delta_since)
     /// — so a latency regression late in the replay shows up instead of
-    /// being averaged into the cumulative percentiles.
+    /// being averaged into the cumulative percentiles. The windows
+    /// partition the run: their counts sum to `stats.queries.count`.
     pub query_windows: Vec<LatencySummary>,
     /// Final service stats.
     pub stats: rslpa_serve::StatsReport,
@@ -251,8 +249,7 @@ pub fn run_workload_traced(
     let mut config = ServeConfig::quick(w.iterations, w.seed)
         .with_policy(policy)
         .with_snapshot_every(w.snapshot_every)
-        .with_shards(w.shards)
-        .with_exchange(w.engine);
+        .with_shards(w.shards);
     if let Some(t) = trace {
         config = config.with_trace(t);
     }
@@ -275,19 +272,28 @@ pub fn run_workload_traced(
         stats: Default::default(),
     };
 
+    // Taken before any reader starts, so the windows below partition
+    // every query of the run.
+    let mut window_prev = service.query_latency_snapshot();
+    let writer_done = AtomicBool::new(false);
     std::thread::scope(|s| {
         // Readers: a 60/25/15 mix of membership / overlap / roster point
         // queries, answered lock-free from the newest epoch snapshot.
-        // Each returns its own wall time so throughput reflects the time
-        // the readers actually ran, not the (longer) writer replay.
+        // They keep reading until the writer's final barrier returns, so
+        // every window measures reads under writes on any schedule; the
+        // quota is only a floor. Each returns its own wall time.
         let mut readers = Vec::with_capacity(w.query_threads);
         for t in 0..w.query_threads {
             let service = Arc::clone(&service);
+            let writer_done = &writer_done;
             readers.push(s.spawn(move || {
                 let started = Instant::now();
                 let mut queries = service.query();
                 let mut rng = DetRng::new(w.seed ^ 0xdead_beef_u64.rotate_left(t as u32));
-                for i in 0..per_thread {
+                for i in 0.. {
+                    if i >= per_thread && writer_done.load(Ordering::Relaxed) {
+                        break;
+                    }
                     let u = rng.bounded(n as u64) as VertexId;
                     match i % 20 {
                         0..=11 => {
@@ -315,7 +321,6 @@ pub fn run_workload_traced(
         let barrier_every = (rounds / 10).max(1);
         let ingest_started = Instant::now();
         let mut submitted = 0usize;
-        let mut window_prev = service.query_latency_snapshot();
         for round in 0..rounds {
             let size = w.round_edits.min(w.total_edits - submitted);
             let batch = next_batch(
@@ -346,10 +351,18 @@ pub fn run_workload_traced(
         }
         result.final_epoch = ingest.barrier().expect("service alive");
         result.ingest_secs = ingest_started.elapsed().as_secs_f64();
+        writer_done.store(true, Ordering::Relaxed);
         result.query_secs = readers
             .into_iter()
             .map(|h| h.join().expect("reader thread"))
             .fold(0.0, f64::max);
+        // The trailing window: queries after the last checkpoint.
+        result.query_windows.push(
+            service
+                .query_latency_snapshot()
+                .delta_since(&window_prev)
+                .summarize(),
+        );
     });
 
     let service = Arc::into_inner(service).expect("threads joined");
@@ -396,7 +409,7 @@ pub(crate) fn to_json_with_extra(w: &ServeWorkload, r: &ServeBenchResult, extra:
         "{{\n  \"experiment\": \"serve\",\n  \"mode\": \"{}\",\n  \
          \"config\": {{\"topology\": \"{}\", \"backend\": \"{}\", \"graph_n\": {}, \"iterations\": {}, \"total_edits\": {}, \
          \"queries_per_edit\": {}, \"query_threads\": {}, \"flush_size\": {}, \
-         \"snapshot_every\": {}, \"shards\": {}, \"engine\": \"{}\", \"churn\": \"{}\", \
+         \"snapshot_every\": {}, \"shards\": {}, \"churn\": \"{}\", \
          \"cores\": {}, \"seed\": {}}},\n  \
          \"startup_secs\": {:.4},\n  \"ingest_secs\": {:.4},\n  \
          \"edits_per_sec\": {:.1},\n  \"query_secs\": {:.4},\n  \
@@ -416,7 +429,6 @@ pub(crate) fn to_json_with_extra(w: &ServeWorkload, r: &ServeBenchResult, extra:
         w.flush_size,
         w.snapshot_every,
         w.shards,
-        w.engine,
         churn_label(w.churn),
         host_cores(),
         w.seed,
@@ -642,60 +654,36 @@ pub fn serve_sharded(out_path: &str) {
     eprintln!("[serve-sharded] wrote {out_path}");
 }
 
-/// Per-engine metrics of one `serve-p2p` cell.
-struct P2pRun {
-    engine: ExchangeMode,
-    result: ServeBenchResult,
-}
-
-impl P2pRun {
-    /// Mean worker-side (or coordinator-side) counter upkeep per flush.
-    /// Both engines amortize their *total* upkeep wall time over all
-    /// flushes (`batches_flushed`), so the ratio compares like with like
-    /// — `counters.mean_ns` alone would average only over the flushes
-    /// that recorded a central sample.
+/// Derived metrics of one `serve-p2p` cell.
+impl ServeBenchResult {
+    /// Mean counter upkeep per flush: the single writer's central upkeep
+    /// (`counters`, one sample per non-empty flush, so mean × count is
+    /// its total) plus the mesh workers' own upkeep (per-shard wall time
+    /// summed — the passes run in parallel on a multi-core host; the sum
+    /// is the 1-core equivalent), amortized over every flush.
     fn upkeep_per_flush_ns(&self) -> f64 {
-        let s = &self.result.stats;
-        let flushes = s.batches_flushed.max(1) as f64;
-        match self.engine {
-            // Central upkeep: one `counters` sample per non-empty flush;
-            // mean × count recovers the total.
-            ExchangeMode::Coordinator => (s.counters.mean_ns * s.counters.count) as f64 / flushes,
-            // Shard-owned upkeep: per-shard wall time summed, then
-            // amortized per flush (the per-shard passes run in parallel
-            // on a multi-core host; the sum is the 1-core equivalent).
-            ExchangeMode::Mailbox => {
-                s.shards.iter().map(|sh| sh.upkeep_ns).sum::<u64>() as f64 / flushes
-            }
-        }
+        let s = &self.stats;
+        let central = s.counters.mean_ns * s.counters.count;
+        let shard_owned: u64 = s.shards.iter().map(|sh| sh.upkeep_ns).sum();
+        (central + shard_owned) as f64 / s.batches_flushed.max(1) as f64
     }
 
     /// Mean flush (repair + exchange coordination) + upkeep wall time.
     fn exchange_upkeep_ns(&self) -> f64 {
-        self.result.stats.flushes.mean_ns as f64 + self.upkeep_per_flush_ns()
+        self.stats.flushes.mean_ns as f64 + self.upkeep_per_flush_ns()
     }
 
-    /// Channels traversed per boundary envelope — the 1-core acceptance
-    /// metric. Exactly 2.0 through the coordinator relay (worker →
-    /// coordinator → worker), exactly 1.0 over the mesh, so the per-round
-    /// channel work of boundary delivery halves regardless of round
-    /// composition.
-    fn hops_per_envelope(&self) -> f64 {
-        let s = &self.result.stats;
-        s.envelope_hops as f64 / s.boundary_msgs.max(1) as f64
-    }
-
-    fn to_json(&self) -> String {
-        let s = &self.result.stats;
+    /// The cell's fields of the `serve-p2p` JSON.
+    fn p2p_json(&self) -> String {
+        let s = &self.stats;
         format!(
-            "{{\"edits_per_sec\": {:.1}, \"flush_mean_ns\": {}, \"flush_p99_ns\": {}, \
+            "\"edits_per_sec\": {:.1}, \"flush_mean_ns\": {}, \"flush_p99_ns\": {}, \
              \"upkeep_per_flush_ns\": {:.0}, \"exchange_upkeep_per_flush_ns\": {:.0}, \
              \"snapshot_mean_ns\": {}, \"exchange_rounds\": {}, \"boundary_msgs\": {}, \
-             \"channel_hops\": {}, \"hops_per_envelope\": {:.2}, \"envelope_hops\": {}, \
-             \"mailbox_depth_p99\": {}, \"barrier_wait_p99_ns\": {}, \
+             \"envelope_hops\": {}, \"mailbox_depth_p99\": {}, \"barrier_wait_p99_ns\": {}, \
              \"boundary_hists_shipped\": {}, \"boundary_hists_total\": {}, \
-             \"boundary_dirty_marked\": {}}}",
-            self.result.edits_per_sec,
+             \"boundary_dirty_marked\": {}, \"weights_fingerprint\": \"{:016x}\"",
+            self.edits_per_sec,
             s.flushes.mean_ns,
             s.flushes.p99_ns,
             self.upkeep_per_flush_ns(),
@@ -703,32 +691,41 @@ impl P2pRun {
             s.snapshots.mean_ns,
             s.exchange_rounds,
             s.boundary_msgs,
-            s.channel_hops,
-            self.hops_per_envelope(),
             s.envelope_hops,
             s.mailbox_depth.p99_ns,
             s.barrier_wait.p99_ns,
             s.boundary_hists_shipped,
             s.boundary_hists_total,
             s.boundary_dirty_marked,
+            self.final_weights_fingerprint,
         )
     }
 }
 
-/// The coordinator-vs-mailbox sweep (`repro serve-p2p`): the full
-/// 100k-edit workload at 4 shards, under uniform, consolidating, and
-/// localized churn, publishing per flush and per 8 flushes — each cell
-/// run on both engines. Every cell asserts the two engines land on the
-/// same final roster *and* weight fingerprint (decentralizing the repair
-/// plane must not move a bit), then reports the per-flush
-/// exchange+upkeep wall time and the channel-hop economy (the 1-core
-/// proxy: the mesh delivers each envelope over one channel and never
-/// round-trips the coordinator per round). The localized cell
-/// additionally pins the dirty-diff collect payoff: hot-spot churn
-/// published per flush at a small flush quantum must ship at least 10x
-/// fewer boundary histograms than the full collect
-/// (`boundary_hists_total`) it replaces. `smoke` runs the CI-scale
-/// localized sweep across shard counts instead (`serve_p2p_smoke`).
+/// Assert the dirty-diff collect ship rule on a mesh run: a publish never
+/// ships more boundary histograms than vertices were dirty-marked, so the
+/// incremental collect cannot silently degrade to full reshipping.
+fn assert_ship_rule(s: &rslpa_serve::StatsReport) {
+    assert!(
+        s.boundary_hists_shipped <= s.boundary_dirty_marked,
+        "dirty-diff collect shipped more boundary hists ({}) than vertices \
+         were dirty-marked ({}) — the ship rule is broken",
+        s.boundary_hists_shipped,
+        s.boundary_dirty_marked,
+    );
+}
+
+/// The mailbox-mesh sweep (`repro serve-p2p`): the full 100k-edit
+/// workload at 4 shards, under uniform, consolidating, and localized
+/// churn, publishing per flush and per 8 flushes. Every cell reports the
+/// per-flush exchange+upkeep wall time, the mesh's envelope traffic and
+/// barrier waits, and the publish collect's ship economy, and asserts the
+/// dirty-diff ship rule. The localized cell additionally pins the
+/// dirty-diff collect payoff: hot-spot churn published per flush at a
+/// small flush quantum must ship at least 10x fewer boundary histograms
+/// than the full collect (`boundary_hists_total`) it replaces. `smoke`
+/// runs the CI-scale localized sweep across shard counts instead
+/// (`serve_p2p_smoke`).
 pub fn serve_p2p(smoke: bool, out_path: &str) {
     if smoke {
         serve_p2p_smoke(out_path);
@@ -775,68 +772,39 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
         },
     ];
     let mut t = Table::new(
-        "serve p2p: coordinator vs mailbox mesh (4 shards, 100k edits)".to_string(),
+        "serve p2p: mailbox mesh (4 shards, 100k edits)".to_string(),
         &[
             "churn/cadence",
-            "engine",
             "edits/sec",
             "flush+upkeep (us)",
-            "hops/envelope",
             "envelope hops",
             "barrier p99 (us)",
+            "hists shipped",
+            "boundary total",
         ],
     );
     let mut cell_json = Vec::new();
-    for cell in &cells {
-        let (churn, snapshot_every) = (cell.churn, cell.snapshot_every);
-        let mut runs = Vec::new();
-        for engine in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            let w = ServeWorkload { engine, ..*cell };
-            eprintln!(
-                "[serve-p2p] engine={} churn={} snapshot_every={} ({} edits, flush {})",
-                engine,
-                churn_label(churn),
-                snapshot_every,
-                w.total_edits,
-                w.flush_size,
-            );
-            let result = run_workload(&w);
-            runs.push(P2pRun { engine, result });
-        }
-        for run in &runs {
-            t.row(vec![
-                format!("{} (x{})", churn_label(churn), snapshot_every),
-                run.engine.to_string(),
-                format!("{:.0}", run.result.edits_per_sec),
-                format!("{:.1}", run.exchange_upkeep_ns() / 1e3),
-                format!("{:.2}", run.hops_per_envelope()),
-                run.result.stats.envelope_hops.to_string(),
-                format!("{:.1}", run.result.stats.barrier_wait.p99_ns as f64 / 1e3),
-            ]);
-        }
-        let (coord, mesh) = (&runs[0], &runs[1]);
-        assert_eq!(
-            coord.result.final_cover,
-            mesh.result.final_cover,
-            "engines diverged on the final roster ({} x{})",
+    for w in &cells {
+        let (churn, snapshot_every) = (w.churn, w.snapshot_every);
+        eprintln!(
+            "[serve-p2p] churn={} snapshot_every={} ({} edits, flush {})",
             churn_label(churn),
             snapshot_every,
+            w.total_edits,
+            w.flush_size,
         );
-        assert_eq!(
-            coord.result.final_weights_fingerprint,
-            mesh.result.final_weights_fingerprint,
-            "engines diverged on final weights ({} x{})",
-            churn_label(churn),
-            snapshot_every,
-        );
-        let s = &mesh.result.stats;
-        assert!(
-            s.boundary_hists_shipped <= s.boundary_dirty_marked,
-            "dirty-diff collect shipped more boundary hists ({}) than vertices \
-             were dirty-marked ({}) — the ship rule is broken",
-            s.boundary_hists_shipped,
-            s.boundary_dirty_marked,
-        );
+        let r = run_workload(w);
+        let s = &r.stats;
+        t.row(vec![
+            format!("{} (x{})", churn_label(churn), snapshot_every),
+            format!("{:.0}", r.edits_per_sec),
+            format!("{:.1}", r.exchange_upkeep_ns() / 1e3),
+            s.envelope_hops.to_string(),
+            format!("{:.1}", s.barrier_wait.p99_ns as f64 / 1e3),
+            s.boundary_hists_shipped.to_string(),
+            s.boundary_hists_total.to_string(),
+        ]);
+        assert_ship_rule(s);
         if churn == EditWorkload::Localized {
             assert!(
                 s.boundary_hists_shipped * 10 <= s.boundary_hists_total,
@@ -846,24 +814,14 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
                 s.boundary_hists_total,
             );
         }
-        let wall_ratio = coord.exchange_upkeep_ns() / mesh.exchange_upkeep_ns().max(1.0);
-        let hops_ratio = coord.result.stats.envelope_hops as f64
-            / (mesh.result.stats.envelope_hops as f64).max(1.0);
         cell_json.push(format!(
             "{{\n    \"churn\": \"{}\",\n    \"snapshot_every\": {},\n    \
-             \"total_edits\": {},\n    \"flush_size\": {},\n    \
-             \"coordinator\": {},\n    \"mailbox\": {},\n    \
-             \"exchange_upkeep_wall_ratio\": {:.3},\n    \
-             \"envelope_hops_ratio\": {:.3},\n    \
-             \"rosters_and_weights_match\": true\n  }}",
+             \"total_edits\": {},\n    \"flush_size\": {},\n    {}\n  }}",
             churn_label(churn),
             snapshot_every,
-            cell.total_edits,
-            cell.flush_size,
-            coord.to_json(),
-            mesh.to_json(),
-            wall_ratio,
-            hops_ratio,
+            w.total_edits,
+            w.flush_size,
+            r.p2p_json(),
         ));
     }
     t.print();
@@ -884,23 +842,21 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
 }
 
 /// CI-scale `serve-p2p --smoke`: localized hot-spot churn at 1/4/8
-/// shards, each cell run on both engines. Gates three invariants cheaply
-/// enough for every CI run:
+/// shards. Gates two invariants cheaply enough for every CI run:
 ///
-/// 1. per-cell bit-identity — both engines land on the same final roster
-///    *and* weight fingerprint;
-/// 2. cross-shard bit-identity — every shard count lands on the roster
-///    and fingerprint of the 1-shard run;
-/// 3. the dirty-diff collect ship rule — a publish never ships more
-///    boundary histograms than vertices were dirty-marked
-///    (`boundary_hists_shipped <= boundary_dirty_marked`), so the
-///    incremental collect cannot silently degrade to full reshipping.
+/// 1. cross-shard bit-identity — every shard count lands on the roster
+///    and weight fingerprint of the 1-shard run;
+/// 2. the dirty-diff collect ship rule — on every sharded cell a publish
+///    ships at least one boundary histogram overall, and never more than
+///    vertices were dirty-marked
+///    (`0 < boundary_hists_shipped <= boundary_dirty_marked`), so the
+///    incremental collect can neither silently stop nor degrade to full
+///    reshipping.
 fn serve_p2p_smoke(out_path: &str) {
     let mut t = Table::new(
-        "serve p2p smoke: localized churn, coordinator vs mailbox".to_string(),
+        "serve p2p smoke: localized churn".to_string(),
         &[
             "shards",
-            "engine",
             "edits/sec",
             "hists shipped",
             "dirty marked",
@@ -910,75 +866,45 @@ fn serve_p2p_smoke(out_path: &str) {
     let mut cell_json = Vec::new();
     let mut reference: Option<(Cover, u64)> = None;
     for shards in [1usize, 4, 8] {
-        let mut runs = Vec::new();
-        for engine in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            let w = ServeWorkload {
-                mode: "p2p-smoke",
-                churn: EditWorkload::Localized,
-                engine,
-                ..ServeWorkload::smoke_sharded(shards)
-            };
-            eprintln!("[serve-p2p:smoke] shards={shards} engine={engine}");
-            let result = run_workload(&w);
-            runs.push(P2pRun { engine, result });
-        }
-        for run in &runs {
-            let s = &run.result.stats;
-            t.row(vec![
-                shards.to_string(),
-                run.engine.to_string(),
-                format!("{:.0}", run.result.edits_per_sec),
-                s.boundary_hists_shipped.to_string(),
-                s.boundary_dirty_marked.to_string(),
-                s.boundary_hists_total.to_string(),
-            ]);
-        }
-        let (coord, mesh) = (&runs[0], &runs[1]);
-        assert_eq!(
-            coord.result.final_cover, mesh.result.final_cover,
-            "engines diverged on the final roster at {shards} shard(s)"
-        );
-        assert_eq!(
-            coord.result.final_weights_fingerprint, mesh.result.final_weights_fingerprint,
-            "engines diverged on final weights at {shards} shard(s)"
-        );
+        let w = ServeWorkload {
+            mode: "p2p-smoke",
+            churn: EditWorkload::Localized,
+            ..ServeWorkload::smoke_sharded(shards)
+        };
+        eprintln!("[serve-p2p:smoke] shards={shards}");
+        let r = run_workload(&w);
+        let s = &r.stats;
+        t.row(vec![
+            shards.to_string(),
+            format!("{:.0}", r.edits_per_sec),
+            s.boundary_hists_shipped.to_string(),
+            s.boundary_dirty_marked.to_string(),
+            s.boundary_hists_total.to_string(),
+        ]);
         match &reference {
-            None => {
-                reference = Some((
-                    coord.result.final_cover.clone(),
-                    coord.result.final_weights_fingerprint,
-                ))
-            }
+            None => reference = Some((r.final_cover.clone(), r.final_weights_fingerprint)),
             Some((cover, fingerprint)) => {
                 assert_eq!(
-                    cover, &coord.result.final_cover,
+                    cover, &r.final_cover,
                     "shard count changed the final roster at {shards} shard(s)"
                 );
                 assert_eq!(
-                    *fingerprint, coord.result.final_weights_fingerprint,
+                    *fingerprint, r.final_weights_fingerprint,
                     "shard count changed the final weights at {shards} shard(s)"
                 );
             }
         }
-        let s = &mesh.result.stats;
         if shards > 1 {
-            assert!(
-                s.boundary_hists_shipped <= s.boundary_dirty_marked,
-                "dirty-diff collect shipped more boundary hists ({}) than vertices \
-                 were dirty-marked ({}) — the ship rule is broken",
-                s.boundary_hists_shipped,
-                s.boundary_dirty_marked,
-            );
+            assert_ship_rule(s);
             assert!(
                 s.boundary_hists_shipped > 0,
                 "mesh publishes never shipped a boundary histogram — collect path broken?"
             );
         }
         cell_json.push(format!(
-            "{{\n    \"shards\": {shards},\n    \"coordinator\": {},\n    \
-             \"mailbox\": {},\n    \"rosters_and_weights_match\": true\n  }}",
-            coord.to_json(),
-            mesh.to_json(),
+            "{{\n    \"shards\": {shards},\n    {},\n    \
+             \"rosters_and_weights_match\": true\n  }}",
+            r.p2p_json(),
         ));
     }
     t.print();
@@ -1019,7 +945,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 7,
         };
@@ -1042,14 +967,13 @@ mod tests {
             !r.query_windows.is_empty(),
             "no per-window query summaries collected"
         );
-        // Readers may still be running after the last barrier, so the
-        // windows cover at most (not exactly) the cumulative count.
+        // The first window opens before any reader starts and the
+        // trailing one closes after every reader joined, so the windows
+        // partition the run's queries exactly, on any schedule.
         let windowed: u64 = r.query_windows.iter().map(|s| s.count).sum();
-        assert!(
-            windowed > 0 && windowed <= r.stats.queries.count,
-            "window counts ({windowed}) must partition a prefix of the \
-             cumulative count ({})",
-            r.stats.queries.count,
+        assert_eq!(
+            windowed, r.stats.queries.count,
+            "window counts must partition the cumulative count"
         );
         assert!(json.contains("\"edits_per_sec\""));
         assert!(json.contains("\"backend\": \"dense\""));
@@ -1078,7 +1002,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 9,
         };
@@ -1112,7 +1035,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards: 1,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 31,
         };

@@ -215,7 +215,6 @@ mod tests {
     use super::*;
     use rslpa_gen::edits::EditWorkload;
     use rslpa_graph::StorageBackend;
-    use rslpa_serve::ExchangeMode;
 
     use crate::exp_serve::Topology;
 
@@ -233,7 +232,6 @@ mod tests {
             flush_size: 64,
             snapshot_every: 2,
             shards,
-            engine: ExchangeMode::Mailbox,
             churn: EditWorkload::Uniform,
             seed: 7,
         }

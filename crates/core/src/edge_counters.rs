@@ -1035,11 +1035,12 @@ mod tests {
                 let applied = dg.apply(batch).unwrap();
                 let mut central_deltas = Vec::new();
                 let mut dirty = rslpa_graph::FxHashSet::default();
-                crate::incremental::apply_correction_streaming(
+                crate::incremental::apply_correction_damped(
                     &mut central_state,
                     dg.graph(),
                     &applied,
                     false,
+                    None,
                     &mut dirty,
                     &mut central_deltas,
                 );

@@ -163,60 +163,30 @@ pub fn apply_correction(
     applied: &AppliedBatch,
     value_pruned: bool,
 ) -> UpdateReport {
-    let mut dirty = FxHashSet::default();
-    apply_correction_tracked(state, graph_after, applied, value_pruned, &mut dirty)
-}
-
-/// [`apply_correction`] that additionally records every vertex whose label
-/// *value* changed into `dirty` — the input set for dirty-region
-/// post-processing (a vertex whose histogram is unchanged cannot change
-/// any edge weight).
-pub fn apply_correction_tracked(
-    state: &mut LabelState,
-    graph_after: &AdjacencyGraph,
-    applied: &AppliedBatch,
-    value_pruned: bool,
-    dirty: &mut FxHashSet<VertexId>,
-) -> UpdateReport {
-    let mut deltas = Vec::new();
-    apply_correction_streaming(
-        state,
-        graph_after,
-        applied,
-        value_pruned,
-        dirty,
-        &mut deltas,
-    )
-}
-
-/// [`apply_correction_tracked`] that additionally emits one [`SlotDelta`]
-/// per label-slot *value* change, in application order — the input stream
-/// for [`EdgeCounters`](crate::edge_counters::EdgeCounters). A slot
-/// rewritten several times in one repair emits one delta per rewrite
-/// (callers compact with
-/// [`compact_slot_deltas`](rslpa_graph::compact_slot_deltas) before
-/// paying `O(deg)` per delta); unchanged-value writes emit nothing, so
-/// the stream is exactly the histogram movement of this repair.
-pub fn apply_correction_streaming(
-    state: &mut LabelState,
-    graph_after: &AdjacencyGraph,
-    applied: &AppliedBatch,
-    value_pruned: bool,
-    dirty: &mut FxHashSet<VertexId>,
-    slot_deltas: &mut Vec<SlotDelta>,
-) -> UpdateReport {
     apply_correction_damped(
         state,
         graph_after,
         applied,
         value_pruned,
         None,
-        dirty,
-        slot_deltas,
+        &mut FxHashSet::default(),
+        &mut Vec::new(),
     )
 }
 
-/// [`apply_correction_streaming`] with degree-capped cascade damping.
+/// [`apply_correction`] with optional degree-capped cascade damping,
+/// reporting what the repair changed.
+///
+/// Every vertex whose label *value* changed is recorded into `dirty` (a
+/// vertex whose histogram is unchanged cannot change any edge weight).
+/// One [`SlotDelta`] per label-slot *value* change is appended to
+/// `slot_deltas` in application order — the input stream for
+/// [`EdgeCounters`](crate::edge_counters::EdgeCounters). A slot rewritten
+/// several times in one repair emits one delta per rewrite (callers
+/// compact with [`compact_slot_deltas`](rslpa_graph::compact_slot_deltas)
+/// before paying `O(deg)` per delta); unchanged-value writes emit
+/// nothing, so the stream is exactly the histogram movement of this
+/// repair.
 ///
 /// With `damper = None` this is bit-for-bit the undamped repair. With a
 /// damper, the flush runs in four steps:
@@ -881,11 +851,12 @@ mod tests {
                 .unwrap();
             let mut dirty = FxHashSet::default();
             let mut deltas = Vec::new();
-            apply_correction_streaming(
+            apply_correction_damped(
                 &mut state,
                 dg.graph(),
                 &applied,
                 false,
+                None,
                 &mut dirty,
                 &mut deltas,
             );

@@ -51,10 +51,7 @@ pub use detector::{DetectionResult, RslpaDetector};
 pub use edge_counters::{
     assemble_partitioned_weights, BoundaryShipReport, CounterPartition, EdgeCounters,
 };
-pub use incremental::{
-    apply_correction, apply_correction_damped, apply_correction_streaming,
-    apply_correction_tracked, CascadeDamper, UpdateReport,
-};
+pub use incremental::{apply_correction, apply_correction_damped, CascadeDamper, UpdateReport};
 pub use postprocess::{postprocess, PostprocessResult};
 pub use postprocess_incremental::{result_from_weights, IncrementalPostprocess};
 pub use propagation::run_propagation;

@@ -9,24 +9,23 @@
 //! affected vertices (Algorithm 2 Phase A) and drains the resulting
 //! cascade as far as it runs inside the shard. Corrections that cross a
 //! partition boundary become [`ShardMsg`]s addressed to the owner of the
-//! remote vertex. Two transports deliver them:
+//! remote vertex. The serve subsystem delivers them over **the
+//! peer-to-peer mailbox mesh** ([`MailboxPort`]): every worker holds a
+//! direct channel to every peer and delivers its outbox itself (one hop
+//! per envelope). Rounds synchronize on a shared sense-reversing barrier
+//! ([`SenseBarrier`]) and terminate by a monotone sent-envelope counter:
+//! **one** barrier wait per round, with the last arriver (the leader)
+//! publishing the counter snapshot from inside the barrier's pre-release
+//! closure. Nobody can be sending while the leader reads (all ports have
+//! arrived), and nobody can read a stale snapshot (the release publishes
+//! it), so all ports agree — without any coordinator traffic or second
+//! barrier — on whether anything was sent and when to stop.
 //!
-//! * **coordinator-mediated rounds** (the pre-mesh path, kept as the
-//!   baseline): workers hand their outboxes back to a coordinator, which
-//!   regroups them by owner and sends each shard its inbox — two channel
-//!   hops per active shard per round, and every envelope crosses two
-//!   channels;
-//! * **the peer-to-peer mailbox mesh** ([`MailboxPort`]): every worker
-//!   holds a direct channel to every peer and delivers its outbox itself
-//!   (one hop per envelope). Rounds synchronize on a shared
-//!   sense-reversing barrier ([`SenseBarrier`]) and terminate by a
-//!   monotone sent-envelope counter: **one** barrier wait per round, with
-//!   the last arriver (the leader) publishing the counter snapshot from
-//!   inside the barrier's pre-release closure. Nobody can be sending while
-//!   the leader reads (all ports have arrived), and nobody can read a
-//!   stale snapshot (the release publishes it), so all ports agree —
-//!   without any coordinator traffic or second barrier — on whether
-//!   anything was sent and when to stop.
+//! [`ShardRepairState::exchange`] also accepts an inbox directly, so the
+//! unit tests below can drive the shards round by round on one thread:
+//! regroup every outbox by owner, hand each shard its inbox, repeat until
+//! no envelope is left. That sequential driver is the reference the mesh
+//! is checked against.
 //!
 //! The protocol is the same three-message scheme as the BSP vertex program
 //! ([`crate::incremental_bsp`]): `Unrecord` detaches a stale receiver
@@ -38,7 +37,7 @@
 //! unique — independent of shard count, message ordering, transport, and
 //! how eagerly a shard drains its local cascade. The tests below pin that
 //! claim against the centralized [`apply_correction`](crate::incremental)
-//! bit for bit, for both transports.
+//! bit for bit, for both the sequential driver and the mesh.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, Sender};
@@ -931,8 +930,6 @@ struct MeshCore {
 pub struct MeshExchangeReport {
     /// Exchange rounds that delivered at least one envelope somewhere.
     pub rounds: u64,
-    /// Peer batches this port sent (one channel hop each).
-    pub batches_sent: u64,
     /// Envelopes this port sent.
     pub envelopes_sent: u64,
     /// Inbox depth (envelopes drained) per delivering round.
@@ -1110,7 +1107,6 @@ impl MailboxPort {
                     continue;
                 }
                 sent_now += batch.len() as u64;
-                mesh.batches_sent += 1;
                 let delivered = self.peers[peer]
                     .as_ref()
                     .expect("no channel to self")
@@ -1520,11 +1516,12 @@ mod tests {
                 let mut central = state0.clone();
                 let mut dirty = rslpa_graph::FxHashSet::default();
                 let mut central_deltas = Vec::new();
-                crate::incremental::apply_correction_streaming(
+                crate::incremental::apply_correction_damped(
                     &mut central,
                     dg.graph(),
                     &applied,
                     false,
+                    None,
                     &mut dirty,
                     &mut central_deltas,
                 );

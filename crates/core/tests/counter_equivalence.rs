@@ -8,7 +8,8 @@
 //! Two harnesses pin it:
 //!
 //! * the **central-store** harness (PR 4's acceptance property): the
-//!   coordinator-relayed exchange loop feeds one central [`EdgeCounters`];
+//!   sequential round driver (every outbox regrouped by owner on one
+//!   thread) feeds one central [`EdgeCounters`];
 //! * the **mesh + partition** harness (PR 5's): real worker threads
 //!   deliver envelopes peer-to-peer over a [`build_mesh`] and each shard
 //!   folds its own deltas into its own [`CounterPartition`]; publish

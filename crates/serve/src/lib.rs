@@ -9,18 +9,18 @@
 //! ## Architecture
 //!
 //! ```text
-//!  writers ──▶ EditQueue ──▶ coordinator ──▶ router ─┬▶ shard worker 0 ─┐
-//!             (micro-batch    net-resolve   (deltas  ├▶ shard worker 1  │ boundary
-//!              per policy)    + growth)     by owner)└▶ shard worker N  │ exchange
-//!                                  │                  ▲ Unrecord/Fetch/Value
-//!                                  │                  └─────rounds──────┘
-//!                                  │ slot deltas per flush (piggybacked)
-//!                                  ▼
-//!                        IncrementalPostprocess ──▶ snapshot ──▶ SnapshotStore
-//!                        (streaming edge-weight     assembly     (epoch chain)
-//!                         counters; publish reads                     │
-//!                         weights, never re-merges)                   │
-//!  readers ◀─────────────────── lock-free refresh ◀──────────────────┘
+//!  writers ──▶ EditQueue ──▶ coordinator ──▶ router ─┬▶ shard worker 0 ◀─┐
+//!             (micro-batch    net-resolve   (deltas  ├▶ shard worker 1 ◀─┤ p2p mailbox
+//!              per policy)    + growth)     by owner)└▶ shard worker N ◀─┘ mesh rounds
+//!                                  │                    (each owns its label rows
+//!                                  │                     and counter partition)
+//!                                  │ shards = 1: the       │ shards > 1: collect
+//!                                  │ single writer's       │ interior counters +
+//!                                  ▼ central counters      ▼ dirty boundary hists
+//!                        weights read off exact counters ──▶ snapshot ──▶ SnapshotStore
+//!                        (publish never re-merges a          assembly     (epoch chain)
+//!                         surviving edge's histograms)                        │
+//!  readers ◀─────────────────── lock-free refresh ◀──────────────────────────┘
 //! ```
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the full
@@ -33,15 +33,16 @@
 //!   per-edit, or only at explicit barriers.
 //! * [`maintain`] — the maintenance coordinator; folds op soup into valid
 //!   [`EditBatch`](rslpa_graph::EditBatch)es (net-effect resolution),
-//!   repairs the label state through the engine, streams the repair's
-//!   slot changes into the edge-weight counter store, and publishes
+//!   repairs the label state through the engine, has the engine fold
+//!   the repair's slot changes into its edge-weight counters, and publishes
 //!   snapshots by reading weights off exact integer counters (no
 //!   histogram is ever re-merged for a surviving edge).
 //! * `shards` (internal) — the repair engine: a single-writer
-//!   [`RslpaDetector`](rslpa_core::RslpaDetector) at `shards = 1` (the
-//!   default), or per-partition workers exchanging boundary corrections
-//!   and re-partitioned around each published cover at `shards > 1`.
-//!   Rosters are bit-identical across shard counts.
+//!   [`RslpaDetector`](rslpa_core::RslpaDetector) with the central
+//!   counter store at `shards = 1` (the default), or per-partition
+//!   workers on a peer-to-peer mailbox mesh, each owning its counter
+//!   partition and re-partitioned around each published cover, at
+//!   `shards > 1`. Rosters are bit-identical across shard counts.
 //! * [`snapshot`] — versioned immutable [`CommunitySnapshot`]s linked into
 //!   an epoch chain; readers advance with atomic loads only and can pin
 //!   any epoch indefinitely.
@@ -67,9 +68,7 @@ pub mod stats;
 pub use policy::{BarrierOnly, ByDeadline, BySize, FlushPolicy, Immediate};
 pub use query::QueryEngine;
 pub use queue::EditOp;
-pub use service::{
-    CommunityService, ExchangeMode, IngestHandle, ServeConfig, ServiceClosed, TraceOptions,
-};
+pub use service::{CommunityService, IngestHandle, ServeConfig, ServiceClosed, TraceOptions};
 
 // Re-exported so callers can tune serve-path damping without a direct
 // `rslpa_core` dependency.

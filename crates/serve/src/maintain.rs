@@ -5,15 +5,15 @@
 //! One thread drives the loop. With `shards = 1` it owns the
 //! [`RslpaDetector`](rslpa_core::RslpaDetector) outright (the pre-sharding
 //! single-writer path); with `shards > 1` it routes each flush to the
-//! per-partition workers and drives their boundary exchange (see
-//! the private `shards` module). Either way, every flush streams the
-//! repair's label-slot changes into the
-//! [`rslpa_core::IncrementalPostprocess`] counter
-//! store (`O(deg)` per net slot change), so snapshot publishing reads
-//! each edge weight off an exact integer counter instead of re-merging
-//! histograms — publish-time weight cost tracks the number of *inserted*
-//! edges, not the dirty region. Readers interact only through the
-//! epoch-swapped [`SnapshotStore`].
+//! per-partition workers of the mailbox mesh (see the private `shards`
+//! module). Either way, every flush streams the repair's label-slot
+//! changes into exact integer edge-weight counters (`O(deg)` per net slot
+//! change) — the single writer's central
+//! [`rslpa_core::IncrementalPostprocess`] store, or each mesh worker's own
+//! partition — so snapshot publishing reads each edge weight off a
+//! counter instead of re-merging histograms: publish-time weight cost
+//! tracks the number of *inserted* edges, not the dirty region. Readers
+//! interact only through the epoch-swapped [`SnapshotStore`].
 //!
 //! Live streams are messier than the paper's curated batches: clients may
 //! insert an edge that already exists, delete one that does not, or emit
@@ -25,8 +25,8 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use rslpa_core::{DetectionResult, IncrementalPostprocess};
-use rslpa_graph::{AdjacencyGraph, EditBatch, FxHashMap, SlotDelta, VertexId};
+use rslpa_core::DetectionResult;
+use rslpa_graph::{AdjacencyGraph, EditBatch, FxHashMap, VertexId};
 use rslpa_trace::{names, TraceWriter};
 
 use crate::hubs::HubTracker;
@@ -95,7 +95,6 @@ pub(crate) fn resolve_ops_into(
 /// State owned by the maintenance thread.
 pub(crate) struct MaintenanceLoop {
     pub(crate) engine: RepairEngine,
-    pub(crate) postprocess: IncrementalPostprocess,
     pub(crate) queue: Arc<EditQueue>,
     pub(crate) store: Arc<SnapshotStore>,
     pub(crate) stats: Arc<ServeStats>,
@@ -108,8 +107,6 @@ pub(crate) struct MaintenanceLoop {
     pub(crate) dirty_since_snapshot: bool,
     /// Net-resolution scratch, retained across flushes ([`resolve_ops_into`]).
     pub(crate) resolve_scratch: FxHashMap<(VertexId, VertexId), bool>,
-    /// Slot-delta stream scratch, retained across flushes.
-    pub(crate) slot_deltas: Vec<SlotDelta>,
     /// Per-window degree-delta tracker feeding hub-aware repartitioning.
     pub(crate) hubs: HubTracker,
     /// Flight-recorder handle for lane 0 (this thread). A writer against a
@@ -204,9 +201,9 @@ impl MaintenanceLoop {
         }
     }
 
-    /// Apply the pending ops as one net batch, then stream the repair's
-    /// slot changes into the edge-weight counter store (so publish never
-    /// re-merges a histogram).
+    /// Apply the pending ops as one net batch, then let the engine fold
+    /// the repair's slot changes into its edge-weight counters (so
+    /// publish never re-merges a histogram).
     fn flush(&mut self, pending: &mut Vec<EditOp>) {
         if pending.is_empty() {
             return;
@@ -223,22 +220,14 @@ impl MaintenanceLoop {
         if let Some(m) = batch.insertions().iter().map(|&(_, v)| v).max() {
             if (m as usize) >= self.engine.graph().num_vertices() {
                 self.engine.ensure_vertices(m as usize + 1);
-                // The central counter store only lives (and grows) where
-                // upkeep is central; the mailbox engine's workers own all
-                // counter state.
-                if !self.engine.shard_owned_counters() {
-                    self.postprocess.ensure_vertices(m as usize + 1);
-                }
             }
         }
         let applied = batch.len() as u64;
-        self.slot_deltas.clear();
         let (eta, dirty) = if batch.is_empty() {
             (0, 0)
         } else {
             let _span = self.trace.span_with(names::REPAIR, applied);
-            self.engine
-                .apply(&batch, &self.stats, &mut self.slot_deltas)
+            self.engine.apply(&batch, &self.stats)
         };
         self.stats
             .note_flush(applied, rejected, eta, started.elapsed());
@@ -246,26 +235,11 @@ impl MaintenanceLoop {
             self.stats
                 .note_dirty_region(dirty, self.engine.graph().num_vertices() as u64);
         }
-        // Counter maintenance: retire deleted edges' counters, then fold
-        // the compacted slot-delta stream in at O(deg) per net change.
-        // Inserted edges need nothing here — they are merged lazily (and
-        // exactly) at the next publish. Timed separately so `--stats-json`
-        // shows where the former publish-time weight pass went. Under the
-        // mailbox engine the workers already folded their own streams
-        // into their own partitions (in parallel, off this thread), so
-        // there is nothing central to do.
+        // Upkeep runs after `note_flush`, so flush latency excludes it;
+        // the engine records its own timing.
         if !batch.is_empty() {
             self.hubs.note_batch(&batch);
-            if !self.engine.shard_owned_counters() {
-                let _span = self.trace.span(names::COUNTER_UPKEEP);
-                let counters_started = Instant::now();
-                self.postprocess.delete_edges(batch.deletions());
-                let net = self
-                    .postprocess
-                    .apply_slot_deltas(self.engine.graph(), &self.slot_deltas);
-                self.stats
-                    .note_counters(net as u64, counters_started.elapsed());
-            }
+            self.engine.upkeep(&batch, &self.stats, &self.trace);
             // Only a batch that actually changed something warrants a new
             // epoch — a flush of fully-rejected ops must not make the next
             // barrier publish a duplicate snapshot.
@@ -286,10 +260,7 @@ impl MaintenanceLoop {
         self.dirty_since_snapshot = false;
         let publish_span = self.trace.span(names::PUBLISH);
         let started = Instant::now();
-        let result = match self
-            .engine
-            .refresh(&mut self.postprocess, &self.stats, &self.trace)
-        {
+        let result = match self.engine.refresh(&self.trace) {
             Ok(result) => result,
             Err(err) => {
                 // A shard worker died. Skip this snapshot — readers keep
@@ -318,7 +289,7 @@ impl MaintenanceLoop {
         self.stats.note_snapshot(started.elapsed());
         // Refresh the coordinator-resident memory gauges while the state
         // is quiescent; readers see them via the stats JSON.
-        let mem = self.engine.mem_footprint(&self.postprocess);
+        let mem = self.engine.mem_footprint();
         self.stats.set_mem_gauges(
             mem.live_bytes as u64,
             mem.capacity_bytes as u64,

@@ -16,45 +16,6 @@ use crate::shards::RepairEngine;
 use crate::snapshot::{CommunitySnapshot, SnapshotReader, SnapshotStore};
 use crate::stats::{ServeStats, StatsReport};
 
-/// How sharded workers deliver boundary corrections to each other.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ExchangeMode {
-    /// Coordinator-relayed rounds (the pre-mesh baseline): workers hand
-    /// outboxes back to the maintenance thread, which regroups and
-    /// re-sends them — 2 channel hops per active shard per round, and
-    /// counter upkeep runs centrally on the maintenance thread.
-    Coordinator,
-    /// Peer-to-peer mailbox mesh (default): workers deliver envelopes
-    /// directly over per-peer channels, rounds synchronize on a shared
-    /// barrier, and each worker owns the edge-counter partition of its
-    /// own vertices so upkeep runs inside the workers in parallel.
-    #[default]
-    Mailbox,
-}
-
-impl std::fmt::Display for ExchangeMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            ExchangeMode::Coordinator => "coordinator",
-            ExchangeMode::Mailbox => "mailbox",
-        })
-    }
-}
-
-impl std::str::FromStr for ExchangeMode {
-    type Err = String;
-
-    /// Parse the CLI spelling (`coordinator` | `mailbox`) — the shared
-    /// authority for every `--engine` flag.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "coordinator" => Ok(ExchangeMode::Coordinator),
-            "mailbox" => Ok(ExchangeMode::Mailbox),
-            other => Err(format!("{other:?} is not coordinator|mailbox")),
-        }
-    }
-}
-
 /// Flight-recorder configuration (see [`ServeConfig::with_trace`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceOptions {
@@ -98,8 +59,6 @@ pub struct ServeConfig {
     /// vertex yet idles until a repartition hands it some). The effective
     /// count is what [`StatsReport::shards`](crate::StatsReport) reports.
     pub shards: usize,
-    /// Boundary-exchange transport for `shards > 1` (ignored otherwise).
-    pub exchange: ExchangeMode,
     /// Flight-recorder setup. `None` (the default) wires every span site
     /// to a permanently-off recorder — one relaxed atomic load per site,
     /// no storage. `Some` allocates one ring per thread and records the
@@ -124,7 +83,6 @@ impl Default for ServeConfig {
             snapshot_every: 1,
             history: 64,
             shards: 1,
-            exchange: ExchangeMode::default(),
             trace: None,
         }
     }
@@ -204,13 +162,6 @@ impl ServeConfig {
     /// [`shards`](Self::shards)).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
-        self
-    }
-
-    /// Select the boundary-exchange transport (builder style). Only
-    /// meaningful with `shards > 1`; see [`ExchangeMode`].
-    pub fn with_exchange(mut self, exchange: ExchangeMode) -> Self {
-        self.exchange = exchange;
         self
     }
 
@@ -353,14 +304,7 @@ impl CommunityService {
             Some(t) => Tracer::new(shards + 1, t.capacity_per_lane),
             None => Tracer::disabled(),
         });
-        let bootstrap = RepairEngine::bootstrap(
-            graph,
-            &config.detector,
-            shards,
-            config.exchange,
-            &stats,
-            &tracer,
-        );
+        let bootstrap = RepairEngine::bootstrap(graph, &config.detector, shards, &stats, &tracer);
         let detection = DetectionResult {
             result: bootstrap.genesis,
         };
@@ -369,7 +313,6 @@ impl CommunityService {
         let queue = EditQueue::new();
         let worker = MaintenanceLoop {
             engine: bootstrap.engine,
-            postprocess: bootstrap.postprocess,
             queue: Arc::clone(&queue),
             store: Arc::clone(&store),
             stats: Arc::clone(&stats),
@@ -378,7 +321,6 @@ impl CommunityService {
             flushes_since_snapshot: 0,
             dirty_since_snapshot: false,
             resolve_scratch: Default::default(),
-            slot_deltas: Vec::new(),
             hubs: Default::default(),
             trace: tracer.writer(0),
         };

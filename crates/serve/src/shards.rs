@@ -1,18 +1,13 @@
 //! The repair engine behind the maintenance loop: a single-writer
-//! detector, coordinator-relayed shards, or the peer-to-peer mailbox
-//! mesh.
+//! detector, or the peer-to-peer mailbox mesh.
 //!
 //! * [`RepairEngine::Single`] — the pre-sharding hot path: one
 //!   [`RslpaDetector`] owned by the maintenance thread, repairing via
-//!   centralized Correction Propagation. Default (`shards = 1`).
-//! * [`RepairEngine::Sharded`] — the coordinator-relayed baseline: `N`
-//!   worker threads, each owning one [`ShardRepairState`]; corrections
-//!   that cross a partition boundary travel as [`Envelope`]s through
-//!   coordinator-driven exchange rounds (2 channel hops per active shard
-//!   per round, every envelope relayed through 2 channels), and counter
-//!   upkeep runs centrally on the maintenance thread.
-//! * [`RepairEngine::Mailbox`] — the decentralized engine (default for
-//!   `shards > 1`): workers exchange envelopes **directly** over a
+//!   centralized Correction Propagation, plus the central
+//!   [`IncrementalPostprocess`] counter store it keeps up to date.
+//!   Default (`shards = 1`).
+//! * [`RepairEngine::Mailbox`] — the decentralized engine for
+//!   `shards > 1`: workers exchange envelopes **directly** over a
 //!   [`MailboxPort`] mesh, rounds synchronize on a shared barrier with a
 //!   monotone sent-counter for termination (no coordinator traffic per
 //!   round, 1 channel hop per envelope), and each worker owns the
@@ -26,11 +21,10 @@
 //!   ([`assemble_partitioned_weights`]) — boundary edges are merged
 //!   there, per the cross-shard edge ownership rule.
 //!
-//! All engines produce **bit-identical** label state, weights, and
+//! Both engines produce **bit-identical** label state, weights, and
 //! rosters for the same batch sequence (pinned by `rslpa_core::shard` /
 //! `edge_counters` tests and the cross-shard roster tests in this
-//! crate), so shard count and exchange transport are purely throughput
-//! knobs.
+//! crate), so the shard count is purely a throughput knob.
 
 use std::sync::mpsc::{Receiver, Sender};
 use std::sync::Arc;
@@ -53,130 +47,11 @@ use rslpa_graph::{
 use rslpa_graph::{Cover, Label};
 use rslpa_trace::{names, TraceWriter, Tracer};
 
-use crate::service::ExchangeMode;
 use crate::stats::ServeStats;
 
 /// How long the coordinator waits for a worker reply before concluding the
 /// worker died (a worker panic would otherwise deadlock the loop).
 const WORKER_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
-
-/// Commands the coordinator sends to a shard worker.
-enum ShardCmd {
-    /// Phase A for this shard's slice of the flush.
-    Apply(Vec<(VertexId, rslpa_graph::VertexDelta)>),
-    /// One boundary-exchange round of inbound envelopes.
-    Exchange(Vec<Envelope>),
-    /// Hand over the rows of vertices this shard no longer owns.
-    Extract(Vec<VertexId>),
-    /// Install the new ownership map and any rows migrating in.
-    Adopt {
-        partitioner: Arc<dyn Partitioner>,
-        rows: Vec<(VertexId, VertexRowData)>,
-    },
-    /// Exit the worker thread.
-    Shutdown,
-}
-
-/// Worker replies, tagged with the shard index where the coordinator
-/// needs it.
-enum ShardReply {
-    Repaired {
-        shard: usize,
-        out: Vec<Envelope>,
-        report: ShardFlushReport,
-        /// Slot changes this command produced, in application order —
-        /// piggybacked so counter maintenance needs no extra round trip.
-        /// The reply channel is FIFO per sender, so one vertex's deltas
-        /// (always from its single owner shard) arrive chained.
-        deltas: Vec<SlotDelta>,
-    },
-    Extracted {
-        rows: Vec<(VertexId, VertexRowData)>,
-    },
-    Adopted,
-}
-
-fn worker_loop(
-    mut shard: ShardRepairState,
-    cmds: Receiver<ShardCmd>,
-    replies: Sender<ShardReply>,
-    stats: Arc<ServeStats>,
-    trace: TraceWriter,
-) {
-    let idx = shard.shard();
-    let wall_started = Instant::now();
-    loop {
-        let wait_t0 = trace.enabled().then(|| trace.now_ns());
-        let waited = Instant::now();
-        let Ok(cmd) = cmds.recv() else { break };
-        stats.note_shard_mailbox_wait(idx, waited.elapsed());
-        if let Some(t0) = wait_t0 {
-            trace.record_span(
-                names::MAILBOX_WAIT,
-                t0,
-                trace.now_ns().saturating_sub(t0),
-                0,
-            );
-        }
-        let work_started = Instant::now();
-        match cmd {
-            ShardCmd::Apply(deltas) => {
-                let _span = trace.span_with(names::SHARD_FLUSH, deltas.len() as u64);
-                let mut out = Vec::new();
-                let report = shard.apply_deltas(&deltas, &mut out);
-                if replies
-                    .send(ShardReply::Repaired {
-                        shard: idx,
-                        out,
-                        report,
-                        deltas: shard.take_slot_deltas(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ShardCmd::Exchange(inbox) => {
-                let _span = trace.span_with(names::EXCHANGE, inbox.len() as u64);
-                let mut out = Vec::new();
-                let report = shard.exchange(inbox, &mut out);
-                if replies
-                    .send(ShardReply::Repaired {
-                        shard: idx,
-                        out,
-                        report,
-                        deltas: shard.take_slot_deltas(),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ShardCmd::Extract(ids) => {
-                let _span = trace.span_with(names::MIGRATE, ids.len() as u64);
-                if replies
-                    .send(ShardReply::Extracted {
-                        rows: shard.extract_rows(&ids),
-                    })
-                    .is_err()
-                {
-                    break;
-                }
-            }
-            ShardCmd::Adopt { partitioner, rows } => {
-                let _span = trace.span_with(names::MIGRATE, rows.len() as u64);
-                shard.set_partitioner(partitioner);
-                shard.adopt_rows(rows);
-                if replies.send(ShardReply::Adopted).is_err() {
-                    break;
-                }
-            }
-            ShardCmd::Shutdown => break,
-        }
-        stats.note_shard_cmd(idx, work_started.elapsed(), Duration::ZERO, Duration::ZERO);
-    }
-    stats.set_shard_wall(idx, wall_started.elapsed());
-}
 
 /// Commands the coordinator posts into a mesh worker's sub-queue.
 enum MeshCmd {
@@ -230,7 +105,6 @@ enum MeshReply {
         shard: usize,
         report: ShardFlushReport,
         rounds: u64,
-        batches_sent: u64,
         envelopes_sent: u64,
         pending: bool,
     },
@@ -381,7 +255,6 @@ fn mesh_worker_loop(
                             shard: idx,
                             report,
                             rounds: mesh.rounds,
-                            batches_sent: mesh.batches_sent,
                             envelopes_sent: mesh.envelopes_sent,
                             pending: state.has_pending(),
                         })
@@ -475,25 +348,18 @@ impl std::fmt::Display for PublishError {
 
 impl std::error::Error for PublishError {}
 
-/// Single-writer engine: the pre-sharding maintenance path.
+/// Single-writer engine: the pre-sharding maintenance path. It owns the
+/// central counter store, the only one left once the label state is
+/// sharded (mesh workers each own a partition of it instead).
 pub(crate) struct SingleEngine {
     detector: RslpaDetector,
-}
-
-/// Partition-sharded engine: coordinator state plus worker handles.
-pub(crate) struct ShardedEngine {
-    /// Topology mirror (the coordinator needs the whole graph for net-op
-    /// resolution and post-processing; the label state lives only on the
-    /// shards).
-    graph: DynamicGraph,
-    partitioner: Arc<dyn Partitioner>,
-    boundary: BoundaryTracker,
-    workers: Vec<Sender<ShardCmd>>,
-    replies: Receiver<ShardReply>,
-    handles: Vec<JoinHandle<()>>,
-    batches_applied: usize,
-    /// Per-flush delta scratch, retained across batches.
-    applied: AppliedBatch,
+    /// Streaming edge-weight counters (histograms seeded, weights read at
+    /// publish).
+    postprocess: IncrementalPostprocess,
+    /// The last flush's label-slot changes in application order, drained
+    /// into `postprocess` by [`RepairEngine::upkeep`]. Capacity is
+    /// retained across flushes.
+    slot_deltas: Vec<SlotDelta>,
 }
 
 /// Decentralized engine: coordinator state for the peer-to-peer mailbox
@@ -543,16 +409,13 @@ pub(crate) struct MailboxEngine {
 /// The maintenance loop's repair backend.
 pub(crate) enum RepairEngine {
     Single(Box<SingleEngine>),
-    Sharded(ShardedEngine),
-    Mailbox(MailboxEngine),
+    Mailbox(Box<MailboxEngine>),
 }
 
-/// What `start` hands the service: the engine, the incremental
-/// post-processor (histograms seeded, weights cold), and the genesis
-/// detection result.
+/// What `start` hands the service: the engine and the genesis detection
+/// result.
 pub(crate) struct Bootstrap {
     pub(crate) engine: RepairEngine,
-    pub(crate) postprocess: IncrementalPostprocess,
     pub(crate) genesis: rslpa_core::PostprocessResult,
 }
 
@@ -564,7 +427,6 @@ impl RepairEngine {
         graph: AdjacencyGraph,
         config: &RslpaConfig,
         shards: usize,
-        mode: ExchangeMode,
         stats: &Arc<ServeStats>,
         tracer: &Arc<Tracer>,
     ) -> Bootstrap {
@@ -573,18 +435,21 @@ impl RepairEngine {
             let mut postprocess = IncrementalPostprocess::new(detector.state(), config.tau1_grid);
             let genesis = postprocess.refresh(detector.graph());
             return Bootstrap {
-                engine: RepairEngine::Single(Box::new(SingleEngine { detector })),
-                postprocess,
+                engine: RepairEngine::Single(Box::new(SingleEngine {
+                    detector,
+                    postprocess,
+                    slot_deltas: Vec::new(),
+                })),
                 genesis,
             };
         }
         let state = rslpa_core::run_propagation(&graph, config.iterations, config.seed);
         let mut postprocess = IncrementalPostprocess::new(&state, config.tau1_grid);
-        // Under the coordinator engine the maintenance thread owns
-        // publishing, so it borrows the shard budget for the snapshot
-        // weight pass — capped at the machine's actual parallelism (extra
-        // threads on a small host only add switches). The mailbox engine
-        // reads weights off the worker partitions instead.
+        // The genesis weight pass runs once, here, before the workers
+        // exist, so it borrows the shard budget — capped at the machine's
+        // actual parallelism (extra threads on a small host only add
+        // switches). Every later publish reads weights off the worker
+        // partitions instead.
         let hw = std::thread::available_parallelism().map_or(1, usize::from);
         postprocess.set_threads(shards.min(hw));
         let genesis = postprocess.refresh(&graph);
@@ -603,105 +468,56 @@ impl RepairEngine {
             boundary.cut_edges() as u64,
             boundary.boundary_vertices() as u64,
         );
-        let make_shard = |s: usize| {
+        let (reply_tx, replies) = std::sync::mpsc::channel();
+        let mut workers = Vec::with_capacity(shards);
+        let mut handles = Vec::with_capacity(shards);
+        let ports = build_mesh(shards);
+        let poisoner = ports[0].poisoner();
+        for (s, mut port) in ports.into_iter().enumerate() {
             let mut shard =
                 ShardRepairState::from_state(&state, &graph, s, Arc::clone(&partitioner));
             shard.set_value_pruned(config.value_pruned_cascade);
             shard.set_damping(config.damping);
-            shard
-        };
-        let engine = match mode {
-            ExchangeMode::Coordinator => {
-                let (reply_tx, replies) = std::sync::mpsc::channel();
-                let mut workers = Vec::with_capacity(shards);
-                let mut handles = Vec::with_capacity(shards);
-                for s in 0..shards {
-                    let shard = make_shard(s);
-                    let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-                    let reply_tx = reply_tx.clone();
-                    let stats = Arc::clone(stats);
-                    let trace = tracer.writer(1 + s);
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("rslpa-serve-shard-{s}"))
-                            .spawn(move || worker_loop(shard, cmd_rx, reply_tx, stats, trace))
-                            .expect("spawn shard worker"),
-                    );
-                    workers.push(cmd_tx);
-                }
-                RepairEngine::Sharded(ShardedEngine {
-                    graph: DynamicGraph::new(graph),
-                    partitioner,
-                    boundary,
-                    workers,
-                    replies,
-                    handles,
-                    batches_applied: 0,
-                    applied: AppliedBatch::default(),
-                })
-            }
-            ExchangeMode::Mailbox => {
-                let (reply_tx, replies) = std::sync::mpsc::channel();
-                let mut workers = Vec::with_capacity(shards);
-                let mut handles = Vec::with_capacity(shards);
-                let ports = build_mesh(shards);
-                let poisoner = ports[0].poisoner();
-                for (s, mut port) in ports.into_iter().enumerate() {
-                    let shard = make_shard(s);
-                    // Carve this worker's counter partition out of the
-                    // genesis-refreshed central store, so the genesis
-                    // weight pass is never repeated.
-                    let counters = CounterPartition::carve(postprocess.counters(), &shard);
-                    let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
-                    let reply_tx = reply_tx.clone();
-                    let stats = Arc::clone(stats);
-                    // Port and loop share the worker's lane: both record
-                    // only from the worker thread, so the single-writer
-                    // ring contract holds.
-                    let trace = tracer.writer(1 + s);
-                    port.set_trace(trace.clone());
-                    handles.push(
-                        std::thread::Builder::new()
-                            .name(format!("rslpa-serve-shard-{s}"))
-                            .spawn(move || {
-                                mesh_worker_loop(
-                                    shard, counters, port, cmd_rx, reply_tx, stats, trace,
-                                )
-                            })
-                            .expect("spawn mesh shard worker"),
-                    );
-                    workers.push(cmd_tx);
-                }
-                // The workers now hold the only live counter state; the
-                // central store just carved from would otherwise sit in
-                // the maintenance loop as a permanently stale O(n·T + m)
-                // copy (and silently answer anyone who reads it), so
-                // replace it with an empty husk.
-                postprocess = IncrementalPostprocess::new(
-                    &rslpa_core::LabelState::new(0, config.iterations, config.seed),
-                    config.tau1_grid,
-                );
-                RepairEngine::Mailbox(MailboxEngine {
-                    graph: DynamicGraph::new(graph),
-                    partitioner,
-                    boundary,
-                    workers,
-                    replies,
-                    handles,
-                    batches_applied: 0,
-                    applied: AppliedBatch::default(),
-                    draws: config.iterations + 1,
-                    grid: config.tau1_grid,
-                    hist_cache: FxHashMap::default(),
-                    pending_shards: vec![false; shards],
-                    failed: None,
-                    poisoner,
-                })
-            }
-        };
+            // Carve this worker's counter partition out of the
+            // genesis-refreshed central store, so the genesis weight pass
+            // is never repeated. The central store itself is dropped once
+            // every partition is carved: the workers hold the only live
+            // counter state.
+            let counters = CounterPartition::carve(postprocess.counters(), &shard);
+            let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
+            let reply_tx = reply_tx.clone();
+            let stats = Arc::clone(stats);
+            // Port and loop share the worker's lane: both record only from
+            // the worker thread, so the single-writer ring contract holds.
+            let trace = tracer.writer(1 + s);
+            port.set_trace(trace.clone());
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("rslpa-serve-shard-{s}"))
+                    .spawn(move || {
+                        mesh_worker_loop(shard, counters, port, cmd_rx, reply_tx, stats, trace)
+                    })
+                    .expect("spawn mesh shard worker"),
+            );
+            workers.push(cmd_tx);
+        }
         Bootstrap {
-            engine,
-            postprocess,
+            engine: RepairEngine::Mailbox(Box::new(MailboxEngine {
+                graph: DynamicGraph::new(graph),
+                partitioner,
+                boundary,
+                workers,
+                replies,
+                handles,
+                batches_applied: 0,
+                applied: AppliedBatch::default(),
+                draws: config.iterations + 1,
+                grid: config.tau1_grid,
+                hist_cache: FxHashMap::default(),
+                pending_shards: vec![false; shards],
+                failed: None,
+                poisoner,
+            })),
             genesis,
         }
     }
@@ -710,7 +526,6 @@ impl RepairEngine {
     pub(crate) fn graph(&self) -> &AdjacencyGraph {
         match self {
             RepairEngine::Single(e) => e.detector.graph(),
-            RepairEngine::Sharded(e) => e.graph.graph(),
             RepairEngine::Mailbox(e) => e.graph.graph(),
         }
     }
@@ -718,12 +533,9 @@ impl RepairEngine {
     /// Grow the vertex id space to `n`.
     pub(crate) fn ensure_vertices(&mut self, n: usize) {
         match self {
-            RepairEngine::Single(e) => e.detector.ensure_vertices(n),
-            RepairEngine::Sharded(e) => {
-                e.graph.ensure_vertices(n);
-                e.boundary.ensure_vertices(n);
-                // Shard rows materialize lazily when a delta first touches
-                // an owned vertex; nothing to broadcast.
+            RepairEngine::Single(e) => {
+                e.detector.ensure_vertices(n);
+                e.postprocess.ensure_vertices(n);
             }
             RepairEngine::Mailbox(e) => {
                 e.graph.ensure_vertices(n);
@@ -736,89 +548,85 @@ impl RepairEngine {
     pub(crate) fn batches_applied(&self) -> usize {
         match self {
             RepairEngine::Single(e) => e.detector.batches_applied(),
-            RepairEngine::Sharded(e) => e.batches_applied,
             RepairEngine::Mailbox(e) => e.batches_applied,
         }
     }
 
-    /// Whether counter upkeep is owned by the shard workers (the mailbox
-    /// engine) rather than run centrally by the maintenance thread.
-    pub(crate) fn shard_owned_counters(&self) -> bool {
-        matches!(self, RepairEngine::Mailbox(_))
-    }
-
     /// Coordinator-resident memory footprint: the storage this thread
     /// itself holds live. Single writer: graph + label state + central
-    /// counters. Sharded coordinator: topology mirror + central counters
-    /// (label rows live on the workers). Mailbox: topology mirror only
-    /// (label rows *and* counter partitions live on the workers;
-    /// `postprocess` is an empty husk there and contributes ~nothing).
-    pub(crate) fn mem_footprint(&self, postprocess: &IncrementalPostprocess) -> MemFootprint {
-        let own = match self {
+    /// counters. Mailbox: topology mirror only (label rows *and* counter
+    /// partitions live on the workers).
+    pub(crate) fn mem_footprint(&self) -> MemFootprint {
+        match self {
             RepairEngine::Single(e) => e
                 .detector
                 .graph()
                 .mem_footprint()
-                .plus(e.detector.state().mem_footprint()),
-            RepairEngine::Sharded(e) => e.graph.graph().mem_footprint(),
+                .plus(e.detector.state().mem_footprint())
+                .plus(e.postprocess.mem_footprint()),
             RepairEngine::Mailbox(e) => e.graph.graph().mem_footprint(),
-        };
-        own.plus(postprocess.mem_footprint())
+        }
     }
 
     /// Apply one net-resolved batch and repair the label state. Returns
     /// `(eta, dirty_vertices)`: total repaired slots (η) and the number
     /// of distinct vertices whose stored labels changed (the flush's
     /// dirty region — vertex ownership is disjoint, so per-shard counts
-    /// sum exactly). For engines with central counter upkeep the
-    /// repair's label-slot changes are appended to `slot_deltas` in
-    /// application order (the mailbox engine's workers consume their own
-    /// streams instead and leave it untouched). Per-shard and exchange
-    /// counters are recorded into `stats`.
-    pub(crate) fn apply(
-        &mut self,
-        batch: &EditBatch,
-        stats: &ServeStats,
-        slot_deltas: &mut Vec<SlotDelta>,
-    ) -> (u64, u64) {
+    /// sum exactly). Per-shard and exchange counters are recorded into
+    /// `stats`.
+    pub(crate) fn apply(&mut self, batch: &EditBatch, stats: &ServeStats) -> (u64, u64) {
         match self {
             RepairEngine::Single(e) => {
                 let mut dirty = FxHashSet::default();
+                e.slot_deltas.clear();
                 let report = e
                     .detector
-                    .apply_batch_streaming(batch, &mut dirty, slot_deltas)
+                    .apply_batch_streaming(batch, &mut dirty, &mut e.slot_deltas)
                     .expect("net-resolved batch validates by construction");
                 stats.note_shard_flush(0, report.affected_vertices as u64, report.eta as u64);
                 stats.note_damped_deferrals(report.damped_deferrals as u64);
                 (report.eta as u64, dirty.len() as u64)
             }
-            RepairEngine::Sharded(e) => e.apply(batch, stats, slot_deltas),
             RepairEngine::Mailbox(e) => e.apply(batch, stats),
         }
     }
 
+    /// Counter upkeep for the batch [`apply`](Self::apply) just repaired:
+    /// retire the deleted edges' counters, then fold the compacted
+    /// slot-delta stream in at `O(deg)` per net change. Inserted edges
+    /// need nothing here — they are merged lazily (and exactly) at the
+    /// next publish. The single writer runs it centrally, timed into the
+    /// `counters` histogram; the mesh workers already folded their own
+    /// streams into their own partitions, so there is nothing to do.
+    pub(crate) fn upkeep(&mut self, batch: &EditBatch, stats: &ServeStats, trace: &TraceWriter) {
+        let RepairEngine::Single(e) = self else {
+            return;
+        };
+        let _span = trace.span(names::COUNTER_UPKEEP);
+        let started = Instant::now();
+        e.postprocess.delete_edges(batch.deletions());
+        let net = e
+            .postprocess
+            .apply_slot_deltas(e.detector.graph(), &e.slot_deltas);
+        stats.note_counters(net as u64, started.elapsed());
+    }
+
     /// Produce the publish-time detection result: threshold selection and
-    /// extraction over this epoch's weight list. The single-writer and
-    /// coordinator engines read the central counter store; the mailbox
-    /// engine collects its workers' partitions and assembles the list
-    /// (bit-identical either way). Fails — instead of panicking — when a
-    /// mailbox worker died; the caller skips the publish and keeps the
-    /// epoch dirty.
+    /// extraction over this epoch's weight list. The single writer reads
+    /// its central counter store; the mailbox engine collects its
+    /// workers' partitions and assembles the list (bit-identical either
+    /// way). Fails — instead of panicking — when a mailbox worker died;
+    /// the caller skips the publish and keeps the epoch dirty.
     pub(crate) fn refresh(
         &mut self,
-        postprocess: &mut IncrementalPostprocess,
-        stats: &ServeStats,
         trace: &TraceWriter,
     ) -> Result<PostprocessResult, PublishError> {
         match self {
-            RepairEngine::Single(_) | RepairEngine::Sharded(_) => {
+            RepairEngine::Single(e) => {
                 let _span = trace.span(names::PUBLISH_WEIGHTS);
-                let graph = self.graph();
-                // Split borrows: `self.graph()` borrows self immutably,
-                // postprocess is independent state.
-                Ok(postprocess.refresh(graph))
+                Ok(e.postprocess.refresh(e.detector.graph()))
             }
-            RepairEngine::Mailbox(e) => e.collect_and_refresh(stats, trace),
+            RepairEngine::Mailbox(e) => e.collect_and_refresh(trace),
         }
     }
 
@@ -830,200 +638,7 @@ impl RepairEngine {
     pub(crate) fn repartition(&mut self, cover: &Cover, pulls: &[HubPull], stats: &ServeStats) {
         match self {
             RepairEngine::Single(_) => {}
-            RepairEngine::Sharded(e) => e.repartition(cover, pulls, stats),
             RepairEngine::Mailbox(e) => e.repartition(cover, pulls, stats),
-        }
-    }
-}
-
-impl ShardedEngine {
-    fn recv_reply(&self) -> ShardReply {
-        self.replies
-            .recv_timeout(WORKER_REPLY_TIMEOUT)
-            .expect("shard worker unresponsive (panicked?)")
-    }
-
-    /// One flush: route deltas, run Phase A on all shards in parallel,
-    /// then drive boundary-exchange rounds until no envelope is in flight.
-    /// Slot changes piggyback on every worker reply and accumulate into
-    /// `slot_deltas` — counter maintenance costs no extra exchange round.
-    fn apply(
-        &mut self,
-        batch: &EditBatch,
-        stats: &ServeStats,
-        slot_deltas: &mut Vec<SlotDelta>,
-    ) -> (u64, u64) {
-        self.graph
-            .apply_into(batch, &mut self.applied)
-            .expect("net-resolved batch validates by construction");
-        self.boundary.apply(batch, self.partitioner.as_ref());
-        stats.set_boundary_gauges(
-            self.boundary.cut_edges() as u64,
-            self.boundary.boundary_vertices() as u64,
-        );
-        let shards = self.workers.len();
-        let per_shard = split_deltas(&self.applied, self.partitioner.as_ref());
-        let mut routed = vec![0u64; shards];
-        let mut hops = 0u64;
-        for (s, deltas) in per_shard.into_iter().enumerate() {
-            routed[s] = deltas.len() as u64;
-            hops += 1;
-            self.workers[s]
-                .send(ShardCmd::Apply(deltas))
-                .expect("shard worker alive");
-        }
-        let mut reports = vec![ShardFlushReport::default(); shards];
-        // Outboxes collected per source shard so the next round's inbox
-        // composition (and therefore the stats) is deterministic.
-        let mut outboxes: Vec<Vec<Envelope>> = vec![Vec::new(); shards];
-        for _ in 0..shards {
-            hops += 1;
-            match self.recv_reply() {
-                ShardReply::Repaired {
-                    shard,
-                    out,
-                    report,
-                    deltas,
-                } => {
-                    reports[shard].absorb(&report);
-                    outboxes[shard] = out;
-                    slot_deltas.extend(deltas);
-                }
-                _ => unreachable!("only repairs in flight during flush"),
-            }
-        }
-        let mut rounds = 0u64;
-        let mut boundary_msgs = 0u64;
-        loop {
-            let mut inboxes: Vec<Vec<Envelope>> = vec![Vec::new(); shards];
-            for out in &mut outboxes {
-                for env in out.drain(..) {
-                    boundary_msgs += 1;
-                    inboxes[self.partitioner.assign(env.to)].push(env);
-                }
-            }
-            let active: Vec<usize> = (0..shards).filter(|&s| !inboxes[s].is_empty()).collect();
-            if active.is_empty() {
-                break;
-            }
-            rounds += 1;
-            hops += 2 * active.len() as u64;
-            for &s in &active {
-                self.workers[s]
-                    .send(ShardCmd::Exchange(std::mem::take(&mut inboxes[s])))
-                    .expect("shard worker alive");
-            }
-            for _ in 0..active.len() {
-                match self.recv_reply() {
-                    ShardReply::Repaired {
-                        shard,
-                        out,
-                        report,
-                        deltas,
-                    } => {
-                        reports[shard].absorb(&report);
-                        outboxes[shard] = out;
-                        slot_deltas.extend(deltas);
-                    }
-                    _ => unreachable!("only repairs in flight during flush"),
-                }
-            }
-        }
-        let mut eta = 0u64;
-        let mut dirty = 0u64;
-        let mut deferred = 0u64;
-        for (s, report) in reports.iter().enumerate() {
-            stats.note_shard_flush(s, routed[s], report.eta as u64);
-            eta += report.eta as u64;
-            dirty += report.dirty_vertices as u64;
-            deferred += report.damped_deferrals as u64;
-        }
-        stats.note_damped_deferrals(deferred);
-        stats.note_exchange(rounds, boundary_msgs);
-        stats.note_channel_hops(hops);
-        // Every boundary envelope is relayed: worker → coordinator →
-        // worker, two channels per envelope.
-        stats.note_envelope_hops(2 * boundary_msgs);
-        self.batches_applied += 1;
-        (eta, dirty)
-    }
-}
-
-impl ShardedEngine {
-    /// Re-plan ownership stickily around `cover` (hub pulls first) and
-    /// migrate the rows of every vertex whose owner changed. Runs at
-    /// publish time, between flushes, so no envelope is in flight and
-    /// shard queues are empty.
-    fn repartition(&mut self, cover: &Cover, pulls: &[HubPull], stats: &ServeStats) {
-        let shards = self.workers.len();
-        let n = self.graph.graph().num_vertices();
-        let next: Arc<dyn Partitioner> = Arc::new(PlannedPartitioner::rebalance_with_hubs(
-            self.partitioner.as_ref(),
-            cover,
-            n,
-            shards,
-            pulls,
-        ));
-        // Which rows leave which shard?
-        let mut leaving: Vec<Vec<VertexId>> = vec![Vec::new(); shards];
-        let mut moved = 0u64;
-        for v in 0..n as VertexId {
-            let old = self.partitioner.assign(v);
-            if old != next.assign(v) {
-                leaving[old].push(v);
-                moved += 1;
-            }
-        }
-        // Even a zero-move re-plan installs the new map everywhere:
-        // coordinator routing and worker-local `owns()` must never
-        // disagree, or an envelope could bounce between them forever.
-        for (worker, ids) in self.workers.iter().zip(leaving) {
-            worker
-                .send(ShardCmd::Extract(ids))
-                .expect("shard worker alive");
-        }
-        let mut incoming: Vec<Vec<(VertexId, VertexRowData)>> = vec![Vec::new(); shards];
-        for _ in 0..shards {
-            match self.recv_reply() {
-                ShardReply::Extracted { rows } => {
-                    for (v, row) in rows {
-                        incoming[next.assign(v)].push((v, row));
-                    }
-                }
-                _ => unreachable!("only extracts in flight during repartition"),
-            }
-        }
-        for (worker, rows) in self.workers.iter().zip(incoming) {
-            worker
-                .send(ShardCmd::Adopt {
-                    partitioner: Arc::clone(&next),
-                    rows,
-                })
-                .expect("shard worker alive");
-        }
-        for _ in 0..shards {
-            match self.recv_reply() {
-                ShardReply::Adopted => {}
-                _ => unreachable!("only adopts in flight during repartition"),
-            }
-        }
-        self.partitioner = next;
-        self.boundary = BoundaryTracker::new(self.graph.graph(), self.partitioner.as_ref());
-        stats.note_repartition(moved);
-        stats.set_boundary_gauges(
-            self.boundary.cut_edges() as u64,
-            self.boundary.boundary_vertices() as u64,
-        );
-    }
-}
-
-impl Drop for ShardedEngine {
-    fn drop(&mut self) {
-        for worker in &self.workers {
-            let _ = worker.send(ShardCmd::Shutdown);
-        }
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
         }
     }
 }
@@ -1078,7 +693,6 @@ impl MailboxEngine {
         let per_shard = split_deltas(&self.applied, self.partitioner.as_ref());
         let mut routed = vec![0u64; shards];
         let mut participants = 0usize;
-        let mut hops = 0u64;
         for (s, deltas) in per_shard.into_iter().enumerate() {
             if deltas.is_empty() && !self.pending_shards[s] {
                 continue; // sub-queue stays empty; the shard sleeps
@@ -1088,7 +702,6 @@ impl MailboxEngine {
             // per-flush release the centralized path runs unconditionally.
             routed[s] = deltas.len() as u64;
             participants += 1;
-            hops += 1;
             self.workers[s]
                 .send(MeshCmd::Flush { epoch, deltas })
                 .expect("mesh worker alive");
@@ -1096,7 +709,6 @@ impl MailboxEngine {
         let mut reports = vec![ShardFlushReport::default(); shards];
         let mut staged = 0u64;
         for _ in 0..participants {
-            hops += 1;
             match self.recv_reply() {
                 MeshReply::Local {
                     shard,
@@ -1115,20 +727,17 @@ impl MailboxEngine {
         let mut envelopes = 0u64;
         let mut delivered = 0u64;
         if staged > 0 {
-            hops += shards as u64;
             for worker in &self.workers {
                 worker
                     .send(MeshCmd::Exchange { epoch })
                     .expect("mesh worker alive");
             }
             for _ in 0..shards {
-                hops += 1;
                 match self.recv_reply() {
                     MeshReply::Exchanged {
                         shard,
                         report,
                         rounds: r,
-                        batches_sent,
                         envelopes_sent,
                         pending,
                     } => {
@@ -1136,7 +745,6 @@ impl MailboxEngine {
                         delivered += envelopes_sent;
                         reports[shard].absorb(&report);
                         rounds = rounds.max(r);
-                        hops += batches_sent;
                         self.pending_shards[shard] = pending;
                     }
                     _ => unreachable!("only exchange replies in flight"),
@@ -1160,7 +768,6 @@ impl MailboxEngine {
         }
         stats.note_damped_deferrals(deferred);
         stats.note_exchange(rounds, envelopes);
-        stats.note_channel_hops(hops);
         // Mesh delivery is direct: one channel hop per envelope. Counted
         // from the ports' own send tallies — independent of the
         // route-side `boundary_msgs` above, so the two stats cross-check
@@ -1185,7 +792,6 @@ impl MailboxEngine {
     /// the failure is sticky (see [`MailboxEngine::fail`]).
     fn collect_and_refresh(
         &mut self,
-        stats: &ServeStats,
         trace: &TraceWriter,
     ) -> Result<PostprocessResult, PublishError> {
         if let Some(why) = &self.failed {
@@ -1194,12 +800,10 @@ impl MailboxEngine {
             )));
         }
         let shards = self.workers.len();
-        let mut hops = 0u64;
         let mut interior: Vec<Vec<(VertexId, VertexId, u64)>> = vec![Vec::new(); shards];
         {
             let _span = trace.span_with(names::PUBLISH_COLLECT, shards as u64);
             for s in 0..shards {
-                hops += 1;
                 if self.workers[s].send(MeshCmd::Collect).is_err() {
                     return Err(self.fail(format!(
                         "mesh worker {s} dead at publish collect (command channel closed)"
@@ -1207,7 +811,6 @@ impl MailboxEngine {
                 }
             }
             for _ in 0..shards {
-                hops += 1;
                 let reply = match self.try_recv_reply("publish collect") {
                     Ok(reply) => reply,
                     Err(why) => return Err(self.fail(why)),
@@ -1231,7 +834,6 @@ impl MailboxEngine {
                 }
             }
         }
-        stats.note_channel_hops(hops);
         let _span = trace.span(names::PUBLISH_WEIGHTS);
         let graph = self.graph.graph();
         let partitioner = Arc::clone(&self.partitioner);
@@ -1313,7 +915,6 @@ impl MailboxEngine {
                 _ => unreachable!("only adopts in flight during repartition"),
             }
         }
-        stats.note_channel_hops(4 * shards as u64);
         self.partitioner = next;
         self.boundary = BoundaryTracker::new(self.graph.graph(), self.partitioner.as_ref());
         stats.note_repartition(moved);
@@ -1329,7 +930,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::Ordering;
 
-    fn mesh_engine(shards: usize) -> (RepairEngine, IncrementalPostprocess, Arc<ServeStats>) {
+    fn mesh_engine(shards: usize) -> (RepairEngine, Arc<ServeStats>) {
         let graph = AdjacencyGraph::from_edges(
             12,
             [
@@ -1353,25 +954,18 @@ mod tests {
         let config = RslpaConfig::quick(20, 7);
         let stats = Arc::new(ServeStats::with_shards(shards));
         let tracer = Arc::new(Tracer::disabled());
-        let boot = RepairEngine::bootstrap(
-            graph,
-            &config,
-            shards,
-            ExchangeMode::Mailbox,
-            &stats,
-            &tracer,
-        );
-        (boot.engine, boot.postprocess, stats)
+        let boot = RepairEngine::bootstrap(graph, &config, shards, &stats, &tracer);
+        (boot.engine, stats)
     }
 
     /// Satellite: a dead mesh worker fails the publish with context (and
     /// stays failed) instead of panicking the maintenance thread.
     #[test]
     fn dead_mesh_worker_fails_publish_instead_of_panicking() {
-        let (mut engine, mut postprocess, stats) = mesh_engine(2);
+        let (mut engine, _stats) = mesh_engine(2);
         let trace = Arc::new(Tracer::disabled()).writer(0);
         // A healthy publish first: the error path must not fire spuriously.
-        assert!(engine.refresh(&mut postprocess, &stats, &trace).is_ok());
+        assert!(engine.refresh(&trace).is_ok());
         let RepairEngine::Mailbox(e) = &mut engine else {
             unreachable!("shards > 1 bootstraps the mailbox engine")
         };
@@ -1380,14 +974,14 @@ mod tests {
         e.workers[0].send(MeshCmd::Shutdown).unwrap();
         e.handles.remove(0).join().unwrap();
         let err = engine
-            .refresh(&mut postprocess, &stats, &trace)
+            .refresh(&trace)
             .expect_err("publish with a dead worker must fail");
         assert!(err.0.contains("mesh worker 0 dead"), "got: {}", err.0);
         // The failure is sticky: the collect bookkeeping is torn, so a
         // retry reports the original cause rather than assembling stale
         // weights.
         let err = engine
-            .refresh(&mut postprocess, &stats, &trace)
+            .refresh(&trace)
             .expect_err("publish must stay failed");
         assert!(err.0.contains("earlier failure"), "got: {}", err.0);
         // Dropping the engine (with one worker gone and the mesh poisoned)
@@ -1399,9 +993,9 @@ mod tests {
     /// output stays bit-identical to the first (full) collect's.
     #[test]
     fn quiescent_collect_ships_no_histograms() {
-        let (mut engine, mut postprocess, stats) = mesh_engine(2);
+        let (mut engine, stats) = mesh_engine(2);
         let trace = Arc::new(Tracer::disabled()).writer(0);
-        let first = engine.refresh(&mut postprocess, &stats, &trace).unwrap();
+        let first = engine.refresh(&trace).unwrap();
         let shipped = stats.boundary_hists_shipped.load(Ordering::Relaxed);
         let total = stats.boundary_hists_total.load(Ordering::Relaxed);
         assert!(shipped > 0, "first collect ships the full boundary");
@@ -1409,7 +1003,7 @@ mod tests {
             shipped, total,
             "nothing was cached before the first collect"
         );
-        let second = engine.refresh(&mut postprocess, &stats, &trace).unwrap();
+        let second = engine.refresh(&trace).unwrap();
         assert_eq!(
             stats.boundary_hists_shipped.load(Ordering::Relaxed),
             shipped,

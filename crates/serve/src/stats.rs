@@ -235,7 +235,8 @@ pub struct ShardStats {
     /// Label slots this shard repaired (Σ per-shard η).
     pub slots_repaired: AtomicU64,
     /// Net slot deltas this shard folded into its own counter partition
-    /// (shard-owned upkeep; 0 when upkeep is coordinator-central).
+    /// (mesh workers only; 0 under the single writer, whose central
+    /// upkeep records into [`ServeStats::counters`] instead).
     pub upkeep_deltas: AtomicU64,
     /// Wall nanoseconds this shard spent on its own counter upkeep.
     pub upkeep_ns: AtomicU64,
@@ -316,7 +317,7 @@ pub struct ServeStats {
     /// Per-flush **central** edge-weight counter maintenance latency
     /// (retiring deleted edges' counters + folding the compacted
     /// slot-delta stream into the common-label counters on the
-    /// maintenance thread). Empty under the mailbox engine, whose
+    /// maintenance thread). Empty with `shards > 1`, where the mesh
     /// workers own upkeep — see the per-shard `upkeep_*` counters.
     pub counters: LatencyHistogram,
     /// Edit operations accepted into the queue.
@@ -335,8 +336,7 @@ pub struct ServeStats {
     pub slot_deltas_net: AtomicU64,
     /// Barriers honored.
     pub barriers: AtomicU64,
-    /// Boundary-exchange rounds (coordinator-relayed or mesh; 0 under a
-    /// single writer).
+    /// Mesh boundary-exchange rounds (0 under a single writer).
     pub exchange_rounds: AtomicU64,
     /// Envelopes that crossed a shard boundary.
     pub boundary_msgs: AtomicU64,
@@ -357,17 +357,15 @@ pub struct ServeStats {
     /// Publishes abandoned because a shard worker died; the snapshot is
     /// skipped and the epoch stays dirty.
     pub publish_failures: AtomicU64,
-    /// Channel `send`s spent on flush coordination and boundary delivery
-    /// (commands, replies, and peer batches all count 1 each).
-    pub channel_hops: AtomicU64,
-    /// Σ over boundary envelopes of the channels each traversed: 2 per
-    /// envelope through the coordinator relay, 1 over the mailbox mesh.
+    /// Boundary envelopes the mesh ports sent over peer channels, one
+    /// hop each. Tallied port-side, independently of the route-side
+    /// `boundary_msgs`, so equality of the two cross-checks delivery.
     pub envelope_hops: AtomicU64,
     /// Inbox depth per delivering mesh round (envelopes drained by one
-    /// shard in one round; empty under the coordinator engine).
+    /// shard in one round; empty under the single writer).
     pub mailbox_depth: LatencyHistogram,
     /// Wall time workers spent parked on the mesh round barrier, per
-    /// shard per flush (empty under the coordinator engine).
+    /// shard per flush (empty under the single writer).
     pub barrier_wait: LatencyHistogram,
     /// Gauge: edges whose endpoints live on different shards.
     pub cut_edges: AtomicU64,
@@ -463,7 +461,6 @@ impl ServeStats {
             boundary_dirty_marked: AtomicU64::new(0),
             collect_bytes: AtomicU64::new(0),
             publish_failures: AtomicU64::new(0),
-            channel_hops: AtomicU64::new(0),
             envelope_hops: AtomicU64::new(0),
             mailbox_depth: LatencyHistogram::new(),
             barrier_wait: LatencyHistogram::new(),
@@ -500,10 +497,6 @@ impl ServeStats {
         bump!(self.boundary_msgs, boundary_msgs);
     }
 
-    pub(crate) fn note_channel_hops(&self, hops: u64) {
-        bump!(self.channel_hops, hops);
-    }
-
     pub(crate) fn note_envelope_hops(&self, hops: u64) {
         bump!(self.envelope_hops, hops);
     }
@@ -520,7 +513,7 @@ impl ServeStats {
     /// Deliberately does **not** record into the per-flush `counters`
     /// histogram — that histogram means "central upkeep per flush", and
     /// mixing per-shard per-wave samples in would silently change its
-    /// denominator across engines. Shard-owned upkeep is read from the
+    /// denominator with the shard count. Shard-owned upkeep is read from the
     /// per-shard `upkeep_deltas` / `upkeep_ns` counters instead.
     pub(crate) fn note_shard_upkeep(&self, shard: usize, net_deltas: u64, took: Duration) {
         let s = &self.shards[shard];
@@ -681,7 +674,6 @@ impl ServeStats {
             boundary_dirty_marked: self.boundary_dirty_marked.load(Ordering::Relaxed),
             collect_bytes: self.collect_bytes.load(Ordering::Relaxed),
             publish_failures: self.publish_failures.load(Ordering::Relaxed),
-            channel_hops: self.channel_hops.load(Ordering::Relaxed),
             envelope_hops: self.envelope_hops.load(Ordering::Relaxed),
             mailbox_depth: self.mailbox_depth.summarize(),
             barrier_wait: self.barrier_wait.summarize(),
@@ -776,8 +768,6 @@ pub struct StatsReport {
     pub collect_bytes: u64,
     /// See [`ServeStats::publish_failures`].
     pub publish_failures: u64,
-    /// See [`ServeStats::channel_hops`].
-    pub channel_hops: u64,
     /// See [`ServeStats::envelope_hops`].
     pub envelope_hops: u64,
     /// Mesh inbox depth distribution (raw counts, not nanoseconds).
@@ -845,8 +835,8 @@ impl StatsReport {
     }
 
     /// Publish-collect ship ratio: boundary histograms actually shipped
-    /// over the ship-everything baseline (0.0 when no collect ran —
-    /// single-writer and coordinator engines).
+    /// over the ship-everything baseline (0.0 when no collect ran — the
+    /// single writer).
     pub fn ship_ratio(&self) -> f64 {
         if self.boundary_hists_total == 0 {
             0.0
@@ -868,7 +858,9 @@ impl StatsReport {
     /// version 5 added the hub-aware repartition counters `hub_pulls` /
     /// `repartition_vertices_moved` (an alias of `vertices_migrated`),
     /// the damping counter `damped_deferrals`, and the per-window degree
-    /// gauge `max_degree_delta`.
+    /// gauge `max_degree_delta`; version 6 removed the channel-hop
+    /// counter, and `envelope_hops` now counts the envelopes the mesh
+    /// ports sent (one hop each, so it equals `boundary_msgs`).
     pub fn to_json(&self) -> String {
         let quality = self
             .quality_per_window
@@ -903,7 +895,7 @@ impl StatsReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema_version\":5,\
+            "{{\"schema_version\":6,\
              \"edits_enqueued\":{},\"edits_applied\":{},\"edits_rejected\":{},\
              \"batches_flushed\":{},\"snapshots_published\":{},\"slots_repaired\":{},\
              \"slot_deltas_net\":{},\"barriers\":{},\
@@ -920,7 +912,7 @@ impl StatsReport {
              \"publish_failures\":{},\
              \"dirty_vertices\":{},\"dirty_span\":{},\"dirty_fraction\":{:.6},\
              \"quality_per_window\":[{}],\
-             \"channel_hops\":{},\"envelope_hops\":{},\
+             \"envelope_hops\":{},\
              \"mailbox_depth\":{{\"count\":{},\"p50\":{},\"p99\":{},\"max\":{}}},\
              \"barrier_wait_us\":{{\"count\":{},\"mean\":{:.3},\"p50\":{:.3},\"p99\":{:.3}}},\
              \"cut_edges\":{},\"boundary_vertices\":{},\
@@ -969,7 +961,6 @@ impl StatsReport {
             self.dirty_span,
             self.dirty_fraction(),
             quality,
-            self.channel_hops,
             self.envelope_hops,
             self.mailbox_depth.count,
             self.mailbox_depth.p50_ns,
@@ -1037,8 +1028,7 @@ impl std::fmt::Display for StatsReport {
             )?;
             writeln!(
                 f,
-                "coordination: {} channel hops, {} envelope hops; mailbox depth p50/p99 {}/{}; barrier wait p99 {:.1}us",
-                self.channel_hops,
+                "coordination: {} envelope hops; mailbox depth p50/p99 {}/{}; barrier wait p99 {:.1}us",
                 self.envelope_hops,
                 self.mailbox_depth.p50_ns,
                 self.mailbox_depth.p99_ns,
@@ -1272,7 +1262,7 @@ mod tests {
         assert!((s0.attribution_coverage() - 0.99).abs() < 1e-9);
         assert_eq!(r.shards[1].attribution_coverage(), 0.0);
         let json = r.to_json();
-        assert!(json.starts_with("{\"schema_version\":5,"));
+        assert!(json.starts_with("{\"schema_version\":6,"));
         assert!(json.contains("\"attribution_per_shard\":{\"work_us\":[600.0,0.0]"));
         assert!(json.contains("\"barrier_wait_us\":[150.0,0.0]"));
         assert!(json.contains("\"barrier_arrive_us\":[100.0,0.0]"));

@@ -1,25 +1,24 @@
 //! Cross-shard consistency: replaying the same edit log (with barriers)
 //! must yield identical epoch rosters **and bit-identical weight lists**
-//! for every shard count and every exchange transport — and must match
-//! the pre-sharding reference (a plain [`RslpaDetector`] applying the
-//! same batches with full post-processing per epoch).
+//! for every shard count — and must match the pre-sharding reference (a
+//! plain [`RslpaDetector`] applying the same batches with full
+//! post-processing per epoch).
 //!
 //! This is the end-to-end guarantee the sharded maintenance path rests
-//! on: partitioning is a throughput knob, never a semantics knob — and
-//! since PR 5, so is the exchange transport (coordinator-relayed rounds
-//! vs the peer-to-peer mailbox mesh with shard-owned counter upkeep).
-//! The runs are genuinely threaded — each service spawns its maintenance
-//! coordinator, and the sharded ones add one worker thread per shard.
-//! Publish-time repartitioning (with counter-partition migration) fires
-//! at every epoch, so these replays exercise mid-stream row + counter
-//! migration continuously.
+//! on: partitioning is a throughput knob, never a semantics knob. The
+//! runs are genuinely threaded — each service spawns its maintenance
+//! coordinator, and the sharded ones add one mailbox-mesh worker thread
+//! per shard with shard-owned counter upkeep. Publish-time
+//! repartitioning (with counter-partition migration) fires at every
+//! epoch, so these replays exercise mid-stream row + counter migration
+//! continuously.
 
 use rslpa_core::{postprocess, RslpaConfig, RslpaDetector};
 use rslpa_gen::edits::uniform_batch;
 use rslpa_gen::lfr::LfrParams;
 use rslpa_gen::{named_scenarios, ChurnScenario};
 use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph, EditBatch};
-use rslpa_serve::{fingerprint_weights, BarrierOnly, CommunityService, ExchangeMode, ServeConfig};
+use rslpa_serve::{fingerprint_weights, BarrierOnly, CommunityService, ServeConfig, StatsReport};
 
 const ITERATIONS: usize = 25;
 const SEED: u64 = 2024;
@@ -51,19 +50,14 @@ fn edit_script(graph: &AdjacencyGraph, batches: usize, batch_size: usize) -> Vec
 type Epochs = Vec<(Cover, u64)>;
 
 /// Replay the script through a service at `shards`, collecting the roster
-/// and weights fingerprint published at every barrier.
-fn replay_served(
-    graph: AdjacencyGraph,
-    script: &[EditBatch],
-    shards: usize,
-    exchange: ExchangeMode,
-) -> Epochs {
+/// and weights fingerprint published at every barrier, plus the final
+/// stats.
+fn replay(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> (Epochs, StatsReport) {
     let service = CommunityService::start(
         graph,
         ServeConfig::quick(ITERATIONS, SEED)
             .with_policy(BarrierOnly)
-            .with_shards(shards)
-            .with_exchange(exchange),
+            .with_shards(shards),
     );
     let ingest = service.ingest();
     let mut epochs = Vec::with_capacity(script.len());
@@ -78,49 +72,56 @@ fn replay_served(
         let snap = service.latest();
         epochs.push((snap.cover.clone(), snap.weights_fingerprint));
     }
-    let report = service.shutdown();
+    (epochs, service.shutdown())
+}
+
+/// [`replay`] plus the activity checks of a sharded run. Adversarial
+/// windows can legitimately leave a shard idle (a cascade confined to
+/// one block, a delete-only window), so the scenario test calls
+/// [`replay`] directly: idleness is not the property under test there —
+/// bit-identity is.
+fn replay_active(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> Epochs {
+    let (epochs, report) = replay(graph, script, shards);
     assert_eq!(report.shards.len(), shards);
     if shards > 1 {
         // Work must actually be distributed: every shard repaired slots.
         for (i, s) in report.shards.iter().enumerate() {
             assert!(s.slots_repaired > 0, "shard {i} idle: {report:?}");
         }
-        if exchange == ExchangeMode::Mailbox {
-            // Upkeep must actually be shard-owned: the workers, not the
-            // coordinator, folded the slot deltas.
-            assert!(
-                report.shards.iter().map(|s| s.upkeep_deltas).sum::<u64>() > 0,
-                "no shard-owned upkeep recorded: {report:?}"
-            );
-            // Single-hop delivery, cross-checked through independent
-            // counters: `boundary_msgs` is staged route-side by the
-            // repair states, `envelope_hops` is tallied port-side at the
-            // peer channels — equality means every staged envelope was
-            // sent exactly once and nothing else was.
-            assert!(report.boundary_msgs > 0, "no boundary traffic: {report:?}");
-            assert_eq!(
-                report.envelope_hops, report.boundary_msgs,
-                "mesh delivery must be single-hop: {report:?}"
-            );
-        } else {
-            // The relay touches every envelope twice by construction.
-            assert_eq!(
-                report.envelope_hops,
-                2 * report.boundary_msgs,
-                "coordinator relay is two-hop: {report:?}"
-            );
-        }
+        // Upkeep must actually be shard-owned: the workers, not the
+        // coordinator, folded the slot deltas.
+        assert!(
+            report.shards.iter().map(|s| s.upkeep_deltas).sum::<u64>() > 0,
+            "no shard-owned upkeep recorded: {report:?}"
+        );
+        // Single-hop delivery, cross-checked through independent
+        // counters: `boundary_msgs` is staged route-side by the repair
+        // states, `envelope_hops` is tallied port-side at the peer
+        // channels — equality means every staged envelope was sent
+        // exactly once and nothing else was.
+        assert!(report.boundary_msgs > 0, "no boundary traffic: {report:?}");
+        assert_eq!(
+            report.envelope_hops, report.boundary_msgs,
+            "mesh delivery must be single-hop: {report:?}"
+        );
     }
     epochs
 }
 
 /// The pre-sharding reference: detector + full detect per barrier, with
 /// the weight fingerprint computed by the same function snapshots use.
-fn replay_reference(graph: AdjacencyGraph, script: &[EditBatch]) -> Epochs {
-    let mut detector = RslpaDetector::new(graph, RslpaConfig::quick(ITERATIONS, SEED));
+/// The id space grows the way the service grows it: to the largest
+/// inserted endpoint.
+fn replay_reference(graph: AdjacencyGraph, script: &[EditBatch], config: RslpaConfig) -> Epochs {
+    let mut detector = RslpaDetector::new(graph, config);
     script
         .iter()
         .map(|batch| {
+            if let Some(m) = batch.insertions().iter().map(|&(u, v)| u.max(v)).max() {
+                if m as usize >= detector.graph().num_vertices() {
+                    detector.ensure_vertices(m as usize + 1);
+                }
+            }
             detector.apply_batch(batch).expect("valid batch");
             let result = postprocess(detector.graph(), detector.state(), None);
             let fp = fingerprint_weights(&result.weights);
@@ -129,32 +130,31 @@ fn replay_reference(graph: AdjacencyGraph, script: &[EditBatch]) -> Epochs {
         .collect()
 }
 
+/// Assert two per-barrier observation series are identical.
+fn assert_same_epochs(served: &Epochs, reference: &Epochs, what: &str) {
+    assert_eq!(served.len(), reference.len(), "{what}: barrier count");
+    for (epoch, ((served_cover, served_fp), (reference_cover, reference_fp))) in
+        served.iter().zip(reference).enumerate()
+    {
+        assert_eq!(
+            served_cover, reference_cover,
+            "{what}: roster diverged at barrier {epoch}"
+        );
+        assert_eq!(
+            served_fp, reference_fp,
+            "{what}: weights diverged at barrier {epoch}"
+        );
+    }
+}
+
 #[test]
 fn rosters_and_weights_identical_across_shard_counts_and_vs_reference() {
     let graph = seed_graph();
     let script = edit_script(&graph, 8, 40);
-    let reference = replay_reference(graph.clone(), &script);
-    for exchange in [ExchangeMode::Mailbox, ExchangeMode::Coordinator] {
-        for shards in [1usize, 2, 4] {
-            let served = replay_served(graph.clone(), &script, shards, exchange);
-            assert_eq!(
-                served.len(),
-                reference.len(),
-                "{shards} shards ({exchange:?}): barrier count"
-            );
-            for (epoch, ((served_cover, served_fp), (reference_cover, reference_fp))) in
-                served.iter().zip(&reference).enumerate()
-            {
-                assert_eq!(
-                    served_cover, reference_cover,
-                    "{shards} shards ({exchange:?}) roster diverged at barrier {epoch}"
-                );
-                assert_eq!(
-                    served_fp, reference_fp,
-                    "{shards} shards ({exchange:?}) weights diverged at barrier {epoch}"
-                );
-            }
-        }
+    let reference = replay_reference(graph.clone(), &script, RslpaConfig::quick(ITERATIONS, SEED));
+    for shards in [1usize, 2, 4] {
+        let served = replay_active(graph.clone(), &script, shards);
+        assert_same_epochs(&served, &reference, &format!("{shards} shards"));
     }
 }
 
@@ -168,8 +168,8 @@ fn eight_shard_mesh_is_deadlock_free_on_one_core() {
     // with the single-writer replay makes the run meaningful.
     let graph = seed_graph();
     let script = edit_script(&graph, 4, 60);
-    let single = replay_served(graph.clone(), &script, 1, ExchangeMode::Mailbox);
-    let meshed = replay_served(graph.clone(), &script, 8, ExchangeMode::Mailbox);
+    let single = replay_active(graph.clone(), &script, 1);
+    let meshed = replay_active(graph.clone(), &script, 8);
     assert_eq!(single, meshed, "8-shard mesh diverged from single writer");
 }
 
@@ -255,74 +255,27 @@ fn scenario_script(
     (graph, script)
 }
 
-/// Replay without the per-shard activity asserts of [`replay_served`]:
-/// adversarial windows can legitimately leave a shard idle (a cascade
-/// confined to one block, a delete-only window), and idleness is not the
-/// property under test here — bit-identity is.
-fn replay_scenario(
-    graph: AdjacencyGraph,
-    script: &[EditBatch],
-    shards: usize,
-    exchange: ExchangeMode,
-) -> Epochs {
-    let service = CommunityService::start(
-        graph,
-        ServeConfig::quick(ITERATIONS, SEED)
-            .with_policy(BarrierOnly)
-            .with_shards(shards)
-            .with_exchange(exchange),
-    );
-    let ingest = service.ingest();
-    let mut epochs = Vec::with_capacity(script.len());
-    for batch in script {
-        for &(u, v) in batch.deletions() {
-            ingest.delete(u, v).expect("service alive");
-        }
-        for &(u, v) in batch.insertions() {
-            ingest.insert(u, v).expect("service alive");
-        }
-        ingest.barrier().expect("service alive");
-        let snap = service.latest();
-        epochs.push((snap.cover.clone(), snap.weights_fingerprint));
-    }
-    service.shutdown();
-    epochs
-}
-
 #[test]
-fn adversarial_scenarios_bit_identical_across_shards_and_engines() {
+fn adversarial_scenarios_bit_identical_across_shards_and_vs_reference() {
     // The break-it streams must not break determinism: every named
-    // adversarial scenario, replayed at shards {1, 2, 4, 8} under both
-    // exchange transports, publishes bit-identical rosters AND
-    // bit-identical weight lists at every barrier window. Hub pile-ups
-    // (FlashCrowd), truth-churning splits (SplitMergeStorm), delete-only
-    // windows (CascadeDelete), and id-space growth under skew (SkewBurst)
-    // all ride through the same engines the uniform pins cover.
+    // adversarial scenario, replayed at shards {1, 2, 4, 8}, publishes
+    // the reference's rosters AND bit-identical weight lists at every
+    // barrier window. Hub pile-ups (FlashCrowd), truth-churning splits
+    // (SplitMergeStorm), delete-only windows (CascadeDelete), and id-space
+    // growth under skew (SkewBurst) all ride through the same engines the
+    // uniform pins cover. The reference runs the serve default's damping,
+    // since hubs here cross the degree cap.
+    let damped = ServeConfig::quick(ITERATIONS, SEED).detector;
     for scenario in &mut named_scenarios(true, 0xC0FFEE) {
         let (graph, script) = scenario_script(scenario.as_mut(), 4);
-        let baseline = replay_scenario(graph.clone(), &script, 1, ExchangeMode::Coordinator);
-        assert_eq!(baseline.len(), script.len());
-        for exchange in [ExchangeMode::Coordinator, ExchangeMode::Mailbox] {
-            for shards in [1usize, 2, 4, 8] {
-                if shards == 1 && exchange == ExchangeMode::Coordinator {
-                    continue; // that's the baseline
-                }
-                let served = replay_scenario(graph.clone(), &script, shards, exchange);
-                for (epoch, (got, want)) in served.iter().zip(&baseline).enumerate() {
-                    assert_eq!(
-                        got.0,
-                        want.0,
-                        "{}: {shards} shards ({exchange:?}) roster diverged at window {epoch}",
-                        scenario.name()
-                    );
-                    assert_eq!(
-                        got.1,
-                        want.1,
-                        "{}: {shards} shards ({exchange:?}) weights diverged at window {epoch}",
-                        scenario.name()
-                    );
-                }
-            }
+        let reference = replay_reference(graph.clone(), &script, damped);
+        for shards in [1usize, 2, 4, 8] {
+            let (served, _) = replay(graph.clone(), &script, shards);
+            assert_same_epochs(
+                &served,
+                &reference,
+                &format!("{}: {shards} shards", scenario.name()),
+            );
         }
     }
 }
@@ -343,29 +296,9 @@ fn fresh_vertices_and_churn_stay_consistent_when_sharded() {
     shadow.apply(&script[3]).unwrap();
     script.push(uniform_batch(shadow.graph(), 20, SEED ^ 0xff));
 
-    // Reference needs explicit growth before the wiring batch.
-    let mut detector = RslpaDetector::new(graph.clone(), RslpaConfig::quick(ITERATIONS, SEED));
-    let mut reference = Vec::new();
-    for batch in &script {
-        let max_id = batch
-            .insertions()
-            .iter()
-            .map(|&(_, v)| v)
-            .max()
-            .unwrap_or(0);
-        if max_id as usize >= detector.graph().num_vertices() {
-            detector.ensure_vertices(max_id as usize + 1);
-        }
-        detector.apply_batch(batch).expect("valid batch");
-        reference.push(detector.detect().result.cover);
-    }
-    for exchange in [ExchangeMode::Mailbox, ExchangeMode::Coordinator] {
-        for shards in [1usize, 4] {
-            let served: Vec<Cover> = replay_served(graph.clone(), &script, shards, exchange)
-                .into_iter()
-                .map(|(cover, _)| cover)
-                .collect();
-            assert_eq!(served, reference, "{shards} shards ({exchange:?})");
-        }
+    let reference = replay_reference(graph.clone(), &script, RslpaConfig::quick(ITERATIONS, SEED));
+    for shards in [1usize, 4] {
+        let served = replay_active(graph.clone(), &script, shards);
+        assert_same_epochs(&served, &reference, &format!("{shards} shards"));
     }
 }

@@ -41,7 +41,7 @@
 //!
 //! | field | meaning |
 //! |-------|---------|
-//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`) |
+//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`); 6 removed the channel-hop counter and made `envelope_hops` the port-side count of mesh envelopes |
 //! | `edits_enqueued` | ops accepted into the ingestion queue |
 //! | `edits_applied` | ops that survived net-resolution and hit the graph |
 //! | `edits_rejected` | no-op ops (duplicate insert, absent delete, self-loop) |
@@ -53,8 +53,8 @@
 //! | `shards` | maintenance shard count (1 = single writer) |
 //! | `shard_edits_routed` | per-shard array: vertex deltas routed to each shard |
 //! | `shard_slots_repaired` | per-shard array: slots each shard repaired |
-//! | `upkeep_per_shard` | object: per-shard `deltas` folded / wall `ns` of shard-owned counter upkeep (zeros when upkeep is coordinator-central) |
-//! | `exchange_rounds` | boundary-exchange rounds (coordinator-relayed or mesh) |
+//! | `upkeep_per_shard` | object: per-shard `deltas` folded / wall `ns` of shard-owned counter upkeep (zeros at one shard, where the single writer's upkeep is central) |
+//! | `exchange_rounds` | mailbox-mesh boundary-exchange rounds (0 at one shard) |
 //! | `boundary_msgs` | envelopes that crossed a shard boundary |
 //! | `boundary_hists_shipped` | boundary histograms actually shipped to the coordinator at publish (the dirty diff) |
 //! | `boundary_hists_total` | boundary histogram slots a full (non-incremental) collect would have shipped |
@@ -64,8 +64,7 @@
 //! | `dirty_vertices` | Σ over non-empty flushes of distinct vertices whose stored labels changed (the dirty region) |
 //! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute) |
 //! | `quality_per_window` | array of `{epoch, onmi, f1, omega}` objects recorded by a quality harness (`repro churn`) scoring each published roster against a tracked ground-truth cover; empty when the run is unscored |
-//! | `channel_hops` | channel sends spent on coordination + boundary delivery |
-//! | `envelope_hops` | Σ channels traversed by boundary envelopes (2/envelope via the coordinator relay, 1 over the mailbox mesh) |
+//! | `envelope_hops` | boundary envelopes the mesh ports sent over peer channels, one hop each — counted port-side, independently of the route-side `boundary_msgs`, which it equals |
 //! | `mailbox_depth` | object: `count`/`p50`/`p99`/`max` of envelopes one shard drained per mesh round |
 //! | `barrier_wait_us` | object: `count`/`mean`/`p50`/`p99` of per-flush mesh barrier wait, microseconds |
 //! | `cut_edges` | gauge: edges whose endpoints live on different shards |
@@ -87,7 +86,7 @@
 //! |-------------|---------|
 //! | `query_count`, `query_mean_ns`, `query_p50_ns`, `query_p90_ns`, `query_p99_ns`, `query_max_ns` | read-side query latency (all query kinds pooled) |
 //! | `flush_count`, `flush_mean_ns`, `flush_p50_ns`, `flush_p99_ns` | flush latency: net-batch resolution + incremental repair |
-//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush **central** edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread); zeros under the mailbox engine, whose shard-owned upkeep is reported in `upkeep_per_shard` |
+//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush **central** edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread); zeros with `--shards` > 1, whose shard-owned upkeep is reported in `upkeep_per_shard` |
 //! | `snapshot_mean_ns`, `snapshot_p50_ns`, `snapshot_p99_ns` | snapshot publish: counter-read weight pass + thresholding + build + epoch swap |
 
 use std::io::{BufRead, Write};
@@ -118,7 +117,7 @@ fn main() -> ExitCode {
                  \x20 stream   <graph> <edits> [--iterations N] [--seed S] [--detect-every K]\n\
                  \x20 replay   <graph> <edits> [--iterations N] [--seed S] [--flush-size B]\n\
                  \x20          [--snapshot-every K] [--queries-per-edit Q] [--shards W]\n\
-                 \x20          [--engine coordinator|mailbox] [--stats-json FILE] [--trace-out FILE]\n\
+                 \x20          [--stats-json FILE] [--trace-out FILE]\n\
                  \x20          replay an edit log through the live serve loop (blank line = barrier)\n\
                  \x20 generate <lfr|rmat|ba> <size> [--seed S] [--out FILE]"
             );
@@ -346,10 +345,6 @@ fn cmd_replay(args: &[String]) -> CliResult {
     let snapshot_every: usize = opt_parse(&options, "snapshot-every", 1)?;
     let queries_per_edit: usize = opt_parse(&options, "queries-per-edit", 2)?;
     let shards: usize = opt_parse(&options, "shards", 1)?;
-    let engine: rslpa::serve::ExchangeMode = match options.get("engine") {
-        Some(v) => v.parse().map_err(|e| format!("--engine: {e}"))?,
-        None => Default::default(),
-    };
     let trace_out = options.get("trace-out").copied();
     let file = std::fs::File::open(edits_path)?;
     let lines = parse_edit_lines(std::io::BufReader::new(file))?;
@@ -358,8 +353,7 @@ fn cmd_replay(args: &[String]) -> CliResult {
     let mut config = ServeConfig::quick(iterations, seed)
         .with_policy(BySize::new(flush_size))
         .with_snapshot_every(snapshot_every)
-        .with_shards(shards)
-        .with_exchange(engine);
+        .with_shards(shards);
     if trace_out.is_some() {
         config = config.with_trace(rslpa::serve::TraceOptions::default());
     }
