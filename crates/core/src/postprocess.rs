@@ -12,14 +12,16 @@
 //!    `w ≥ τ1` subgraph). The paper scans `[τ2, max w]` on a 0.001 grid;
 //!    we sweep the *exact* breakpoints (distinct edge weights) descending
 //!    with an incremental union-find, which evaluates every grid the paper
-//!    could choose at `O(|E| α)` total cost.
+//!    could choose at `O(|E| α)` total cost: a counting sort over the
+//!    distinct weights (each an integer numerator over `(T+1)²`, so there
+//!    are few) orders the edges without comparing them.
 //! 4. **Extraction**: components of the τ1-filtered graph (size ≥ 2) are
 //!    communities; a vertex left isolated by the filter weakly attaches to
 //!    the community of every neighbor with `w ≥ τ2` — overlaps arise
 //!    exactly there ("two communities will overlap when some vertices
 //!    belong to both of them weakly").
 
-use rslpa_graph::{AdjacencyGraph, Cover, Label, UnionFind, VertexId};
+use rslpa_graph::{AdjacencyGraph, Cover, FxHashMap, Label, UnionFind, VertexId};
 
 use crate::state::LabelState;
 
@@ -107,53 +109,112 @@ pub fn select_tau2(n: usize, weights: &[(VertexId, VertexId, f64)]) -> f64 {
         .min(1.0) // empty weight list ⇒ τ2 defaults to 1.0
 }
 
+/// `(weight, end)` per weight group, and the edges grouped by weight.
+type WeightGroups = (Vec<(f64, usize)>, Vec<(VertexId, VertexId)>);
+
+/// The edges grouped by weight, heaviest group first, each group's edges
+/// in input order — the order a stable descending comparison sort gives —
+/// by a counting sort over the distinct values. Every weight the pipelines
+/// produce is an integer numerator over `(T+1)²`, so a list holds at most
+/// `(T+1)² + 1` distinct values however many edges it has: one hash lookup
+/// per edge ranks them, and only the distinct values are compared.
+/// Returns `(weight, end)` per group — the weight of its first edge, bit
+/// for bit, and the end of its run in the returned edge list.
+fn group_descending(weights: &[(VertexId, VertexId, f64)]) -> WeightGroups {
+    let mut bucket_of: FxHashMap<u64, u32> = FxHashMap::default();
+    let mut values: Vec<f64> = Vec::new();
+    let mut counts: Vec<usize> = Vec::new();
+    let buckets: Vec<u32> = weights
+        .iter()
+        .map(|&(_, _, w)| {
+            assert!(!w.is_nan(), "edge weights are never NaN");
+            // `+ 0.0` folds -0.0 into 0.0: they compare equal, so they tie.
+            let b = *bucket_of.entry((w + 0.0).to_bits()).or_insert_with(|| {
+                values.push(w);
+                counts.push(0);
+                values.len() as u32 - 1
+            });
+            counts[b as usize] += 1;
+            b
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..values.len() as u32).collect();
+    order.sort_unstable_by(|&a, &b| values[b as usize].total_cmp(&values[a as usize]));
+    // `counts[b]` becomes bucket `b`'s next free position in `edges`.
+    let mut groups = Vec::with_capacity(order.len());
+    let mut next = 0;
+    for &b in &order {
+        let count = counts[b as usize];
+        counts[b as usize] = next;
+        next += count;
+        groups.push((values[b as usize], next));
+    }
+    let mut edges = vec![(0, 0); weights.len()];
+    for (&(u, v, _), &b) in weights.iter().zip(&buckets) {
+        let slot = &mut counts[b as usize];
+        edges[*slot] = (u, v);
+        *slot += 1;
+    }
+    (groups, edges)
+}
+
 /// Sweep τ1 candidates (descending distinct weights ≥ τ2) with an
 /// incremental union-find, returning `(τ1, entropy at τ1)`.
 ///
 /// Entropy is maintained incrementally: communities are components of size
-/// ≥ 2; each union updates only the two merged components' terms.
+/// ≥ 2; each union updates only the two merged components' terms. The
+/// candidates come off a counting sort over the distinct weights, linear
+/// in `|E|`; its stable tie order fixes the union order and so the
+/// entropy's floating-point sum.
 pub fn select_tau1(
     n: usize,
     weights: &[(VertexId, VertexId, f64)],
     tau2: f64,
     grid: Option<f64>,
 ) -> (f64, f64) {
-    let mut sorted: Vec<(f64, VertexId, VertexId)> =
-        weights.iter().map(|&(u, v, w)| (w, u, v)).collect();
-    sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("weights are finite"));
+    let (groups, edges) = group_descending(weights);
     let nf = n as f64;
-    let term = |size: usize| -> f64 {
+    // `-p ln p` of a community of `size` vertices, memoized: unions keep
+    // meeting the same few sizes, so most `ln` calls are saved.
+    let mut terms = vec![f64::NAN; n + 1];
+    let mut term = |size: usize| -> f64 {
         if size < 2 {
             return 0.0;
         }
-        let p = size as f64 / nf;
-        -p * p.ln()
+        let t = &mut terms[size];
+        if t.is_nan() {
+            let p = size as f64 / nf;
+            *t = -p * p.ln();
+        }
+        *t
     };
     let mut uf = UnionFind::new(n);
     let mut entropy = 0.0;
     let mut best = (f64::INFINITY, f64::NEG_INFINITY); // (tau1, entropy)
-    let mut i = 0;
-    while i < sorted.len() {
-        let w = sorted[i].0;
+    let (mut g, mut start) = (0, 0);
+    while g < groups.len() {
+        let w = groups[g].0;
         if w < tau2 {
             break; // paper scans only [τ2, max w]
         }
         // Snap to the requested grid (paper default 0.001) when asked; the
         // group boundary stays the exact weight otherwise.
         let threshold = match grid {
-            Some(g) => (w / g).floor() * g,
+            Some(step) => (w / step).floor() * step,
             None => w,
         };
         // Add all edges with weight >= current group boundary.
-        while i < sorted.len() && sorted[i].0 >= threshold && sorted[i].0 >= tau2 {
-            let (_, u, v) = sorted[i];
-            let (ru, rv) = (uf.find(u), uf.find(v));
-            if ru != rv {
-                let (su, sv) = (uf.set_size(ru), uf.set_size(rv));
-                entropy += term(su + sv) - term(su) - term(sv);
-                uf.union(ru, rv);
+        while g < groups.len() && groups[g].0 >= threshold && groups[g].0 >= tau2 {
+            let end = groups[g].1;
+            for &(u, v) in &edges[start..end] {
+                let (ru, rv) = (uf.find(u), uf.find(v));
+                if ru != rv {
+                    let (su, sv) = (uf.set_size(ru), uf.set_size(rv));
+                    entropy += term(su + sv) - term(su) - term(sv);
+                    uf.union(ru, rv);
+                }
             }
-            i += 1;
+            (g, start) = (g + 1, end);
         }
         if entropy > best.1 + 1e-15 {
             best = (threshold, entropy);
@@ -167,13 +228,17 @@ pub fn select_tau1(
     }
 }
 
-/// Extract the final cover at `(τ1, τ2)`.
+/// Extract the final cover at `(τ1, τ2)`. Dense per-vertex arrays name
+/// each member's community, and a weak attachment is pushed without
+/// checking for an earlier one — [`Cover::new`] sorts and deduplicates
+/// every community.
 pub fn extract_communities(
     n: usize,
     weights: &[(VertexId, VertexId, f64)],
     tau1: f64,
     tau2: f64,
 ) -> Cover {
+    const NONE: u32 = u32::MAX;
     // Strong components under w >= τ1.
     let mut uf = UnionFind::new(n);
     for &(u, v, w) in weights {
@@ -181,35 +246,37 @@ pub fn extract_communities(
             uf.union(u, v);
         }
     }
-    let labels = uf.component_labels();
-    let mut size_of: rslpa_graph::FxHashMap<VertexId, usize> = Default::default();
-    for &l in &labels {
-        *size_of.entry(l).or_insert(0) += 1;
-    }
-    let is_member = |v: VertexId| size_of[&labels[v as usize]] >= 2;
-    let mut communities: rslpa_graph::FxHashMap<VertexId, Vec<VertexId>> = Default::default();
+    // `community[v]`: index of v's strong community, if it has one;
+    // `of_root` names each component's community by its union-find root.
+    let mut community = vec![NONE; n];
+    let mut of_root = vec![NONE; n];
+    let mut communities: Vec<Vec<VertexId>> = Vec::new();
     for v in 0..n as VertexId {
-        if is_member(v) {
-            communities.entry(labels[v as usize]).or_default().push(v);
+        let root = uf.find(v);
+        if uf.set_size(root) < 2 {
+            continue;
         }
+        let c = &mut of_root[root as usize];
+        if *c == NONE {
+            *c = communities.len() as u32;
+            communities.push(Vec::new());
+        }
+        community[v as usize] = *c;
+        communities[*c as usize].push(v);
     }
     // Weak attachment of filter-isolated vertices (overlap source).
     for &(u, v, w) in weights {
         if w < tau2 {
             continue;
         }
-        for (iso, anchor) in [(u, v), (v, u)] {
-            if !is_member(iso) && is_member(anchor) {
-                let c = communities
-                    .get_mut(&labels[anchor as usize])
-                    .expect("anchor community");
-                if !c.contains(&iso) {
-                    c.push(iso);
-                }
-            }
+        match (community[u as usize], community[v as usize]) {
+            (NONE, NONE) => {}
+            (NONE, c) => communities[c as usize].push(u),
+            (c, NONE) => communities[c as usize].push(v),
+            _ => {}
         }
     }
-    Cover::new(communities.into_values())
+    Cover::new(communities)
 }
 
 /// Full post-processing pipeline (centralized).
@@ -233,9 +300,120 @@ pub fn postprocess(
 }
 
 #[cfg(test)]
+mod reference {
+    //! The comparison-sort τ1 sweep and the `contains`-based extraction the
+    //! linear versions replaced, kept as oracles for the equivalence tests.
+
+    use rslpa_graph::{Cover, UnionFind, VertexId};
+
+    /// [`super::select_tau1`] with a comparison sort.
+    pub fn select_tau1(
+        n: usize,
+        weights: &[(VertexId, VertexId, f64)],
+        tau2: f64,
+        grid: Option<f64>,
+    ) -> (f64, f64) {
+        let mut sorted: Vec<(f64, VertexId, VertexId)> =
+            weights.iter().map(|&(u, v, w)| (w, u, v)).collect();
+        sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("weights are finite"));
+        let nf = n as f64;
+        let term = |size: usize| -> f64 {
+            if size < 2 {
+                return 0.0;
+            }
+            let p = size as f64 / nf;
+            -p * p.ln()
+        };
+        let mut uf = UnionFind::new(n);
+        let mut entropy = 0.0;
+        let mut best = (f64::INFINITY, f64::NEG_INFINITY); // (tau1, entropy)
+        let mut i = 0;
+        while i < sorted.len() {
+            let w = sorted[i].0;
+            if w < tau2 {
+                break; // paper scans only [τ2, max w]
+            }
+            // Snap to the requested grid (paper default 0.001) when asked; the
+            // group boundary stays the exact weight otherwise.
+            let threshold = match grid {
+                Some(g) => (w / g).floor() * g,
+                None => w,
+            };
+            // Add all edges with weight >= current group boundary.
+            while i < sorted.len() && sorted[i].0 >= threshold && sorted[i].0 >= tau2 {
+                let (_, u, v) = sorted[i];
+                let (ru, rv) = (uf.find(u), uf.find(v));
+                if ru != rv {
+                    let (su, sv) = (uf.set_size(ru), uf.set_size(rv));
+                    entropy += term(su + sv) - term(su) - term(sv);
+                    uf.union(ru, rv);
+                }
+                i += 1;
+            }
+            if entropy > best.1 + 1e-15 {
+                best = (threshold, entropy);
+            }
+        }
+        if best.1 == f64::NEG_INFINITY {
+            // No edge reaches τ2 (degenerate); fall back to τ2 itself.
+            (tau2, 0.0)
+        } else {
+            best
+        }
+    }
+
+    /// [`super::extract_communities`] with a hash map per root and a
+    /// `contains` scan per weak attachment.
+    pub fn extract_communities(
+        n: usize,
+        weights: &[(VertexId, VertexId, f64)],
+        tau1: f64,
+        tau2: f64,
+    ) -> Cover {
+        // Strong components under w >= τ1.
+        let mut uf = UnionFind::new(n);
+        for &(u, v, w) in weights {
+            if w >= tau1 {
+                uf.union(u, v);
+            }
+        }
+        let labels = uf.component_labels();
+        let mut size_of: rslpa_graph::FxHashMap<VertexId, usize> = Default::default();
+        for &l in &labels {
+            *size_of.entry(l).or_insert(0) += 1;
+        }
+        let is_member = |v: VertexId| size_of[&labels[v as usize]] >= 2;
+        let mut communities: rslpa_graph::FxHashMap<VertexId, Vec<VertexId>> = Default::default();
+        for v in 0..n as VertexId {
+            if is_member(v) {
+                communities.entry(labels[v as usize]).or_default().push(v);
+            }
+        }
+        // Weak attachment of filter-isolated vertices (overlap source).
+        for &(u, v, w) in weights {
+            if w < tau2 {
+                continue;
+            }
+            for (iso, anchor) in [(u, v), (v, u)] {
+                if !is_member(iso) && is_member(anchor) {
+                    let c = communities
+                        .get_mut(&labels[anchor as usize])
+                        .expect("anchor community");
+                    if !c.contains(&iso) {
+                        c.push(iso);
+                    }
+                }
+            }
+        }
+        Cover::new(communities.into_values())
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::propagation::run_propagation;
+    use proptest::prelude::*;
 
     #[test]
     fn similarity_of_identical_sequences_is_concentration() {
@@ -403,5 +581,83 @@ mod tests {
         let r = postprocess(&g, &state, None);
         assert!(r.cover.is_empty());
         assert_eq!(r.weights.len(), 0);
+    }
+
+    /// A weight list over `n` vertices: each raw `(a, b, c)` becomes the
+    /// edge `{a mod n, b mod n}` (self-loops dropped) with weight
+    /// `(c mod (den+1)) / den` — the integer-over-denominator shape of real
+    /// weights, with heavy ties when `den` is small.
+    fn weight_list(n: usize, raw: &[(u32, u32, u64)], den: u64) -> Vec<(VertexId, VertexId, f64)> {
+        if n < 2 {
+            return Vec::new();
+        }
+        raw.iter()
+            .filter_map(|&(a, b, c)| {
+                let (u, v) = (a % n as u32, b % n as u32);
+                (u != v).then(|| (u.min(v), u.max(v), (c % (den + 1)) as f64 / den as f64))
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn linear_tau1_and_extraction_match_the_comparison_sort(
+            n in 0usize..16,
+            raw in proptest::collection::vec((0u32..16, 0u32..16, 0u64..1 << 21), 0..80),
+            den_pick in 0usize..3,
+            grid_pick in 0usize..2,
+            cut in 0u64..=8,
+        ) {
+            let den = [4u64, 2601, 1 << 20][den_pick];
+            let grid = [None, Some(0.001)][grid_pick];
+            let w = weight_list(n, &raw, den);
+            let tau2 = select_tau2(n, &w);
+            let got = select_tau1(n, &w, tau2, grid);
+            let want = reference::select_tau1(n, &w, tau2, grid);
+            prop_assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits())
+            );
+            prop_assert_eq!(
+                extract_communities(n, &w, got.0, tau2),
+                reference::extract_communities(n, &w, want.0, tau2)
+            );
+            // Thresholds the sweep would not pick, including a τ2 above
+            // τ1 and the degenerate no-edge-reaches-τ2 case.
+            let (tau1, tau2) = (cut as f64 / 8.0, (8 - cut) as f64 / 8.0);
+            let got = select_tau1(n, &w, tau2, grid);
+            let want = reference::select_tau1(n, &w, tau2, grid);
+            prop_assert_eq!(
+                (got.0.to_bits(), got.1.to_bits()),
+                (want.0.to_bits(), want.1.to_bits())
+            );
+            prop_assert_eq!(
+                extract_communities(n, &w, tau1, tau2),
+                reference::extract_communities(n, &w, tau1, tau2)
+            );
+        }
+    }
+
+    #[test]
+    fn negative_zero_ties_with_zero() {
+        // -0.0 == 0.0, so the comparison sort keeps them in input order
+        // and a tie group led by -0.0 yields τ1 = -0.0; the counting sort
+        // must put both in one bucket to do the same.
+        let lists = [
+            vec![(0, 1, -0.0), (1, 2, 0.0), (2, 3, 0.0)],
+            vec![(0, 1, 0.0), (2, 3, -0.0), (1, 2, 0.0), (3, 4, 0.5)],
+        ];
+        for w in &lists {
+            for tau2 in [0.0, -0.0] {
+                let got = select_tau1(5, w, tau2, None);
+                let want = reference::select_tau1(5, w, tau2, None);
+                assert_eq!(
+                    (got.0.to_bits(), got.1.to_bits()),
+                    (want.0.to_bits(), want.1.to_bits())
+                );
+            }
+        }
     }
 }

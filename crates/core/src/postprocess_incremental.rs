@@ -13,22 +13,28 @@
 //!   as they rewrite label slots; [`apply_slot_deltas`](IncrementalPostprocess::apply_slot_deltas)
 //!   folds the compacted stream into the counters at `O(deg)` per net
 //!   slot change, and [`delete_edges`](IncrementalPostprocess::delete_edges)
-//!   retires counters of deleted edges. Publish-time weight cost drops to
-//!   one `O(1)` counter read per edge plus one merge per *newly inserted*
-//!   edge — the cost tracks the change, not the graph;
+//!   retires counters of deleted edges. A refresh then copies the last
+//!   refresh's numerator of every edge whose endpoints did not change, in
+//!   one sequential pass, and pays a counter lookup only for edges at a
+//!   changed endpoint plus one merge per *newly inserted* edge — the
+//!   hashing and merging track the change, not the graph;
 //! * **deferred** (drop-in for the old dirty-region API):
 //!   [`set_sequence`](IncrementalPostprocess::set_sequence) queues whole
 //!   replacement sequences, and [`refresh`](IncrementalPostprocess::refresh)
 //!   pushes their sparse histogram diffs through the counters against the
 //!   final graph before reading weights.
 //!
-//! The τ2 / τ1 / extraction stages still run over the full weight list —
-//! they are `O(m log m)` and cheap next to the old `O(m·T)` merge pass —
-//! so the result is **bit-identical** to a full recompute: counters are
-//! exact integers, and the derived weight divides the same integer by the
-//! same `m²` the merge would. The tests below and
-//! `tests/counter_equivalence.rs` pin that equality under random churn,
-//! for both the single-writer and the sharded repair engines.
+//! The τ2 / τ1 / extraction stages still run over the full weight list,
+//! each in linear time: τ2 is one pass, τ1 orders the edges with a
+//! counting sort over the distinct weights (at most `(T+1)² + 1` of them,
+//! one integer numerator each) before its union-find sweep, and
+//! extraction names components with dense per-vertex arrays. The result
+//! is **bit-identical** to a full recompute: counters are exact integers,
+//! the derived weight divides the same integer by the same `m²` the merge
+//! would, and the counting sort keeps the stable tie order τ1 depends on.
+//! The tests below and `tests/counter_equivalence.rs` pin that equality
+//! under random churn, for both the single-writer and the sharded repair
+//! engines.
 
 use rslpa_graph::{AdjacencyGraph, FxHashMap, Label, SlotDelta, VertexId};
 

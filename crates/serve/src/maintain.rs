@@ -11,9 +11,14 @@
 //! change) — the single writer's central
 //! [`rslpa_core::IncrementalPostprocess`] store, or each mesh worker's own
 //! partition — so snapshot publishing reads each edge weight off a
-//! counter instead of re-merging histograms: publish-time weight cost
-//! tracks the number of *inserted* edges, not the dirty region. Readers
-//! interact only through the epoch-swapped [`SnapshotStore`].
+//! counter instead of re-merging histograms. A single-writer publish is
+//! one sequential copy of the last publish's numerators, a counter lookup
+//! only for edges at a changed endpoint, a merge per inserted edge, a
+//! counting-sort τ1 sweep and a linear extraction: hashing and merging
+//! track the dirty region, and what remains is a few linear passes over
+//! the edge list. (The mesh coordinator still re-merges every boundary
+//! edge per publish.) Readers interact only through the epoch-swapped
+//! [`SnapshotStore`].
 //!
 //! Live streams are messier than the paper's curated batches: clients may
 //! insert an edge that already exists, delete one that does not, or emit
