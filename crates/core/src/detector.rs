@@ -101,24 +101,11 @@ impl RslpaDetector {
     /// Apply an edit batch and incrementally repair the label state
     /// (Correction Propagation). Returns the work report.
     pub fn apply_batch(&mut self, batch: &EditBatch) -> Result<UpdateReport, EditError> {
-        let mut dirty = FxHashSet::default();
-        self.apply_batch_tracked(batch, &mut dirty)
+        self.apply_batch_streaming(batch, &mut FxHashSet::default(), &mut Vec::new())
     }
 
     /// [`apply_batch`](Self::apply_batch) that additionally accumulates
-    /// every vertex whose label sequence changed into `dirty` — the input
-    /// for dirty-region post-processing
-    /// ([`IncrementalPostprocess`](crate::postprocess_incremental::IncrementalPostprocess)).
-    pub fn apply_batch_tracked(
-        &mut self,
-        batch: &EditBatch,
-        dirty: &mut FxHashSet<VertexId>,
-    ) -> Result<UpdateReport, EditError> {
-        let mut deltas = Vec::new();
-        self.apply_batch_streaming(batch, dirty, &mut deltas)
-    }
-
-    /// [`apply_batch_tracked`](Self::apply_batch_tracked) that also emits
+    /// every vertex whose label sequence changed into `dirty` and emits
     /// the repair's label-slot changes as [`SlotDelta`]s, in application
     /// order — what a streaming
     /// [`EdgeCounters`](crate::edge_counters::EdgeCounters) store consumes

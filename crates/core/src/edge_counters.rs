@@ -9,24 +9,30 @@
 //! pass becomes the snapshot floor (ROADMAP bottleneck #2). This module
 //! keeps the numerator **as state** instead:
 //!
-//! > `common_uv = Σ_l f_u(l)·f_v(l)` — an exact `u64`, maintained
+//! > `common_uv = Σ_l f_u(l)·f_v(l)` — an exact integer, maintained
 //! > incrementally.
 //!
+//! Each numerator is stored once, as `(hi, common)` in the sorted
+//! **counter row** of the edge's lower endpoint — one payload per arc in
+//! adjacency order, as in an arc-labelled graph. A row holds only edges
+//! that are still live, so it is always a subsequence of its vertex's
+//! upper adjacency (the neighbors above it).
+//!
 //! * A label-slot change `(v, slot, a → b)` moves every incident counter
-//!   by `f_w(b) − f_w(a)`: `O(deg(v))` lookups, no merge. Slot changes
-//!   arrive as [`SlotDelta`]s from the repair engines (Correction
-//!   Propagation already knows exactly which slots it rewrote).
+//!   by `f_w(b) − f_w(a)`: `v`'s own row is walked for its upper edges,
+//!   and `v` is binary-searched in each lower neighbor's row — `O(deg(v))`
+//!   and no merge. Slot changes arrive as [`SlotDelta`]s from the repair
+//!   engines (Correction Propagation already knows exactly which slots it
+//!   rewrote).
 //! * An edge insertion costs one histogram merge — **once**, lazily at
 //!   the next [`refresh_weights`](EdgeCounters::refresh_weights), with
 //!   whatever the endpoint histograms are then (exact by definition).
-//! * An edge deletion drops the counter.
-//! * A refresh walks the sorted adjacency rows next to the previous
-//!   refresh's canonical `(u, v, common)` index. Every vertex whose
-//!   histogram moved, or that lost a counter, since then is marked; an
-//!   edge with both endpoints unmarked copies its indexed numerator, and
-//!   only edges at a marked endpoint pay a counter lookup. A publish thus
-//!   costs one sequential merge of two sorted lists plus hash work in
-//!   proportion to the dirty region, for about 16 bytes of index per edge.
+//! * An edge deletion drops the counter, and must do so before the next
+//!   upkeep: a counter left behind would miss the slot changes applied
+//!   while its edge is absent.
+//! * A refresh syncs each row against its vertex's upper adjacency: it
+//!   keeps every counter and merges only the edges the row lacks, so the
+//!   rows, concatenated in vertex order, are the canonical weight list.
 //!
 //! Because the counter is an exact integer and the weight is derived as
 //! `common as f64 / (m as f64 · m as f64)` — the same expression
@@ -50,20 +56,15 @@ use rslpa_graph::{
     SlotDelta, VertexId,
 };
 
-use crate::shard::ShardRepairState;
-
-/// Pack a canonical edge into one `u64` map key: hashing a single integer
-/// is measurably cheaper than a tuple on the upkeep hot path (one
-/// counter lookup per incident edge per dirty vertex per flush).
-#[inline]
-fn edge_key(u: VertexId, v: VertexId) -> u64 {
-    let (lo, hi) = canonical(u, v);
-    (u64::from(lo) << 32) | u64::from(hi)
-}
-
 use crate::postprocess::common_labels;
 use crate::rows::{HistRow, HistRows};
+use crate::shard::ShardRepairState;
 use crate::state::{histogram_of, LabelState};
+
+/// The counters of one vertex's upper edges: `(hi, common)`, sorted by
+/// `hi`. A numerator never exceeds `m² < 2³²` (`m` fits `u16`, see
+/// [`HistRows`]), so it is stored as a `u32`.
+type CounterRow = Vec<(VertexId, u32)>;
 
 /// Compact a slot-delta stream and aggregate it to one sparse histogram
 /// diff per vertex (`Σ` of `-1` at each net `old`, `+1` at each net
@@ -101,52 +102,126 @@ fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<(VertexId, Vec<(L
     (count, out)
 }
 
-/// Sparse signed difference `new − old` of a packed row vs a sorted run.
-fn hist_diff(old: HistRow<'_>, new: &[(Label, u32)]) -> Vec<(Label, i64)> {
-    let mut out = Vec::new();
-    let (mut i, mut j) = (0, 0);
-    let old_at = |i: usize| (old.labels[i], u32::from(old.counts[i]));
-    while i < old.len() || j < new.len() {
-        match ((i < old.len()).then(|| old_at(i)), new.get(j).copied()) {
-            (Some((lo, co)), Some((ln, cn))) if lo == ln => {
-                if co != cn {
-                    out.push((lo, i64::from(cn) - i64::from(co)));
-                }
-                i += 1;
-                j += 1;
-            }
-            (Some((lo, co)), Some((ln, _))) if lo < ln => {
-                out.push((lo, -i64::from(co)));
-                i += 1;
-            }
-            (Some(_), Some((ln, cn))) => {
-                out.push((ln, i64::from(cn)));
-                j += 1;
-            }
-            (Some((lo, co)), None) => {
-                out.push((lo, -i64::from(co)));
-                i += 1;
-            }
-            (None, Some((ln, cn))) => {
-                out.push((ln, i64::from(cn)));
-                j += 1;
-            }
-            (None, None) => unreachable!(),
+/// Upkeep half of the row kernel: push vertex `v`'s histogram diff
+/// through every counter incident to it. `v`'s own row (at `slot_v`)
+/// holds its upper edges; each `lower` neighbor with a slot holds `v` in
+/// its row. `slot_of` maps a vertex to its histogram and counter slot;
+/// rows past the end of `counters` are empty.
+fn push_diff(
+    hists: &HistRows,
+    counters: &mut [CounterRow],
+    (v, slot_v): (VertexId, u32),
+    lower: impl Iterator<Item = VertexId>,
+    slot_of: impl Fn(VertexId) -> Option<u32>,
+    diff: &[(Label, i64)],
+) {
+    let moved = |c: &mut u32, slot_w: u32| {
+        let fw = hists.row(slot_w);
+        let delta: i64 = diff
+            .iter()
+            .map(|&(l, dl)| dl * i64::from(fw.count_of(l)))
+            .sum();
+        *c = u32::try_from(i64::from(*c) + delta)
+            .expect("exact maintenance keeps counters within 0..=m²");
+    };
+    if let Some(row) = counters.get_mut(slot_v as usize) {
+        for (w, c) in row.iter_mut() {
+            moved(
+                c,
+                slot_of(*w).expect("a counter's endpoints have histograms"),
+            );
         }
     }
-    out
+    for w in lower {
+        let Some(slot_w) = slot_of(w) else { continue };
+        let Some(row) = counters.get_mut(slot_w as usize) else {
+            continue;
+        };
+        if let Ok(i) = row.binary_search_by_key(&v, |e| e.0) {
+            moved(&mut row[i].1, slot_w);
+        }
+    }
+}
+
+/// Publish half of the row kernel: bring `row` up to `upper`, its
+/// vertex's current upper adjacency in the same sorted order, keeping
+/// every counter and calling `merge` only for the edges the row lacks.
+fn sync_row(row: &mut CounterRow, upper: &[VertexId], mut merge: impl FnMut(VertexId) -> u64) {
+    debug_assert!(
+        {
+            let mut rest = upper.iter();
+            row.iter().all(|&(hi, _)| rest.any(|&w| w == hi))
+        },
+        "counter row is not a subsequence of its upper adjacency: \
+         an edge was deleted without retiring its counter"
+    );
+    if row.len() == upper.len() {
+        return;
+    }
+    let mut kept = std::mem::replace(row, Vec::with_capacity(upper.len()))
+        .into_iter()
+        .peekable();
+    for &hi in upper {
+        let c = match kept.next_if(|&(w, _)| w == hi) {
+            Some((_, c)) => c,
+            None => u32::try_from(merge(hi)).expect("a numerator is at most m²"),
+        };
+        row.push((hi, c));
+    }
+}
+
+/// Drop the counter of edge `(lo, hi)` from `lo`'s row, if it has one.
+fn retire(row: &mut CounterRow, hi: VertexId) {
+    if let Ok(i) = row.binary_search_by_key(&hi, |e| e.0) {
+        row.remove(i);
+    }
+}
+
+/// `v`'s neighbors below and above it.
+fn split_neighbors(graph: &AdjacencyGraph, v: VertexId) -> (&[VertexId], &[VertexId]) {
+    let row = graph.neighbors(v);
+    row.split_at(row.partition_point(|&w| w < v))
+}
+
+/// Cut `0..n` into contiguous vertex ranges holding about equal shares of
+/// upper edges — the genesis merge's unit of work. Equal vertex ranges
+/// would not do: on a skewed graph (R-MAT) the low ids hold most edges.
+fn edge_balanced_ranges(graph: &AdjacencyGraph, parts: usize) -> Vec<std::ops::Range<usize>> {
+    let share = graph.num_edges().div_ceil(parts).max(1);
+    let mut ranges = Vec::with_capacity(parts);
+    let (mut start, mut load) = (0, 0);
+    for v in 0..graph.num_vertices() {
+        load += split_neighbors(graph, v as VertexId).1.len();
+        if load >= share {
+            ranges.push(start..v + 1);
+            (start, load) = (v + 1, 0);
+        }
+    }
+    if start < graph.num_vertices() {
+        ranges.push(start..graph.num_vertices());
+    }
+    ranges
+}
+
+/// Bytes held by a store's counter rows, with room for `reserved` row
+/// headers.
+fn counter_bytes(rows: &[CounterRow], reserved: usize) -> MemFootprint {
+    let entry = std::mem::size_of::<(VertexId, u32)>();
+    MemFootprint {
+        live_bytes: std::mem::size_of_val(rows) + rows.iter().map(Vec::len).sum::<usize>() * entry,
+        capacity_bytes: reserved * std::mem::size_of::<CounterRow>()
+            + rows.iter().map(Vec::capacity).sum::<usize>() * entry,
+    }
 }
 
 /// The streaming counter store: per-vertex label histograms plus the
-/// exact common-label numerator of every live edge.
+/// exact common-label numerator of every live edge, in one counter row
+/// per vertex (see the module docs).
 ///
-/// Maintained by a mix of **eager** updates
-/// ([`apply_slot_deltas`](Self::apply_slot_deltas) /
-/// [`delete_edge`](Self::delete_edge), the serve path) and **deferred**
-/// ones ([`set_sequence`](Self::set_sequence), applied against the final
-/// graph; stale counters of silently-deleted edges are swept at refresh).
-/// Both are exact, so they may be combined as long as each vertex's
-/// history flows through only one of them between refreshes.
+/// Callers fold each repair in as it happens: first
+/// [`delete_edge`](Self::delete_edge) for every deleted edge, then
+/// [`apply_slot_deltas`](Self::apply_slot_deltas) with the repair's
+/// slot-change stream.
 ///
 /// ```
 /// use rslpa_core::postprocess::edge_weights;
@@ -180,17 +255,9 @@ pub struct EdgeCounters {
     /// Packed sorted histogram rows, one slot per vertex (slots are
     /// allocated in vertex order and never released, so `slot == v`).
     hists: HistRows,
-    /// [`edge_key`]`(u, v)` → `Σ_l f_u(l)·f_v(l)` for every edge seen by
-    /// the last refresh and not deleted since.
-    common: FxHashMap<u64, u64>,
-    /// The last refresh's canonical `(u, v, common)` list, sorted by
-    /// `(u, v)`. An entry whose endpoints are both unmarked in `touched`
-    /// still equals its live counter, so refresh copies it instead of
-    /// looking the counter up.
-    index: Vec<(VertexId, VertexId, u64)>,
-    /// `touched[v]`: `v`'s histogram moved, or a counter incident to `v`
-    /// was retired, since the last refresh.
-    touched: Vec<bool>,
+    /// `counters[v]`: the counter row of `v`'s upper edges that the last
+    /// refresh saw and no deletion has retired since.
+    counters: Vec<CounterRow>,
 }
 
 impl EdgeCounters {
@@ -206,10 +273,8 @@ impl EdgeCounters {
         }
         Self {
             m,
-            touched: vec![false; hists.num_slots()],
+            counters: vec![Vec::new(); hists.num_slots()],
             hists,
-            common: FxHashMap::default(),
-            index: Vec::new(),
         }
     }
 
@@ -225,7 +290,7 @@ impl EdgeCounters {
 
     /// Number of live counters (diagnostics).
     pub fn num_counters(&self) -> usize {
-        self.common.len()
+        self.counters.iter().map(Vec::len).sum()
     }
 
     /// Current histogram of `v` as a packed row view.
@@ -241,7 +306,10 @@ impl EdgeCounters {
 
     /// The exact numerator for edge `(u, v)`, if a counter is live.
     pub fn common_of(&self, u: VertexId, v: VertexId) -> Option<u64> {
-        self.common.get(&edge_key(u, v)).copied()
+        let (lo, hi) = canonical(u, v);
+        let row = self.counters.get(lo as usize)?;
+        let i = row.binary_search_by_key(&hi, |e| e.0).ok()?;
+        Some(u64::from(row[i].1))
     }
 
     /// Grow the vertex space to `n`; fresh vertices get the own-label
@@ -252,112 +320,55 @@ impl EdgeCounters {
             let slot = self.hists.alloc_default(v as Label);
             debug_assert_eq!(slot, v, "dense store slots track vertex ids");
         }
-        self.touched.resize(self.hists.num_slots(), false);
+        self.counters.resize_with(self.hists.num_slots(), Vec::new);
     }
 
     /// Drop the counter of a deleted edge (no-op if the edge never earned
-    /// one). **Eager users must call this for every deletion**: a counter
-    /// that survives a delete/re-insert cycle would miss the slot deltas
-    /// applied while the edge was absent.
+    /// one). **Must be called for every deletion, before the next
+    /// upkeep**: a counter that survives a delete/re-insert cycle would
+    /// miss the slot deltas applied while the edge was absent, and a
+    /// refresh rejects (in debug builds) a row holding an absent edge.
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
-        if self.common.remove(&edge_key(u, v)).is_some() {
-            self.touched[u as usize] = true;
-            self.touched[v as usize] = true;
+        let (lo, hi) = canonical(u, v);
+        if let Some(row) = self.counters.get_mut(lo as usize) {
+            retire(row, hi);
         }
-    }
-
-    /// Apply one label-slot change in `O(deg)`: every live counter
-    /// incident to `d.v` moves by `f_w(new) − f_w(old)`, then the
-    /// histogram itself shifts one unit of mass. Deltas for one
-    /// `(v, slot)` must arrive in application order; anything else may
-    /// interleave freely (the updates commute).
-    pub fn apply_slot_delta(&mut self, graph: &AdjacencyGraph, d: SlotDelta) {
-        if d.old == d.new {
-            return;
-        }
-        self.ensure_vertices(d.v as usize + 1);
-        for &w in graph.neighbors(d.v) {
-            if let Some(c) = self.common.get_mut(&edge_key(d.v, w)) {
-                let fw = self.hists.row(w);
-                let delta = i64::from(fw.count_of(d.new)) - i64::from(fw.count_of(d.old));
-                *c = c
-                    .checked_add_signed(delta)
-                    .expect("exact maintenance keeps counters non-negative");
-            }
-        }
-        self.hists.shift(d.v, d.old, d.new);
-        self.touched[d.v as usize] = true;
-    }
-
-    /// Push one vertex's aggregated histogram difference through every
-    /// live incident counter, then fold it into the histogram itself —
-    /// the shared core of [`set_sequence`](Self::set_sequence) and
-    /// [`apply_slot_deltas`](Self::apply_slot_deltas). One neighbor sweep
-    /// (one counter lookup per incident edge) covers the whole diff.
-    fn apply_vertex_diff(&mut self, graph: &AdjacencyGraph, v: VertexId, diff: &[(Label, i64)]) {
-        if diff.is_empty() {
-            return;
-        }
-        for &w in graph.neighbors(v) {
-            if let Some(c) = self.common.get_mut(&edge_key(v, w)) {
-                let fw = self.hists.row(w);
-                let delta: i64 = diff
-                    .iter()
-                    .map(|&(l, dl)| dl * i64::from(fw.count_of(l)))
-                    .sum();
-                *c = c
-                    .checked_add_signed(delta)
-                    .expect("exact maintenance keeps counters non-negative");
-            }
-        }
-        self.hists.fold_diff(v, diff);
-        self.touched[v as usize] = true;
     }
 
     /// Fold a repair's slot-delta stream into the counters: the stream is
     /// [compacted](rslpa_graph::compact_slot_deltas), grouped by vertex,
     /// and aggregated to one sparse histogram diff per vertex, so each
     /// dirty vertex costs **one** neighbor sweep no matter how many of
-    /// its slots moved. `graph` must be the post-repair topology. Returns
-    /// the number of net slot changes folded in.
+    /// its slots moved. Deltas for one `(v, slot)` must arrive in
+    /// application order; anything else may interleave freely. `graph`
+    /// must be the post-repair topology, with every deleted edge already
+    /// retired through [`delete_edge`](Self::delete_edge). Returns the
+    /// number of net slot changes folded in.
     pub fn apply_slot_deltas(&mut self, graph: &AdjacencyGraph, deltas: &[SlotDelta]) -> usize {
         let (count, diffs) = aggregate_vertex_diffs(deltas);
-        if count == 0 {
-            return 0;
-        }
         if let Some(max) = diffs.iter().map(|&(v, _)| v).max() {
             self.ensure_vertices(max as usize + 1);
         }
         for (v, diff) in &diffs {
-            self.apply_vertex_diff(graph, *v, diff);
+            if diff.is_empty() {
+                continue;
+            }
+            // Dense store: a vertex's slot is its id.
+            let lower = split_neighbors(graph, *v).0.iter().copied();
+            push_diff(&self.hists, &mut self.counters, (*v, *v), lower, Some, diff);
+            self.hists.fold_diff(*v, diff);
         }
         count
     }
 
-    /// Replace `v`'s whole label sequence (the deferred path): the sparse
-    /// histogram difference is pushed through every live incident counter
-    /// against the **final** graph, which is exactly why deferred updates
-    /// tolerate un-notified edge deletions — a deleted edge is absent
-    /// from `graph.neighbors(v)` and its stale counter is swept at the
-    /// next refresh.
-    pub fn set_sequence(&mut self, graph: &AdjacencyGraph, v: VertexId, labels: &[Label]) {
-        debug_assert_eq!(labels.len(), self.m, "sequence length mismatch");
-        self.ensure_vertices(v as usize + 1);
-        let new_hist = histogram_of(labels);
-        let diff = hist_diff(self.hists.row(v), &new_hist);
-        self.apply_vertex_diff(graph, v, &diff);
-    }
-
-    /// Produce the canonical weight list for `graph`. Rows are walked in
-    /// canonical order alongside the last refresh's numerator index: an
-    /// edge whose endpoints are both untouched since then copies its
-    /// indexed numerator, any other edge reads its counter (one `O(1)`
-    /// lookup), and an edge with no counter yet (new since the last
-    /// refresh — or every edge, on the first call) is merged. Merges fan
-    /// out over `threads` workers when there are enough of them; each
-    /// merge is a pure function of two histograms, so the thread count
-    /// cannot change a bit of the output. Counters of edges no longer
-    /// present are swept.
+    /// Produce the canonical weight list for `graph`: sync every counter
+    /// row against its vertex's upper adjacency — counters are kept, and
+    /// each edge without one (new since the last refresh, or every edge
+    /// on the first call) is merged — then read the rows out in vertex
+    /// order. The sync fans out over `threads` workers on vertex ranges
+    /// of about equal edge counts (worth it for the genesis pass, where
+    /// every edge merges); each merge is a pure function of two
+    /// histograms, so the thread count cannot change a bit of the output.
     pub fn refresh_weights(
         &mut self,
         graph: &AdjacencyGraph,
@@ -365,103 +376,46 @@ impl EdgeCounters {
     ) -> Vec<(VertexId, VertexId, f64)> {
         let n = graph.num_vertices();
         self.ensure_vertices(n);
-        let mm = self.m as f64 * self.m as f64;
-        let mut wlist: Vec<(VertexId, VertexId, f64)> = Vec::with_capacity(graph.num_edges());
-        let mut index = Vec::with_capacity(graph.num_edges());
-        let mut missing: Vec<usize> = Vec::new();
-        let old = &self.index;
-        let mut at = 0;
-        for u in 0..n as VertexId {
-            let row = graph.neighbors(u);
-            let u_touched = self.touched[u as usize];
-            for &v in &row[row.partition_point(|&v| v < u)..] {
-                while at < old.len() && (old[at].0, old[at].1) < (u, v) {
-                    at += 1;
-                }
-                let copied = (!u_touched
-                    && !self.touched[v as usize]
-                    && at < old.len()
-                    && (old[at].0, old[at].1) == (u, v))
-                    .then(|| old[at].2);
-                let c = copied.or_else(|| self.common.get(&edge_key(u, v)).copied());
-                if c.is_none() {
-                    missing.push(index.len());
-                }
-                let c = c.unwrap_or(0);
-                index.push((u, v, c));
-                wlist.push((u, v, c as f64 / mm));
+        let hists = &self.hists;
+        let sync = |start: usize, rows: &mut [CounterRow]| {
+            for (u, row) in (start as VertexId..).zip(rows) {
+                sync_row(row, split_neighbors(graph, u).1, |v| hists.common(u, v));
             }
-        }
-        let commons: Vec<u64> = if threads <= 1 || missing.len() < 256 {
-            missing
-                .iter()
-                .map(|&i| {
-                    let (u, v, _) = index[i];
-                    self.hists.common(u, v)
-                })
-                .collect()
+        };
+        if threads <= 1 || graph.num_edges() < 256 {
+            sync(0, &mut self.counters[..n]);
         } else {
-            let mut out = vec![0u64; missing.len()];
-            let chunk = missing.len().div_ceil(threads).max(1);
-            let hists = &self.hists;
-            let index_ref = &index;
             std::thread::scope(|s| {
-                for (idx, slice) in missing.chunks(chunk).zip(out.chunks_mut(chunk)) {
-                    s.spawn(move || {
-                        for (&i, o) in idx.iter().zip(slice.iter_mut()) {
-                            let (u, v, _) = index_ref[i];
-                            *o = hists.common(u, v);
-                        }
-                    });
+                let mut rest = &mut self.counters[..n];
+                for range in edge_balanced_ranges(graph, threads) {
+                    let (rows, tail) = std::mem::take(&mut rest).split_at_mut(range.len());
+                    rest = tail;
+                    s.spawn(move || sync(range.start, rows));
                 }
             });
-            out
-        };
-        for (&i, &c) in missing.iter().zip(&commons) {
-            let (u, v, _) = index[i];
-            self.common.insert(edge_key(u, v), c);
-            index[i].2 = c;
-            wlist[i].2 = c as f64 / mm;
         }
-        // Counters in excess of the edge count belong to deleted edges a
-        // deferred user never notified us about.
-        if self.common.len() > graph.num_edges() {
-            self.common
-                .retain(|&key, _| graph.has_edge((key >> 32) as VertexId, key as u32));
+        let mm = self.m as f64 * self.m as f64;
+        let mut wlist = Vec::with_capacity(graph.num_edges());
+        for (u, row) in (0..).zip(&self.counters[..n]) {
+            wlist.extend(row.iter().map(|&(v, c)| (u, v, f64::from(c) / mm)));
         }
-        debug_assert_eq!(
-            self.common.len(),
-            index.len(),
-            "a live edge lacks a counter"
-        );
-        debug_assert!(
-            index
-                .iter()
-                .all(|&(u, v, c)| self.common.get(&edge_key(u, v)) == Some(&c)),
-            "numerator index drifted from the live counters"
-        );
-        self.touched.fill(false);
-        self.index = index;
         wlist
     }
 }
 
 impl MemAccounted for EdgeCounters {
     fn mem_footprint(&self) -> MemFootprint {
-        let entry = std::mem::size_of::<(u64, u64)>();
-        let indexed = std::mem::size_of::<(VertexId, VertexId, u64)>();
-        self.hists.mem_footprint().plus(MemFootprint {
-            live_bytes: self.common.len() * entry + self.index.len() * indexed + self.touched.len(),
-            capacity_bytes: self.common.capacity() * entry
-                + self.index.capacity() * indexed
-                + self.touched.capacity(),
-        })
+        self.hists
+            .mem_footprint()
+            .plus(counter_bytes(&self.counters, self.counters.capacity()))
     }
 }
 
 /// The shard-owned slice of the streaming counter store: histograms of
 /// the shard's own vertices plus the exact `common_uv` counter of every
-/// **interior** edge (both endpoints owned by this shard).
+/// **interior** edge (both endpoints owned by this shard), in one counter
+/// row per histogram slot — the same rows and row kernel as
+/// [`EdgeCounters`].
 ///
 /// # Cross-shard edge ownership rule
 ///
@@ -490,11 +444,12 @@ pub struct CounterPartition {
     m: usize,
     /// Packed histogram rows of owned vertices (slots released on
     /// migration, recycled by later adoptions).
-    rows: HistRows,
-    /// Owned vertex id → row slot.
+    hists: HistRows,
+    /// Owned vertex id → histogram and counter slot.
     slots: FxHashMap<VertexId, u32>,
-    /// [`edge_key`] → `Σ_l f_u(l)·f_v(l)` for interior edges only.
-    common: FxHashMap<u64, u64>,
+    /// `counters[slot]`: the counter row of the interior upper edges of
+    /// the vertex at `slot`. Slots past the end have empty rows.
+    counters: Vec<CounterRow>,
     /// Owned vertices whose histogram changed since their last
     /// dirty-diff ship (fed by the same slot-delta stream as counter
     /// upkeep, plus migration adoptions). Interior dirty vertices stay in
@@ -533,44 +488,44 @@ impl BoundaryShipReport {
     }
 }
 
+/// Slot of owned vertex `v`, creating the own-label histogram a fresh
+/// untouched sequence has (`{v: m}`) on first sight.
+fn slot_entry(hists: &mut HistRows, slots: &mut FxHashMap<VertexId, u32>, v: VertexId) -> u32 {
+    *slots
+        .entry(v)
+        .or_insert_with(|| hists.alloc_default(v as Label))
+}
+
 impl CounterPartition {
     /// Carve this shard's slice out of a populated central store:
     /// histograms of owned vertices, counters of interior edges. Used at
     /// bootstrap so the genesis weight pass is never repeated.
     pub fn carve(central: &EdgeCounters, rows: &ShardRepairState) -> Self {
-        let mut packed = HistRows::new(central.m);
-        let mut slots = FxHashMap::default();
+        let mut part = Self::new(central.m);
         for v in rows.owned_sorted() {
             if (v as usize) < central.hists.num_slots() {
-                let hist = central.hists.row(v).to_vec();
-                slots.insert(v, packed.alloc_from(&hist));
+                let slot = part.hists.alloc_from(&central.hists.row(v).to_vec());
+                debug_assert_eq!(slot as usize, part.counters.len());
+                part.slots.insert(v, slot);
+                part.counters.push(
+                    central.counters[v as usize]
+                        .iter()
+                        .copied()
+                        .filter(|&(w, _)| rows.owns(w))
+                        .collect(),
+                );
             }
         }
-        let common = central
-            .common
-            .iter()
-            .filter(|(&key, _)| {
-                rows.owns((key >> 32) as VertexId) && rows.owns(key as u32 as VertexId)
-            })
-            .map(|(&key, &c)| (key, c))
-            .collect();
-        Self {
-            m: central.m,
-            rows: packed,
-            slots,
-            common,
-            dirty: FxHashSet::default(),
-            shipped: FxHashSet::default(),
-        }
+        part
     }
 
-    /// An empty partition (tests; counters and histograms fill lazily).
+    /// An empty partition; histograms and counters fill lazily.
     pub fn new(m: usize) -> Self {
         Self {
             m,
-            rows: HistRows::new(m),
+            hists: HistRows::new(m),
             slots: FxHashMap::default(),
-            common: FxHashMap::default(),
+            counters: Vec::new(),
             dirty: FxHashSet::default(),
             shipped: FxHashSet::default(),
         }
@@ -583,18 +538,13 @@ impl CounterPartition {
 
     /// Live interior-edge counters (diagnostics).
     pub fn num_counters(&self) -> usize {
-        self.common.len()
+        self.counters.iter().map(Vec::len).sum()
     }
 
-    /// Row slot of owned vertex `v`, creating the own-label histogram a
-    /// fresh untouched sequence has (`{v: m}`) on first sight.
-    fn slot_entry(&mut self, v: VertexId) -> u32 {
-        if let Some(&slot) = self.slots.get(&v) {
-            return slot;
-        }
-        let slot = self.rows.alloc_default(v as Label);
-        self.slots.insert(v, slot);
-        slot
+    /// The counter row at `v`'s slot, if `v` has one.
+    fn row_mut(&mut self, v: VertexId) -> Option<&mut CounterRow> {
+        let slot = *self.slots.get(&v)?;
+        self.counters.get_mut(slot as usize)
     }
 
     /// Drop the counter of an interior edge that was just deleted.
@@ -603,7 +553,10 @@ impl CounterPartition {
     /// applied while the edge was absent. (Boundary deletions have no
     /// counter; calling this for them is a no-op.)
     pub fn retire_edge(&mut self, u: VertexId, v: VertexId) {
-        self.common.remove(&edge_key(u, v));
+        let (lo, hi) = canonical(u, v);
+        if let Some(row) = self.row_mut(lo) {
+            retire(row, hi);
+        }
     }
 
     /// Install the histogram of a vertex migrating in, recomputed from
@@ -613,9 +566,9 @@ impl CounterPartition {
         debug_assert_eq!(labels.len(), self.m, "sequence length mismatch");
         let hist = histogram_of(labels);
         match self.slots.get(&v) {
-            Some(&slot) => self.rows.set_from(slot, &hist),
+            Some(&slot) => self.hists.set_from(slot, &hist),
             None => {
-                let slot = self.rows.alloc_from(&hist);
+                let slot = self.hists.alloc_from(&hist);
                 self.slots.insert(v, slot);
             }
         }
@@ -628,24 +581,27 @@ impl CounterPartition {
 
     /// Forget everything about vertices migrating out: their histograms
     /// and every counter incident to them (see the ownership rule above).
-    pub fn drop_vertices(&mut self, leaving: &[VertexId]) {
-        if leaving.is_empty() {
-            return;
-        }
-        let gone: FxHashSet<VertexId> = leaving.iter().copied().collect();
-        for v in leaving {
-            if let Some(slot) = self.slots.remove(v) {
-                self.rows.release(slot);
+    /// `rows` must still hold the leaving vertices' adjacency.
+    pub fn drop_vertices(&mut self, rows: &ShardRepairState, leaving: &[VertexId]) {
+        for &v in leaving {
+            // Counters of `v`'s lower edges sit in its neighbors' rows.
+            for &w in rows.neighbors_of(v).iter().take_while(|&&w| w < v) {
+                if let Some(row) = self.row_mut(w) {
+                    retire(row, v);
+                }
+            }
+            if let Some(slot) = self.slots.remove(&v) {
+                if let Some(row) = self.counters.get_mut(slot as usize) {
+                    *row = Vec::new();
+                }
+                self.hists.release(slot);
             }
             // Dirtiness travels with the row: the adopter marks the vertex
             // dirty unconditionally (`adopt_hist`), so dropping it here
             // loses nothing.
-            self.dirty.remove(v);
-            self.shipped.remove(v);
+            self.dirty.remove(&v);
+            self.shipped.remove(&v);
         }
-        self.common.retain(|&key, _| {
-            !gone.contains(&((key >> 32) as VertexId)) && !gone.contains(&(key as u32))
-        });
     }
 
     /// Fold this shard's flush deltas into its own partition: the stream
@@ -658,9 +614,6 @@ impl CounterPartition {
     /// Returns the number of net slot changes folded in.
     pub fn apply_own_deltas(&mut self, rows: &ShardRepairState, deltas: &[SlotDelta]) -> usize {
         let (count, diffs) = aggregate_vertex_diffs(deltas);
-        if count == 0 {
-            return 0;
-        }
         for (v, diff) in &diffs {
             let v = *v;
             debug_assert!(
@@ -670,27 +623,21 @@ impl CounterPartition {
             if diff.is_empty() {
                 continue;
             }
-            let slot_v = self.slot_entry(v);
-            for &w in rows.neighbors_of(v) {
-                if !rows.owns(w) {
-                    continue; // boundary edge: merged at publish
-                }
-                if let Some(c) = self.common.get_mut(&edge_key(v, w)) {
-                    let slot_w = *self
-                        .slots
-                        .get(&w)
-                        .expect("interior neighbor histogram is local");
-                    let fw = self.rows.row(slot_w);
-                    let delta: i64 = diff
-                        .iter()
-                        .map(|&(l, dl)| dl * i64::from(fw.count_of(l)))
-                        .sum();
-                    *c = c
-                        .checked_add_signed(delta)
-                        .expect("exact maintenance keeps counters non-negative");
-                }
-            }
-            self.rows.fold_diff(slot_v, diff);
+            let slot_v = slot_entry(&mut self.hists, &mut self.slots, v);
+            // Only owned neighbors have slots: boundary edges carry no
+            // counter (merged at publish).
+            let lower = rows.neighbors_of(v).iter().copied().take_while(|&w| w < v);
+            let slots = &self.slots;
+            let slot_of = |w: VertexId| slots.get(&w).copied();
+            push_diff(
+                &self.hists,
+                &mut self.counters,
+                (v, slot_v),
+                lower,
+                slot_of,
+                diff,
+            );
+            self.hists.fold_diff(slot_v, diff);
             // Same stream feeds the ship bookkeeping: the histogram just
             // moved, so the coordinator's cached copy (if any) is stale.
             self.dirty.insert(v);
@@ -699,41 +646,47 @@ impl CounterPartition {
     }
 
     /// The publish-time contribution of this partition: one
-    /// `(u, v, common)` triple per interior edge, sorted canonically —
-    /// an `O(1)` counter read per live counter, one local histogram merge
-    /// per interior edge with no counter yet (new since the last collect,
-    /// or re-interiorized by migration). Stale counters (belt and braces;
-    /// the eager retire path should leave none) are swept.
+    /// `(u, v, common)` triple per interior edge, sorted canonically. Each
+    /// owned vertex's counter row is synced against its interior upper
+    /// neighbors — the central refresh's sync — so a live counter is
+    /// copied and only an interior edge with no counter yet (new since
+    /// the last collect, or re-interiorized by migration) pays one local
+    /// histogram merge.
     pub fn collect_interior(&mut self, rows: &ShardRepairState) -> Vec<(VertexId, VertexId, u64)> {
         let mut out: Vec<(VertexId, VertexId, u64)> = Vec::new();
+        let mut upper: Vec<VertexId> = Vec::new();
         for v in rows.owned_sorted() {
-            for &w in rows.neighbors_of(v) {
-                if w <= v || !rows.owns(w) {
-                    continue;
-                }
-                let key = edge_key(v, w);
-                let c = match self.common.get(&key) {
-                    Some(&c) => c,
-                    None => {
-                        // Histograms materialize only where a merge needs
-                        // them — not for every owned vertex per publish.
-                        let slot_v = self.slot_entry(v);
-                        let slot_w = self.slot_entry(w);
-                        let c = self.rows.common(slot_v, slot_w);
-                        self.common.insert(key, c);
-                        c
-                    }
-                };
-                out.push((v, w, c));
+            upper.clear();
+            upper.extend(
+                rows.neighbors_of(v)
+                    .iter()
+                    .copied()
+                    .filter(|&w| w > v && rows.owns(w)),
+            );
+            if upper.is_empty() {
+                continue;
             }
-        }
-        if self.common.len() > out.len() {
-            let live: FxHashSet<u64> = out.iter().map(|&(u, v, _)| edge_key(u, v)).collect();
-            self.common.retain(|key, _| live.contains(key));
+            // A vertex without a slot has no counters yet: its histogram,
+            // like a fresh neighbor's, materializes here for the merges.
+            let Self {
+                hists,
+                slots,
+                counters,
+                ..
+            } = self;
+            let slot_v = slot_entry(hists, slots, v);
+            if counters.len() <= slot_v as usize {
+                counters.resize_with(slot_v as usize + 1, Vec::new);
+            }
+            let row = &mut counters[slot_v as usize];
+            sync_row(row, &upper, |w| {
+                let slot_w = slot_entry(hists, slots, w);
+                hists.common(slot_v, slot_w)
+            });
+            out.extend(row.iter().map(|&(w, c)| (v, w, u64::from(c))));
         }
         out
     }
-
     /// Histograms of this shard's boundary vertices (owned vertices with
     /// at least one off-shard neighbor), sorted by vertex — what the
     /// publish assembly needs to merge boundary edges. Appends into a
@@ -745,8 +698,8 @@ impl CounterPartition {
     ) {
         for v in rows.owned_sorted() {
             if rows.neighbors_of(v).iter().any(|&w| !rows.owns(w)) {
-                let slot = self.slot_entry(v);
-                out.push((v, self.rows.row(slot).to_vec()));
+                let slot = slot_entry(&mut self.hists, &mut self.slots, v);
+                out.push((v, self.hists.row(slot).to_vec()));
             }
         }
     }
@@ -811,8 +764,8 @@ impl CounterPartition {
             if !is_dirty {
                 report.dirty += 1; // first ship counts as a dirty vertex
             }
-            let slot = self.slot_entry(v);
-            out.push((v, self.rows.row(slot).to_vec()));
+            let slot = slot_entry(&mut self.hists, &mut self.slots, v);
+            out.push((v, self.hists.row(slot).to_vec()));
             report.shipped += 1;
         }
         report
@@ -821,11 +774,9 @@ impl CounterPartition {
 
 impl MemAccounted for CounterPartition {
     fn mem_footprint(&self) -> MemFootprint {
-        let entry = std::mem::size_of::<(u64, u64)>();
-        self.rows.mem_footprint().plus(MemFootprint {
-            live_bytes: self.common.len() * entry,
-            capacity_bytes: self.common.capacity() * entry,
-        })
+        self.hists
+            .mem_footprint()
+            .plus(counter_bytes(&self.counters, self.counters.capacity()))
     }
 }
 
@@ -877,8 +828,9 @@ mod tests {
     use super::*;
     use crate::config::RslpaConfig;
     use crate::detector::RslpaDetector;
-    use crate::postprocess::edge_weights;
+    use crate::postprocess::{edge_weights, postprocess, result_from_weights, PostprocessResult};
     use crate::propagation::run_propagation;
+    use rslpa_graph::rng::DetRng;
     use rslpa_graph::EditBatch;
 
     fn assert_weights_equal(a: &[(VertexId, VertexId, f64)], b: &[(VertexId, VertexId, f64)]) {
@@ -928,17 +880,16 @@ mod tests {
         let mut counters = EdgeCounters::new(&state);
         counters.refresh_weights(&g, 1);
         assert_eq!(counters.common_of(0, 1), Some(2 * 1 + 2 * 3)); // = 8
-                                                                   // One correction rewrites slot 2 of vertex 0 from y to x: the
-                                                                   // streaming update is common += f_1(x) − f_1(y) = 1 − 3.
-        counters.apply_slot_delta(
-            &g,
-            SlotDelta {
-                v: 0,
-                slot: 2,
-                old: 1,
-                new: 0,
-            },
-        );
+
+        // One correction rewrites slot 2 of vertex 0 from y to x: the
+        // streaming update is common += f_1(x) − f_1(y) = 1 − 3.
+        let rewrite = SlotDelta {
+            v: 0,
+            slot: 2,
+            old: 1,
+            new: 0,
+        };
+        counters.apply_slot_deltas(&g, &[rewrite]);
         // Fresh merge of f_0 = {x:3, y:1}, f_1 = {x:1, y:3}: 3·1 + 1·3.
         assert_eq!(counters.common_of(0, 1), Some(3 * 1 + 1 * 3)); // = 6
         assert_eq!(counters.hist(0), &[(0, 3), (1, 1)]);
@@ -957,14 +908,14 @@ mod tests {
         for (v, t, new) in [(0u32, 3u32, 4u32), (1, 1, 4), (0, 5, 1), (4, 2, 0)] {
             let old = state.label(v, t);
             state.set_label(v, t, new);
-            counters.apply_slot_delta(
+            counters.apply_slot_deltas(
                 &g,
-                SlotDelta {
+                &[SlotDelta {
                     v,
                     slot: t,
                     old,
                     new,
-                },
+                }],
             );
         }
         assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
@@ -976,15 +927,13 @@ mod tests {
         let state = run_propagation(&g, 6, 1);
         let mut counters = EdgeCounters::new(&state);
         let before = counters.refresh_weights(&g, 1);
-        counters.apply_slot_delta(
-            &g,
-            SlotDelta {
-                v: 2,
-                slot: 1,
-                old: 9,
-                new: 9,
-            },
-        );
+        let noop = SlotDelta {
+            v: 2,
+            slot: 1,
+            old: 9,
+            new: 9,
+        };
+        assert_eq!(counters.apply_slot_deltas(&g, &[noop]), 0);
         assert_weights_equal(&counters.refresh_weights(&g, 1), &before);
     }
 
@@ -1004,32 +953,16 @@ mod tests {
         assert_eq!(counters.common_of(0, 1), None);
     }
 
+    #[cfg(debug_assertions)]
     #[test]
-    fn unnotified_deletion_is_swept_by_refresh() {
+    #[should_panic(expected = "not a subsequence of its upper adjacency")]
+    fn unreported_deletion_trips_the_row_invariant() {
         let mut g = ring_graph(5);
         let state = run_propagation(&g, 6, 2);
         let mut counters = EdgeCounters::new(&state);
         counters.refresh_weights(&g, 1);
-        g.remove_edge(1, 2); // deferred user: no delete_edge call
+        g.remove_edge(1, 2); // no delete_edge call
         counters.refresh_weights(&g, 1);
-        assert_eq!(counters.num_counters(), g.num_edges());
-        assert_eq!(counters.common_of(1, 2), None);
-    }
-
-    #[test]
-    fn set_sequence_diff_matches_fresh_merge() {
-        let g = ring_graph(7);
-        let mut state = run_propagation(&g, 9, 11);
-        let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
-        // Replace two whole sequences (the deferred path).
-        for v in [2u32, 3] {
-            for t in 1..=9u32 {
-                state.set_label(v, t, (v + t) % 5);
-            }
-            counters.set_sequence(&g, v, state.label_sequence(v));
-        }
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
     }
 
     #[test]
@@ -1068,8 +1001,9 @@ mod tests {
         let mut state = run_propagation(&g, 8, 21);
         let mut counters = EdgeCounters::new(&state);
         counters.refresh_weights(&g, 1);
-        // Notified and un-notified delete/re-insert cycles, neither
-        // endpoint's histogram moving in between.
+        // A notified delete/re-insert cycle re-merges the edge; an
+        // un-notified one with no upkeep in between leaves an exact
+        // counter behind. Neither endpoint's histogram moves meanwhile.
         g.remove_edge(0, 1);
         counters.delete_edge(0, 1);
         g.insert_edge(0, 1);
@@ -1081,31 +1015,8 @@ mod tests {
         let (v, slot, new) = (1, 4, 6);
         let old = state.label(v, slot);
         state.set_label(v, slot, new);
-        counters.apply_slot_delta(&g, SlotDelta { v, slot, old, new });
+        counters.apply_slot_deltas(&g, &[SlotDelta { v, slot, old, new }]);
         assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
-    }
-
-    #[test]
-    fn index_follows_deferred_sequences_with_unnotified_deletions() {
-        let mut g = ring_graph(9);
-        g.insert_edge(0, 4);
-        let mut state = run_propagation(&g, 9, 17);
-        let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
-        // Deferred user: edges vanish without `delete_edge`, one at a
-        // changed vertex and one between quiet vertices, and sequences are
-        // replaced against the final graph.
-        g.remove_edge(3, 4);
-        g.remove_edge(6, 7);
-        for v in [4u32, 8] {
-            for t in 1..=9u32 {
-                state.set_label(v, t, (v * t) % 4);
-            }
-            counters.set_sequence(&g, v, state.label_sequence(v));
-        }
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
-        assert_eq!(counters.num_counters(), g.num_edges());
-        assert_eq!(counters.common_of(6, 7), None);
     }
 
     #[test]
@@ -1165,10 +1076,231 @@ mod tests {
         assert_eq!(counters.num_vertices(), 5);
     }
 
+    // The single-writer publish path: counters read through the shared
+    // threshold-and-extract tail must reproduce the full pipeline's
+    // `PostprocessResult` bit for bit.
+
+    fn publish(
+        counters: &mut EdgeCounters,
+        g: &AdjacencyGraph,
+        threads: usize,
+    ) -> PostprocessResult {
+        result_from_weights(g.num_vertices(), counters.refresh_weights(g, threads), None)
+    }
+
+    fn assert_results_equal(a: &PostprocessResult, b: &PostprocessResult) {
+        assert_eq!(a.tau1.to_bits(), b.tau1.to_bits(), "tau1 drifted");
+        assert_eq!(a.tau2.to_bits(), b.tau2.to_bits(), "tau2 drifted");
+        assert_eq!(a.entropy.to_bits(), b.entropy.to_bits(), "entropy drifted");
+        assert_eq!(a.cover, b.cover, "cover drifted");
+        assert_weights_equal(&a.weights, &b.weights);
+    }
+
+    /// Three 4-cliques chained by two bridges.
+    fn clique_chain() -> AdjacencyGraph {
+        let mut g = AdjacencyGraph::new(12);
+        for base in [0u32, 4, 8] {
+            for i in base..base + 4 {
+                for j in (i + 1)..base + 4 {
+                    g.insert_edge(i, j);
+                }
+            }
+        }
+        g.insert_edge(3, 4);
+        g.insert_edge(7, 8);
+        g
+    }
+
+    /// A random valid batch against `g`: flip `k` random vertex pairs.
+    fn random_batch(g: &AdjacencyGraph, rng: &mut DetRng, k: usize) -> EditBatch {
+        let n = g.num_vertices() as u64;
+        let mut ins = Vec::new();
+        let mut del = Vec::new();
+        let mut seen = FxHashSet::default();
+        while ins.len() + del.len() < k {
+            let u = rng.bounded(n) as VertexId;
+            let v = rng.bounded(n) as VertexId;
+            if u == v || !seen.insert(canonical(u, v)) {
+                continue;
+            }
+            if g.has_edge(u, v) {
+                del.push((u, v));
+            } else {
+                ins.push((u, v));
+            }
+        }
+        EditBatch::from_lists(ins, del)
+    }
+
+    #[test]
+    fn first_refresh_matches_full_postprocess() {
+        let g = clique_chain();
+        let det = RslpaDetector::new(g.clone(), RslpaConfig::quick(30, 7));
+        let mut counters = EdgeCounters::new(det.state());
+        let full = postprocess(&g, det.state(), None);
+        assert_results_equal(&publish(&mut counters, &g, 1), &full);
+        // A second refresh with nothing dirty is identical again.
+        assert_results_equal(&publish(&mut counters, &g, 1), &full);
+    }
+
+    #[test]
+    fn eager_path_stays_bit_identical_under_random_churn() {
+        // The serve wiring: slot deltas + delete notifications, and
+        // several flushes per refresh.
+        for seed in [5u64, 13, 31] {
+            let mut det = RslpaDetector::new(clique_chain(), RslpaConfig::quick(25, seed));
+            let mut counters = EdgeCounters::new(det.state());
+            let mut rng = DetRng::new(seed ^ 0xeade);
+            for round in 0..12 {
+                for _ in 0..1 + round % 3 {
+                    let batch = random_batch(det.graph(), &mut rng, 2 + round % 6);
+                    flush(&mut det, &mut counters, &batch);
+                }
+                assert_results_equal(
+                    &publish(&mut counters, det.graph(), 1),
+                    &postprocess(det.graph(), det.state(), None),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn survives_edge_delete_then_reinsert() {
+        // The regression the eager delete notification exists for: an
+        // edge whose endpoint histograms change *while the edge is
+        // absent* must be re-merged when it re-enters the graph.
+        let mut det = RslpaDetector::new(clique_chain(), RslpaConfig::quick(20, 9));
+        let mut counters = EdgeCounters::new(det.state());
+        publish(&mut counters, det.graph(), 1);
+        let steps = [
+            EditBatch::from_lists([], [(3, 4)]),
+            EditBatch::from_lists([(0, 8)], [(1, 2)]), // churn histograms
+            EditBatch::from_lists([(3, 4)], [(0, 8)]), // re-insert
+        ];
+        for batch in &steps {
+            flush(&mut det, &mut counters, batch);
+            assert_results_equal(
+                &publish(&mut counters, det.graph(), 1),
+                &postprocess(det.graph(), det.state(), None),
+            );
+        }
+    }
+
+    #[test]
+    fn vertex_growth_seeds_own_label_histograms() {
+        let mut det = RslpaDetector::new(clique_chain(), RslpaConfig::quick(20, 5));
+        let mut counters = EdgeCounters::new(det.state());
+        publish(&mut counters, det.graph(), 1);
+        det.ensure_vertices(14);
+        counters.ensure_vertices(14);
+        let batch = EditBatch::from_lists([(12, 0), (12, 1), (13, 12)], []);
+        flush(&mut det, &mut counters, &batch);
+        assert_results_equal(
+            &publish(&mut counters, det.graph(), 1),
+            &postprocess(det.graph(), det.state(), None),
+        );
+    }
+
+    #[test]
+    fn threaded_new_edge_merges_are_bit_identical() {
+        // More than 256 edges, so every refresh with 4 threads splits the
+        // sync. The ring with chords is uniform; the hub graph is skewed
+        // like R-MAT (its low ids hold most edges), so an equal split by
+        // vertex would not balance it.
+        let n = 400u32;
+        let mut ring = AdjacencyGraph::new(n as usize);
+        let mut hubs = AdjacencyGraph::new(n as usize);
+        for v in 0..n {
+            ring.insert_edge(v, (v + 1) % n);
+            ring.insert_edge(v, (v + 7) % n);
+            hubs.insert_edge(v, (v + 1) % n);
+            for hub in 0..4 {
+                if hub != v {
+                    hubs.insert_edge(hub, v);
+                }
+            }
+        }
+        for g in [ring, hubs] {
+            let mut det = RslpaDetector::new(g, RslpaConfig::quick(20, 17));
+            let mut serial = EdgeCounters::new(det.state());
+            let mut threaded = EdgeCounters::new(det.state());
+            let full = postprocess(det.graph(), det.state(), None);
+            assert_results_equal(&publish(&mut serial, det.graph(), 1), &full);
+            assert_results_equal(&publish(&mut threaded, det.graph(), 4), &full);
+            let mut rng = DetRng::new(99);
+            for _ in 0..3 {
+                let batch = random_batch(det.graph(), &mut rng, 60);
+                let (mut dirty, mut deltas) = (FxHashSet::default(), Vec::new());
+                det.apply_batch_streaming(&batch, &mut dirty, &mut deltas)
+                    .unwrap();
+                for store in [&mut serial, &mut threaded] {
+                    for &(u, v) in batch.deletions() {
+                        store.delete_edge(u, v);
+                    }
+                    store.apply_slot_deltas(det.graph(), &deltas);
+                }
+                let full = postprocess(det.graph(), det.state(), None);
+                assert_results_equal(&publish(&mut serial, det.graph(), 1), &full);
+                assert_results_equal(&publish(&mut threaded, det.graph(), 4), &full);
+            }
+        }
+    }
+
+    #[test]
+    fn genesis_split_follows_edge_counts() {
+        // Four hubs joined to every vertex: each hub holds about a quarter
+        // of the upper edges and every other vertex none, so the hubs get
+        // ranges of their own and the remaining 396 vertices share one.
+        let n = 400u32;
+        let mut g = AdjacencyGraph::new(n as usize);
+        for hub in 0..4 {
+            for v in hub + 1..n {
+                g.insert_edge(hub, v);
+            }
+        }
+        assert_eq!(
+            edge_balanced_ranges(&g, 4),
+            vec![0..1, 1..2, 2..4, 4..n as usize]
+        );
+    }
+
+    #[test]
+    fn grid_configuration_is_respected() {
+        let g = clique_chain();
+        let det = RslpaDetector::new(g.clone(), RslpaConfig::quick(30, 13));
+        let mut counters = EdgeCounters::new(det.state());
+        let weights = counters.refresh_weights(&g, 1);
+        assert_results_equal(
+            &result_from_weights(g.num_vertices(), weights, Some(0.001)),
+            &postprocess(&g, det.state(), Some(0.001)),
+        );
+    }
+
+    #[test]
+    fn refresh_after_churn_merges_only_new_edges() {
+        // Steady-state refreshes never re-merge surviving edges, no matter
+        // how dirty their endpoints are.
+        let g = clique_chain();
+        let edges_before = g.num_edges();
+        let mut det = RslpaDetector::new(g, RslpaConfig::quick(25, 3));
+        let mut counters = EdgeCounters::new(det.state());
+        counters.refresh_weights(det.graph(), 1);
+        assert_eq!(counters.num_counters(), edges_before);
+        let batch = EditBatch::from_lists([(0, 9), (2, 6)], [(3, 4)]);
+        flush(&mut det, &mut counters, &batch);
+        // Before refresh: only the deleted edge's counter is gone; the
+        // two inserted edges have no counter yet.
+        assert_eq!(counters.num_counters(), edges_before - 1);
+        counters.refresh_weights(det.graph(), 1);
+        assert_eq!(counters.num_counters(), det.graph().num_edges());
+    }
+
     mod partition {
         use super::*;
         use crate::shard::ShardRepairState;
-        use rslpa_graph::{DynamicGraph, EditBatch, HashPartitioner, Partitioner};
+        use rslpa_graph::{
+            BlockPartitioner, DynamicGraph, EditBatch, HashPartitioner, Partitioner,
+        };
         use std::sync::Arc;
 
         fn run_partitioned(
@@ -1295,58 +1427,65 @@ mod tests {
 
         #[test]
         fn drop_and_adopt_follow_migration() {
-            // Carve two partitions, migrate a vertex, and verify the
-            // ownership rule: dropped counters reappear via lazy merge,
-            // the adopted histogram is exact.
-            let g = ring_graph(6);
-            let state = run_propagation(&g, 6, 9);
-            let mut central = EdgeCounters::new(&state);
-            central.refresh_weights(&g, 1);
-            let p_old: Arc<dyn Partitioner> = Arc::new(HashPartitioner::with_seed(2, 1));
-            let mut shards: Vec<ShardRepairState> = (0..2)
-                .map(|s| ShardRepairState::from_state(&state, &g, s, Arc::clone(&p_old)))
-                .collect();
-            let mut partitions: Vec<CounterPartition> = shards
-                .iter()
-                .map(|rows| CounterPartition::carve(&central, rows))
-                .collect();
-            let p_new: Arc<dyn Partitioner> = Arc::new(HashPartitioner::with_seed(2, 77));
-            let mut in_flight: Vec<Vec<(VertexId, crate::shard::VertexRowData)>> =
-                vec![Vec::new(); 2];
-            for (shard, partition) in shards.iter_mut().zip(partitions.iter_mut()) {
-                let leaving: Vec<VertexId> = (0..6u32)
-                    .filter(|&v| {
-                        p_old.assign(v) == shard.shard() && p_new.assign(v) != shard.shard()
-                    })
+            // Carve two partitions, migrate vertices from contiguous
+            // blocks to odd/even ownership, and verify the ownership rule:
+            // dropped counters reappear via lazy merge, the adopted
+            // histogram is exact. A leaving vertex keeps co-owned lower
+            // neighbors, whose rows must lose its counter.
+            for g in [ring_graph(6), clique_chain()] {
+                let state = run_propagation(&g, 6, 9);
+                let mut central = EdgeCounters::new(&state);
+                central.refresh_weights(&g, 1);
+                let p_old: Arc<dyn Partitioner> =
+                    Arc::new(BlockPartitioner::new(g.num_vertices(), 2));
+                let mut shards: Vec<ShardRepairState> = (0..2)
+                    .map(|s| ShardRepairState::from_state(&state, &g, s, Arc::clone(&p_old)))
                     .collect();
-                partition.drop_vertices(&leaving);
-                for (v, row) in shard.extract_rows(&leaving) {
-                    in_flight[p_new.assign(v)].push((v, row));
+                let mut partitions: Vec<CounterPartition> = shards
+                    .iter()
+                    .map(|rows| CounterPartition::carve(&central, rows))
+                    .collect();
+                let p_new: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(2));
+                assert!(
+                    (0..g.num_vertices() as VertexId).any(|v| p_old.assign(v) != p_new.assign(v))
+                );
+                let mut in_flight: Vec<Vec<(VertexId, crate::shard::VertexRowData)>> =
+                    vec![Vec::new(); 2];
+                for (shard, partition) in shards.iter_mut().zip(partitions.iter_mut()) {
+                    let leaving: Vec<VertexId> = (0..g.num_vertices() as VertexId)
+                        .filter(|&v| {
+                            p_old.assign(v) == shard.shard() && p_new.assign(v) != shard.shard()
+                        })
+                        .collect();
+                    partition.drop_vertices(shard, &leaving);
+                    for (v, row) in shard.extract_rows(&leaving) {
+                        in_flight[p_new.assign(v)].push((v, row));
+                    }
                 }
-            }
-            for ((shard, partition), rows) in
-                shards.iter_mut().zip(partitions.iter_mut()).zip(in_flight)
-            {
-                shard.set_partitioner(Arc::clone(&p_new));
-                for (v, data) in &rows {
-                    partition.adopt_hist(*v, &data.labels);
+                for ((shard, partition), rows) in
+                    shards.iter_mut().zip(partitions.iter_mut()).zip(in_flight)
+                {
+                    shard.set_partitioner(Arc::clone(&p_new));
+                    for (v, data) in &rows {
+                        partition.adopt_hist(*v, &data.labels);
+                    }
+                    shard.adopt_rows(rows);
                 }
-                shard.adopt_rows(rows);
-            }
-            let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-                .iter()
-                .zip(partitions.iter_mut())
-                .map(|(rows, p)| p.collect_interior(rows))
-                .collect();
-            let mut bh: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-            for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
-                for (v, hist) in p.boundary_hists(rows) {
-                    bh.insert(v, hist);
+                let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
+                    .iter()
+                    .zip(partitions.iter_mut())
+                    .map(|(rows, p)| p.collect_interior(rows))
+                    .collect();
+                let mut bh: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
+                for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
+                    for (v, hist) in p.boundary_hists(rows) {
+                        bh.insert(v, hist);
+                    }
                 }
+                let assembled =
+                    assemble_partitioned_weights(&g, |v| p_new.assign(v), 7, &interior, &bh);
+                assert_weights_equal(&assembled, &central.refresh_weights(&g, 1));
             }
-            let assembled =
-                assemble_partitioned_weights(&g, |v| p_new.assign(v), 7, &interior, &bh);
-            assert_weights_equal(&assembled, &central.refresh_weights(&g, 1));
         }
     }
 }

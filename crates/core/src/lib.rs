@@ -37,7 +37,6 @@ pub mod incremental;
 pub mod incremental_bsp;
 pub mod postprocess;
 pub mod postprocess_bsp;
-pub mod postprocess_incremental;
 pub mod propagation;
 pub mod propagation_bsp;
 pub mod rows;
@@ -52,8 +51,7 @@ pub use edge_counters::{
     assemble_partitioned_weights, BoundaryShipReport, CounterPartition, EdgeCounters,
 };
 pub use incremental::{apply_correction, apply_correction_damped, CascadeDamper, UpdateReport};
-pub use postprocess::{postprocess, PostprocessResult};
-pub use postprocess_incremental::{result_from_weights, IncrementalPostprocess};
+pub use postprocess::{postprocess, result_from_weights, PostprocessResult};
 pub use propagation::run_propagation;
 pub use rows::{HistRow, HistRows};
 pub use shard::{

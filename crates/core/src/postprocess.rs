@@ -279,14 +279,16 @@ pub fn extract_communities(
     Cover::new(communities)
 }
 
-/// Full post-processing pipeline (centralized).
-pub fn postprocess(
-    graph: &AdjacencyGraph,
-    state: &LabelState,
+/// Threshold selection and extraction over a canonical weight list of an
+/// `n`-vertex graph — the tail every pipeline shares, whether its weights
+/// come from a fresh merge ([`postprocess`]), the streaming
+/// [`EdgeCounters`](crate::edge_counters::EdgeCounters), or the
+/// partitioned stores of a mesh.
+pub fn result_from_weights(
+    n: usize,
+    weights: Vec<(VertexId, VertexId, f64)>,
     grid: Option<f64>,
 ) -> PostprocessResult {
-    let n = graph.num_vertices();
-    let weights = edge_weights(graph, state);
     let tau2 = select_tau2(n, &weights);
     let (tau1, entropy) = select_tau1(n, &weights, tau2, grid);
     let cover = extract_communities(n, &weights, tau1, tau2);
@@ -297,6 +299,15 @@ pub fn postprocess(
         entropy,
         weights,
     }
+}
+
+/// Full post-processing pipeline (centralized).
+pub fn postprocess(
+    graph: &AdjacencyGraph,
+    state: &LabelState,
+    grid: Option<f64>,
+) -> PostprocessResult {
+    result_from_weights(graph.num_vertices(), edge_weights(graph, state), grid)
 }
 
 #[cfg(test)]

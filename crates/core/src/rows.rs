@@ -8,13 +8,14 @@
 //! counts provably fit `u16` because `m ≤ 65535` is asserted) managed
 //! with the same size-class page / free-list / tombstone-compaction rules
 //! as [`rslpa_graph::slab`]. Counter upkeep — the per-flush neighbor
-//! sweep in `EdgeCounters` / `CounterPartition` — then reads
-//! cache-contiguous rows instead of chasing one pointer per vertex.
+//! sweep of the counter-row kernel shared by `EdgeCounters` and
+//! `CounterPartition` — then reads cache-contiguous rows instead of
+//! chasing one pointer per vertex.
 //!
 //! Rows are addressed by a `u32` slot handle: dense stores use
 //! `slot == vertex id` (slots are allocated in vertex order and never
 //! released), sharded partitions map sparse vertex ids to slots and
-//! release them on migration. Every mutating op (`shift`, `fold_diff`,
+//! release them on migration. Every mutating op (`fold_diff`,
 //! `set_from`) reproduces the exact semantics of the legacy `Vec`
 //! helpers, so counter maintenance stays bit-identical.
 
@@ -315,29 +316,6 @@ impl HistRows {
         self.live -= 1;
     }
 
-    /// Move one unit of mass in row `slot` from `old` to `new` — the
-    /// packed equivalent of the legacy `hist_shift`.
-    pub fn shift(&mut self, slot: u32, old: Label, new: Label) {
-        let row = self.row(slot);
-        let i = row
-            .labels
-            .binary_search(&old)
-            .expect("slot delta's old label must be present in the histogram");
-        if row.counts[i] == 1 {
-            self.remove_at(slot, i);
-        } else {
-            let head = self.spans[slot as usize].head as usize;
-            self.counts[head + i] -= 1;
-        }
-        match self.row(slot).labels.binary_search(&new) {
-            Ok(j) => {
-                let head = self.spans[slot as usize].head as usize;
-                self.counts[head + j] += 1;
-            }
-            Err(j) => self.insert_at(slot, j, new, 1),
-        }
-    }
-
     /// Fold a sparse signed diff into row `slot` — the packed equivalent
     /// of the legacy `fold_diff_into_hist`.
     pub fn fold_diff(&mut self, slot: u32, diff: &[(Label, i64)]) {
@@ -457,7 +435,7 @@ mod tests {
         let mut model = vec![(2u32, 3u32), (4, 4), (9, 1)];
         let s = rows.alloc_from(&model);
         model_shift(&mut model, 9, 4);
-        rows.shift(s, 9, 4);
+        rows.fold_diff(s, &[(9, -1), (4, 1)]);
         assert_eq!(rows.row(s).to_vec(), model);
         rows.fold_diff(s, &[(2, -3), (7, 2), (4, 1)]);
         assert_eq!(rows.row(s).to_vec(), vec![(4, 6), (7, 2)]);
@@ -516,7 +494,7 @@ mod tests {
                         let old = hist[(a as usize) % hist.len()].0;
                         if old == b { continue; }
                         model_shift(&mut hist, old, b);
-                        rows.shift(slot, old, b);
+                        rows.fold_diff(slot, &[(old, -1), (b, 1)]);
                         model[who] = Some((slot, hist));
                     }
                     1 => {

@@ -32,8 +32,8 @@ use rslpa_core::{
     apply_correction, assemble_partitioned_weights, run_propagation, CounterPartition, EdgeCounters,
 };
 use rslpa_graph::{
-    compact_slot_deltas, AdjacencyGraph, DynamicGraph, EditBatch, FxHashMap, FxHashSet,
-    HashPartitioner, Label, Partitioner, SlotDelta, VertexId,
+    AdjacencyGraph, DynamicGraph, EditBatch, FxHashMap, FxHashSet, HashPartitioner, Label,
+    Partitioner, SlotDelta, VertexId,
 };
 
 /// Vertex-id space: three 4-cliques (0..12) plus two initially isolated
@@ -167,9 +167,7 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
         for &(u, v) in batch.deletions() {
             counters.delete_edge(u, v);
         }
-        for d in compact_slot_deltas(&deltas) {
-            counters.apply_slot_delta(dg.graph(), d);
-        }
+        counters.apply_slot_deltas(dg.graph(), &deltas);
         if control & 2 != 0 {
             assert_weights_equal(
                 &counters.refresh_weights(dg.graph(), 1),
@@ -284,7 +282,7 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
                         partitioner.assign(v) == shard.shard() && next.assign(v) != shard.shard()
                     })
                     .collect();
-                partition.drop_vertices(&leaving);
+                partition.drop_vertices(shard, &leaving);
                 // The coordinator invalidates its cache for migrating
                 // vertices; the adopter marks them dirty and re-ships.
                 for v in &leaving {

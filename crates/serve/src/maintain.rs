@@ -9,16 +9,17 @@
 //! module). Either way, every flush streams the repair's label-slot
 //! changes into exact integer edge-weight counters (`O(deg)` per net slot
 //! change) — the single writer's central
-//! [`rslpa_core::IncrementalPostprocess`] store, or each mesh worker's own
+//! [`rslpa_core::EdgeCounters`] store, or each mesh worker's own
 //! partition — so snapshot publishing reads each edge weight off a
-//! counter instead of re-merging histograms. A single-writer publish is
-//! one sequential copy of the last publish's numerators, a counter lookup
-//! only for edges at a changed endpoint, a merge per inserted edge, a
-//! counting-sort τ1 sweep and a linear extraction: hashing and merging
-//! track the dirty region, and what remains is a few linear passes over
-//! the edge list. (The mesh coordinator still re-merges every boundary
-//! edge per publish.) Readers interact only through the epoch-swapped
-//! [`SnapshotStore`].
+//! counter instead of re-merging histograms. Both keep each numerator
+//! once, in a sorted counter row of the edge's lower endpoint, so a
+//! single-writer publish is one sequential pass over the rows that
+//! merges only the edges inserted since the last publish, then a
+//! counting-sort τ1 sweep and a linear extraction: no hash lookup per
+//! edge, merging tracks the insertions, and what remains is a few linear
+//! passes over the edge list. (The mesh coordinator still re-merges
+//! every boundary edge per publish.) Readers interact only through the
+//! epoch-swapped [`SnapshotStore`].
 //!
 //! Live streams are messier than the paper's curated batches: clients may
 //! insert an edge that already exists, delete one that does not, or emit

@@ -4,14 +4,15 @@
 //! * [`RepairEngine::Single`] — the pre-sharding hot path: one
 //!   [`RslpaDetector`] owned by the maintenance thread, repairing via
 //!   centralized Correction Propagation, plus the central
-//!   [`IncrementalPostprocess`] counter store it keeps up to date.
+//!   [`EdgeCounters`] store it keeps up to date.
 //!   Default (`shards = 1`).
 //! * [`RepairEngine::Mailbox`] — the decentralized engine for
 //!   `shards > 1`: workers exchange envelopes **directly** over a
 //!   [`MailboxPort`] mesh, rounds synchronize on a shared barrier with a
 //!   monotone sent-counter for termination (no coordinator traffic per
 //!   round, 1 channel hop per envelope), and each worker owns the
-//!   [`CounterPartition`] of its own vertices so slot-delta upkeep runs
+//!   [`CounterPartition`] of its own vertices (one counter row per owned
+//!   vertex, the central store's layout) so slot-delta upkeep runs
 //!   inside the workers in parallel. The coordinator posts a flush into
 //!   the sub-queues of only the shards with routed deltas; the full mesh
 //!   wakes only when some shard actually staged boundary traffic
@@ -36,7 +37,7 @@ use rslpa_core::shard::{
     VertexRowData,
 };
 use rslpa_core::{
-    assemble_partitioned_weights, result_from_weights, CounterPartition, IncrementalPostprocess,
+    assemble_partitioned_weights, result_from_weights, CounterPartition, EdgeCounters,
     PostprocessResult, RslpaConfig, RslpaDetector,
 };
 use rslpa_graph::sharding::split_deltas;
@@ -297,7 +298,7 @@ fn mesh_worker_loop(
             }
             MeshCmd::Extract(ids) => {
                 let _span = trace.span_with(names::MIGRATE, ids.len() as u64);
-                counters.drop_vertices(&ids);
+                counters.drop_vertices(&state, &ids);
                 if replies
                     .send(MeshReply::Extracted {
                         rows: state.extract_rows(&ids),
@@ -355,10 +356,10 @@ pub(crate) struct SingleEngine {
     detector: RslpaDetector,
     /// Streaming edge-weight counters (histograms seeded, weights read at
     /// publish).
-    postprocess: IncrementalPostprocess,
+    counters: EdgeCounters,
     /// The last flush's label-slot changes in application order, drained
-    /// into `postprocess` by [`RepairEngine::upkeep`]. Capacity is
-    /// retained across flushes.
+    /// into `counters` by [`RepairEngine::upkeep`]. Capacity is retained
+    /// across flushes.
     slot_deltas: Vec<SlotDelta>,
 }
 
@@ -430,29 +431,30 @@ impl RepairEngine {
         stats: &Arc<ServeStats>,
         tracer: &Arc<Tracer>,
     ) -> Bootstrap {
+        let n = graph.num_vertices();
         if shards <= 1 {
             let detector = RslpaDetector::new(graph, *config);
-            let mut postprocess = IncrementalPostprocess::new(detector.state(), config.tau1_grid);
-            let genesis = postprocess.refresh(detector.graph());
+            let mut counters = EdgeCounters::new(detector.state());
+            let weights = counters.refresh_weights(detector.graph(), 1);
             return Bootstrap {
                 engine: RepairEngine::Single(Box::new(SingleEngine {
                     detector,
-                    postprocess,
+                    counters,
                     slot_deltas: Vec::new(),
                 })),
-                genesis,
+                genesis: result_from_weights(n, weights, config.tau1_grid),
             };
         }
         let state = rslpa_core::run_propagation(&graph, config.iterations, config.seed);
-        let mut postprocess = IncrementalPostprocess::new(&state, config.tau1_grid);
+        let mut counters = EdgeCounters::new(&state);
         // The genesis weight pass runs once, here, before the workers
         // exist, so it borrows the shard budget — capped at the machine's
         // actual parallelism (extra threads on a small host only add
         // switches). Every later publish reads weights off the worker
         // partitions instead.
         let hw = std::thread::available_parallelism().map_or(1, usize::from);
-        postprocess.set_threads(shards.min(hw));
-        let genesis = postprocess.refresh(&graph);
+        let weights = counters.refresh_weights(&graph, shards.min(hw));
+        let genesis = result_from_weights(n, weights, config.tau1_grid);
         // Shard along the communities the genesis detection just found:
         // correction cascades follow edges, and community-aligned shards
         // keep most edges — hence most cascade hops — shard-local. (BFS
@@ -483,7 +485,7 @@ impl RepairEngine {
             // is never repeated. The central store itself is dropped once
             // every partition is carved: the workers hold the only live
             // counter state.
-            let counters = CounterPartition::carve(postprocess.counters(), &shard);
+            let partition = CounterPartition::carve(&counters, &shard);
             let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
             let reply_tx = reply_tx.clone();
             let stats = Arc::clone(stats);
@@ -495,7 +497,7 @@ impl RepairEngine {
                 std::thread::Builder::new()
                     .name(format!("rslpa-serve-shard-{s}"))
                     .spawn(move || {
-                        mesh_worker_loop(shard, counters, port, cmd_rx, reply_tx, stats, trace)
+                        mesh_worker_loop(shard, partition, port, cmd_rx, reply_tx, stats, trace)
                     })
                     .expect("spawn mesh shard worker"),
             );
@@ -535,7 +537,7 @@ impl RepairEngine {
         match self {
             RepairEngine::Single(e) => {
                 e.detector.ensure_vertices(n);
-                e.postprocess.ensure_vertices(n);
+                e.counters.ensure_vertices(n);
             }
             RepairEngine::Mailbox(e) => {
                 e.graph.ensure_vertices(n);
@@ -563,7 +565,7 @@ impl RepairEngine {
                 .graph()
                 .mem_footprint()
                 .plus(e.detector.state().mem_footprint())
-                .plus(e.postprocess.mem_footprint()),
+                .plus(e.counters.mem_footprint()),
             RepairEngine::Mailbox(e) => e.graph.graph().mem_footprint(),
         }
     }
@@ -604,9 +606,11 @@ impl RepairEngine {
         };
         let _span = trace.span(names::COUNTER_UPKEEP);
         let started = Instant::now();
-        e.postprocess.delete_edges(batch.deletions());
+        for &(u, v) in batch.deletions() {
+            e.counters.delete_edge(u, v);
+        }
         let net = e
-            .postprocess
+            .counters
             .apply_slot_deltas(e.detector.graph(), &e.slot_deltas);
         stats.note_counters(net as u64, started.elapsed());
     }
@@ -624,7 +628,13 @@ impl RepairEngine {
         match self {
             RepairEngine::Single(e) => {
                 let _span = trace.span(names::PUBLISH_WEIGHTS);
-                Ok(e.postprocess.refresh(e.detector.graph()))
+                let graph = e.detector.graph();
+                let weights = e.counters.refresh_weights(graph, 1);
+                Ok(result_from_weights(
+                    graph.num_vertices(),
+                    weights,
+                    e.detector.config().tau1_grid,
+                ))
             }
             RepairEngine::Mailbox(e) => e.collect_and_refresh(trace),
         }

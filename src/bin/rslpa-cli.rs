@@ -75,6 +75,10 @@
 //! | `hub_pulls` | forming hubs pulled (with their spoke frontiers) into a single shard by hub-aware repartitioning |
 //! | `damped_deferrals` | label deliveries parked by degree-capped cascade damping (muted-hub re-pick reads, suppressed fetch replies, deferred cascade slots) |
 //! | `max_degree_delta` | gauge: largest per-vertex degree gain observed in the most recent repartition window |
+//! | `mem_live_bytes` | gauge: bytes the maintenance thread holds live at the last publish — graph, label rows and edge counters on the single writer; the topology mirror alone with `--shards` > 1, whose label rows and counters live on the shard workers |
+//! | `mem_capacity_bytes` | gauge: bytes the same structures have reserved (allocated capacity) at the last publish |
+//! | `mem_vertices` | gauge: vertex count the memory gauges were sampled at |
+//! | `bytes_per_vertex` | `mem_capacity_bytes` / `mem_vertices` (0 before the first publish) |
 //! | `attribution_per_shard` | object of per-shard arrays — `work_us`, `barrier_wait_us`, `barrier_arrive_us`, `barrier_depart_us`, `mailbox_wait_us`, `upkeep_us`, `wall_us`, `coverage` — attributing each worker's wall time; `barrier_wait_us` = arrive (waiting for stragglers) + depart (release-to-resume latency); `coverage` is the accounted fraction (work + waits + upkeep over wall) |
 //! | `trace_dropped_records` | flight-recorder records overwritten before the final drain (always 0 with tracing off) |
 //! | `saturated_samples` | histogram samples that clamped into the top log₂ bucket (≥ 2⁶³), across all histograms |

@@ -253,3 +253,47 @@ fn generate_detect_round_trip() {
     assert_success(&out, "detect on generated graph");
     assert!(!out.stdout.is_empty(), "cover written to stdout");
 }
+
+/// Keys of the outermost object of a JSON document whose strings hold no
+/// escapes (true of the stats JSON, where only keys are strings).
+fn top_level_keys(json: &str) -> Vec<&str> {
+    let (mut keys, mut depth, mut open) = (Vec::new(), 0usize, None);
+    for (i, c) in json.char_indices() {
+        match (open, c) {
+            (Some(start), '"') => {
+                if depth == 1 && json[i + 1..].starts_with(':') {
+                    keys.push(&json[start..i]);
+                }
+                open = None;
+            }
+            (Some(_), _) => {}
+            (None, '"') => open = Some(i + 1),
+            (None, '{' | '[') => depth += 1,
+            (None, '}' | ']') => depth -= 1,
+            _ => {}
+        }
+    }
+    keys
+}
+
+#[test]
+fn stats_json_table_documents_every_key() {
+    let json = rslpa::serve::StatsReport::default().to_json();
+    let keys = top_level_keys(&json);
+    assert!(
+        keys.contains(&"schema_version"),
+        "no keys parsed from {json}"
+    );
+    let rows: Vec<&str> = include_str!("../src/bin/rslpa-cli.rs")
+        .lines()
+        .filter(|line| line.starts_with("//! | `"))
+        .collect();
+    let undocumented: Vec<&str> = keys
+        .into_iter()
+        .filter(|key| !rows.iter().any(|row| row.contains(&format!("`{key}`"))))
+        .collect();
+    assert!(
+        undocumented.is_empty(),
+        "--stats-json keys missing from the rslpa-cli table: {undocumented:?}"
+    );
+}
