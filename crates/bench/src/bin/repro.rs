@@ -48,7 +48,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "serve-p2p",
-        "mailbox-mesh exchange and dirty-diff collect at 4 shards, three churn biases and two publish cadences (emits BENCH_serve.json)",
+        "mailbox-mesh exchange at 4 shards, three churn biases and two publish cadences (emits BENCH_serve.json)",
     ),
     (
         "weights",

@@ -8,12 +8,11 @@
 //! uniform-churn control over the same planted backbone) through
 //! [`rslpa_serve`] at shards {1, 4}, scoring every published roster
 //! against the tracked ground-truth cover with `rslpa_metrics`
-//! (ONMI / F1 / omega) and reading the dirty-region and
-//! boundary-ship counters the repair plane now surfaces. The output —
-//! `BENCH_churn.json` — is the honest answer to "where does incremental
-//! publish degenerate toward full recompute?": a scenario whose
-//! dirty-fraction (or ship ratio) is several times the uniform control's
-//! is churn the incremental path no longer pays for.
+//! (ONMI / F1 / omega) and reading the dirty-region counters the repair
+//! plane surfaces. The output — `BENCH_churn.json` — is the honest answer
+//! to "where does incremental publish degenerate toward full
+//! recompute?": a scenario whose dirty-fraction is several times the
+//! uniform control's is churn the incremental path no longer pays for.
 
 use std::time::Instant;
 
@@ -315,14 +314,12 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
     }
 
     // Break-it ratios vs the uniform control, compared at the same shard
-    // count. Tracked per metric: ship ratio is only meaningful where
-    // collect actually ships (shards > 1).
+    // count.
     let control = |shards: usize| -> Option<&ChurnRun> {
         runs.iter()
             .find(|r| r.scenario == "uniform_control" && r.shards == shards)
     };
     let mut worst_dirty: Option<(String, f64)> = None;
-    let mut worst_ship: Option<(String, f64)> = None;
     for r in &runs {
         if r.scenario == "uniform_control" {
             continue;
@@ -333,13 +330,7 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         let label = format!("{} (shards={})", r.scenario, r.shards);
         let dirty_ratio = r.stats.dirty_fraction() / c.stats.dirty_fraction().max(1e-12);
         if worst_dirty.as_ref().is_none_or(|(_, d)| dirty_ratio > *d) {
-            worst_dirty = Some((label.clone(), dirty_ratio));
-        }
-        if c.stats.ship_ratio() > 0.0 {
-            let ship_rel = r.stats.ship_ratio() / c.stats.ship_ratio();
-            if worst_ship.as_ref().is_none_or(|(_, s)| ship_rel > *s) {
-                worst_ship = Some((label, ship_rel));
-            }
+            worst_dirty = Some((label, dirty_ratio));
         }
     }
 
@@ -350,7 +341,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
             "shards",
             "edits/s",
             "dirty frac",
-            "ship ratio",
             "publish p99 (ms)",
             "final ONMI",
             "final F1",
@@ -362,7 +352,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
             r.shards.to_string(),
             format!("{:.0}", r.edits_per_sec),
             f3(r.stats.dirty_fraction()),
-            f3(r.stats.ship_ratio()),
             format!("{:.2}", r.stats.snapshots.p99_ns as f64 / 1e6),
             final_onmi(r).map_or("n/a".into(), f3),
             r.stats
@@ -375,9 +364,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
     if let Some((label, dirty)) = &worst_dirty {
         eprintln!("[churn] worst dirty-fraction stress: {label} — {dirty:.1}x the uniform control");
     }
-    if let Some((label, ship)) = &worst_ship {
-        eprintln!("[churn] worst ship-ratio stress: {label} — {ship:.1}x the uniform control");
-    }
 
     let runs_json = runs
         .iter()
@@ -387,9 +373,7 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
                  \"edits_submitted\": {}, \"ingest_secs\": {:.4}, \"edits_per_sec\": {:.1}, \
                  \"final_epoch\": {}, \"weights_fingerprint\": \"{:016x}\", \
                  \"final_communities\": {}, \"dirty_vertices\": {}, \"dirty_span\": {}, \
-                 \"dirty_fraction\": {:.6}, \"ship_ratio\": {:.6}, \
-                 \"boundary_hists_shipped\": {}, \"boundary_hists_total\": {}, \
-                 \"hub_pulls\": {}, \"damped_deferrals\": {}, \
+                 \"dirty_fraction\": {:.6}, \"hub_pulls\": {}, \"damped_deferrals\": {}, \
                  \"repartition_vertices_moved\": {}, \"max_degree_delta\": {}, \
                  \"publish_p99_us\": {:.3}, \"final_onmi\": {}, \
                  \"quality_per_window\": [{}]}}",
@@ -404,9 +388,6 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
                 r.stats.dirty_vertices,
                 r.stats.dirty_span,
                 r.stats.dirty_fraction(),
-                r.stats.ship_ratio(),
-                r.stats.boundary_hists_shipped,
-                r.stats.boundary_hists_total,
                 r.stats.hub_pulls,
                 r.stats.damped_deferrals,
                 r.stats.vertices_migrated,
@@ -418,15 +399,13 @@ pub fn churn(w: &ChurnWorkload, out_path: &str) {
         })
         .collect::<Vec<_>>()
         .join(",\n");
-    let stress_entry = |w: &Option<(String, f64)>| {
-        w.as_ref().map_or("null".to_string(), |(label, ratio)| {
-            format!("{{\"label\": \"{label}\", \"ratio_vs_uniform\": {ratio:.2}}}")
-        })
-    };
     let stress_json = format!(
-        "{{\"dirty_fraction\": {}, \"ship_ratio\": {}}}",
-        stress_entry(&worst_dirty),
-        stress_entry(&worst_ship)
+        "{{\"dirty_fraction\": {}}}",
+        worst_dirty
+            .as_ref()
+            .map_or("null".to_string(), |(label, ratio)| {
+                format!("{{\"label\": \"{label}\", \"ratio_vs_uniform\": {ratio:.2}}}")
+            })
     );
     let json = format!(
         "{{\n  \"experiment\": \"churn\",\n  \"mode\": \"{}\",\n  \

@@ -656,16 +656,12 @@ pub fn serve_sharded(out_path: &str) {
 
 /// Derived metrics of one `serve-p2p` cell.
 impl ServeBenchResult {
-    /// Mean counter upkeep per flush: the single writer's central upkeep
-    /// (`counters`, one sample per non-empty flush, so mean × count is
-    /// its total) plus the mesh workers' own upkeep (per-shard wall time
-    /// summed — the passes run in parallel on a multi-core host; the sum
-    /// is the 1-core equivalent), amortized over every flush.
+    /// Mean counter upkeep per flush: `counters` holds one sample per
+    /// non-empty flush, so mean × count is its total, amortized here over
+    /// every flush.
     fn upkeep_per_flush_ns(&self) -> f64 {
         let s = &self.stats;
-        let central = s.counters.mean_ns * s.counters.count;
-        let shard_owned: u64 = s.shards.iter().map(|sh| sh.upkeep_ns).sum();
-        (central + shard_owned) as f64 / s.batches_flushed.max(1) as f64
+        (s.counters.mean_ns * s.counters.count) as f64 / s.batches_flushed.max(1) as f64
     }
 
     /// Mean flush (repair + exchange coordination) + upkeep wall time.
@@ -681,8 +677,7 @@ impl ServeBenchResult {
              \"upkeep_per_flush_ns\": {:.0}, \"exchange_upkeep_per_flush_ns\": {:.0}, \
              \"snapshot_mean_ns\": {}, \"exchange_rounds\": {}, \"boundary_msgs\": {}, \
              \"envelope_hops\": {}, \"mailbox_depth_p99\": {}, \"barrier_wait_p99_ns\": {}, \
-             \"boundary_hists_shipped\": {}, \"boundary_hists_total\": {}, \
-             \"boundary_dirty_marked\": {}, \"weights_fingerprint\": \"{:016x}\"",
+             \"slot_deltas_net\": {}, \"weights_fingerprint\": \"{:016x}\"",
             self.edits_per_sec,
             s.flushes.mean_ns,
             s.flushes.p99_ns,
@@ -694,37 +689,18 @@ impl ServeBenchResult {
             s.envelope_hops,
             s.mailbox_depth.p99_ns,
             s.barrier_wait.p99_ns,
-            s.boundary_hists_shipped,
-            s.boundary_hists_total,
-            s.boundary_dirty_marked,
+            s.slot_deltas_net,
             self.final_weights_fingerprint,
         )
     }
 }
 
-/// Assert the dirty-diff collect ship rule on a mesh run: a publish never
-/// ships more boundary histograms than vertices were dirty-marked, so the
-/// incremental collect cannot silently degrade to full reshipping.
-fn assert_ship_rule(s: &rslpa_serve::StatsReport) {
-    assert!(
-        s.boundary_hists_shipped <= s.boundary_dirty_marked,
-        "dirty-diff collect shipped more boundary hists ({}) than vertices \
-         were dirty-marked ({}) — the ship rule is broken",
-        s.boundary_hists_shipped,
-        s.boundary_dirty_marked,
-    );
-}
-
 /// The mailbox-mesh sweep (`repro serve-p2p`): the full 100k-edit
 /// workload at 4 shards, under uniform, consolidating, and localized
-/// churn, publishing per flush and per 8 flushes. Every cell reports the
-/// per-flush exchange+upkeep wall time, the mesh's envelope traffic and
-/// barrier waits, and the publish collect's ship economy, and asserts the
-/// dirty-diff ship rule. The localized cell additionally pins the
-/// dirty-diff collect payoff: hot-spot churn published per flush at a
-/// small flush quantum must ship at least 10x fewer boundary histograms
-/// than the full collect (`boundary_hists_total`) it replaces. `smoke`
-/// runs the CI-scale localized sweep across shard counts instead
+/// churn, publishing per flush and per 8 flushes, plus a read-heavy
+/// hot-spot cell. Every cell reports the per-flush exchange+upkeep wall
+/// time and the mesh's envelope traffic and barrier waits. `smoke` runs
+/// the CI-scale localized sweep across shard counts instead
 /// (`serve_p2p_smoke`).
 pub fn serve_p2p(smoke: bool, out_path: &str) {
     if smoke {
@@ -755,13 +731,8 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
             ..full
         },
         // The read-heavy hot-spot cell: a few edits per publish, confined
-        // to a window of ~n/20 vertices. This is the regime the dirty-diff
-        // collect exists for — the repair cascade's per-publish footprint
-        // stays far below the boundary set, so the incremental ship beats
-        // re-collecting every boundary histogram by >=10x. (At 2048
-        // edits/publish the cascade union covers most of the graph and the
-        // diff degenerates toward a full ship — the uniform cells above
-        // record that regime.)
+        // to a window of ~n/20 vertices, so the repair cascade's
+        // per-publish footprint stays far below the boundary set.
         ServeWorkload {
             churn: EditWorkload::Localized,
             total_edits: 10_000,
@@ -779,8 +750,6 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
             "flush+upkeep (us)",
             "envelope hops",
             "barrier p99 (us)",
-            "hists shipped",
-            "boundary total",
         ],
     );
     let mut cell_json = Vec::new();
@@ -801,19 +770,7 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
             format!("{:.1}", r.exchange_upkeep_ns() / 1e3),
             s.envelope_hops.to_string(),
             format!("{:.1}", s.barrier_wait.p99_ns as f64 / 1e3),
-            s.boundary_hists_shipped.to_string(),
-            s.boundary_hists_total.to_string(),
         ]);
-        assert_ship_rule(s);
-        if churn == EditWorkload::Localized {
-            assert!(
-                s.boundary_hists_shipped * 10 <= s.boundary_hists_total,
-                "localized churn should ship >=10x fewer boundary hists than a \
-                 full collect would ({} shipped of {} boundary slots)",
-                s.boundary_hists_shipped,
-                s.boundary_hists_total,
-            );
-        }
         cell_json.push(format!(
             "{{\n    \"churn\": \"{}\",\n    \"snapshot_every\": {},\n    \
              \"total_edits\": {},\n    \"flush_size\": {},\n    {}\n  }}",
@@ -846,25 +803,17 @@ pub fn serve_p2p(smoke: bool, out_path: &str) {
 ///
 /// 1. cross-shard bit-identity — every shard count lands on the roster
 ///    and weight fingerprint of the 1-shard run;
-/// 2. the dirty-diff collect ship rule — on every sharded cell a publish
-///    ships at least one boundary histogram overall, and never more than
-///    vertices were dirty-marked
-///    (`0 < boundary_hists_shipped <= boundary_dirty_marked`), so the
-///    incremental collect can neither silently stop nor degrade to full
-///    reshipping.
+/// 2. one counter stream — every shard count folds exactly the 1-shard
+///    run's net slot changes into the counter store (`slot_deltas_net`,
+///    above 0), so the mesh's gathered streams neither lose nor invent a
+///    change.
 fn serve_p2p_smoke(out_path: &str) {
     let mut t = Table::new(
         "serve p2p smoke: localized churn".to_string(),
-        &[
-            "shards",
-            "edits/sec",
-            "hists shipped",
-            "dirty marked",
-            "boundary total",
-        ],
+        &["shards", "edits/sec", "net slot deltas"],
     );
     let mut cell_json = Vec::new();
-    let mut reference: Option<(Cover, u64)> = None;
+    let mut reference: Option<(Cover, u64, u64)> = None;
     for shards in [1usize, 4, 8] {
         let w = ServeWorkload {
             mode: "p2p-smoke",
@@ -877,13 +826,18 @@ fn serve_p2p_smoke(out_path: &str) {
         t.row(vec![
             shards.to_string(),
             format!("{:.0}", r.edits_per_sec),
-            s.boundary_hists_shipped.to_string(),
-            s.boundary_dirty_marked.to_string(),
-            s.boundary_hists_total.to_string(),
+            s.slot_deltas_net.to_string(),
         ]);
+        assert!(s.slot_deltas_net > 0, "no slot change reached the counters");
         match &reference {
-            None => reference = Some((r.final_cover.clone(), r.final_weights_fingerprint)),
-            Some((cover, fingerprint)) => {
+            None => {
+                reference = Some((
+                    r.final_cover.clone(),
+                    r.final_weights_fingerprint,
+                    s.slot_deltas_net,
+                ))
+            }
+            Some((cover, fingerprint, net)) => {
                 assert_eq!(
                     cover, &r.final_cover,
                     "shard count changed the final roster at {shards} shard(s)"
@@ -892,14 +846,11 @@ fn serve_p2p_smoke(out_path: &str) {
                     *fingerprint, r.final_weights_fingerprint,
                     "shard count changed the final weights at {shards} shard(s)"
                 );
+                assert_eq!(
+                    *net, s.slot_deltas_net,
+                    "shard count changed the net slot changes at {shards} shard(s)"
+                );
             }
-        }
-        if shards > 1 {
-            assert_ship_rule(s);
-            assert!(
-                s.boundary_hists_shipped > 0,
-                "mesh publishes never shipped a boundary histogram — collect path broken?"
-            );
         }
         cell_json.push(format!(
             "{{\n    \"shards\": {shards},\n    {},\n    \

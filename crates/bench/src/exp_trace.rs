@@ -9,8 +9,8 @@
 //! identical workload with the recorder off, so the reported overhead is
 //! measured, not assumed.
 //!
-//! The per-shard wall-time attribution (work / barrier / mailbox-wait /
-//! upkeep) comes from the always-on [`ServeStats`] counters, not from the
+//! The per-shard wall-time attribution (work / barrier / mailbox-wait)
+//! comes from the always-on [`ServeStats`] counters, not from the
 //! trace — it is asserted to cover ≥ 90% of each worker's wall time, which
 //! is the acceptance bar for "we can see where every microsecond goes".
 //!
@@ -150,7 +150,6 @@ pub fn trace(smoke: bool, out_path: &str, trace_out: &str) {
             "work (ms)",
             "barrier (ms)",
             "mailbox (ms)",
-            "upkeep (ms)",
             "wall (ms)",
             "coverage",
         ],
@@ -164,7 +163,6 @@ pub fn trace(smoke: bool, out_path: &str, trace_out: &str) {
             format!("{:.2}", s.work_ns as f64 / 1e6),
             format!("{:.2}", s.barrier_wait_ns as f64 / 1e6),
             format!("{:.2}", s.mailbox_wait_ns as f64 / 1e6),
-            format!("{:.2}", s.upkeep_ns as f64 / 1e6),
             format!("{:.2}", s.wall_ns as f64 / 1e6),
             format!("{:.1}%", coverage * 100.0),
         ]);

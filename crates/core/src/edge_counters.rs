@@ -41,6 +41,10 @@
 //! at every point where the histograms agree. The tests here and the
 //! cross-engine proptest in `tests/counter_equivalence.rs` pin that.
 //!
+//! One store serves every engine: the single writer feeds it its own
+//! repair stream, and the mesh coordinator feeds it the streams its
+//! workers return with their flush replies.
+//!
 //! # Worked example
 //!
 //! `m = 4`, `f_u = {x:2, y:2}`, `f_v = {x:1, y:3}`, edge `(u,v)`:
@@ -52,13 +56,10 @@
 
 use rslpa_graph::edits::canonical;
 use rslpa_graph::{
-    compact_slot_deltas, AdjacencyGraph, FxHashMap, FxHashSet, Label, MemAccounted, MemFootprint,
-    SlotDelta, VertexId,
+    compact_slot_deltas, AdjacencyGraph, Label, MemAccounted, MemFootprint, SlotDelta, VertexId,
 };
 
-use crate::postprocess::common_labels;
 use crate::rows::{HistRow, HistRows};
-use crate::shard::ShardRepairState;
 use crate::state::{histogram_of, LabelState};
 
 /// The counters of one vertex's upper edges: `(hi, common)`, sorted by
@@ -70,15 +71,19 @@ type CounterRow = Vec<(VertexId, u32)>;
 /// diff per vertex (`Σ` of `-1` at each net `old`, `+1` at each net
 /// `new`), so every dirty vertex costs one neighbor sweep no matter how
 /// many of its slots moved. Returns the net slot-change count alongside
-/// the per-vertex diffs. Shared by the central store and the shard
-/// partitions.
+/// the per-vertex diffs.
+///
+/// The net changes are taken in `(v, slot)` order, so each diff lists
+/// its labels in an order fixed by the net change set alone: the order
+/// in which [`HistRows::fold_diff`] grows and shrinks a row (and so the
+/// store's page layout) cannot follow the order the stream arrived in.
 fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<(VertexId, Vec<(Label, i64)>)>) {
     let mut net = compact_slot_deltas(deltas);
     if net.is_empty() {
         return (0, Vec::new());
     }
     let count = net.len();
-    net.sort_unstable_by_key(|d| d.v);
+    net.sort_unstable_by_key(|d| (d.v, d.slot));
     let bump = |diff: &mut Vec<(Label, i64)>, l: Label, dl: i64| match diff
         .iter_mut()
         .find(|e| e.0 == l)
@@ -103,20 +108,17 @@ fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<(VertexId, Vec<(L
 }
 
 /// Upkeep half of the row kernel: push vertex `v`'s histogram diff
-/// through every counter incident to it. `v`'s own row (at `slot_v`)
-/// holds its upper edges; each `lower` neighbor with a slot holds `v` in
-/// its row. `slot_of` maps a vertex to its histogram and counter slot;
-/// rows past the end of `counters` are empty.
+/// through every counter incident to it. `v`'s own row holds its upper
+/// edges; each lower neighbor's row holds `v`.
 fn push_diff(
     hists: &HistRows,
     counters: &mut [CounterRow],
-    (v, slot_v): (VertexId, u32),
-    lower: impl Iterator<Item = VertexId>,
-    slot_of: impl Fn(VertexId) -> Option<u32>,
+    graph: &AdjacencyGraph,
+    v: VertexId,
     diff: &[(Label, i64)],
 ) {
-    let moved = |c: &mut u32, slot_w: u32| {
-        let fw = hists.row(slot_w);
+    let moved = |c: &mut u32, w: VertexId| {
+        let fw = hists.row(w);
         let delta: i64 = diff
             .iter()
             .map(|&(l, dl)| dl * i64::from(fw.count_of(l)))
@@ -124,21 +126,13 @@ fn push_diff(
         *c = u32::try_from(i64::from(*c) + delta)
             .expect("exact maintenance keeps counters within 0..=m²");
     };
-    if let Some(row) = counters.get_mut(slot_v as usize) {
-        for (w, c) in row.iter_mut() {
-            moved(
-                c,
-                slot_of(*w).expect("a counter's endpoints have histograms"),
-            );
-        }
+    for (w, c) in counters[v as usize].iter_mut() {
+        moved(c, *w);
     }
-    for w in lower {
-        let Some(slot_w) = slot_of(w) else { continue };
-        let Some(row) = counters.get_mut(slot_w as usize) else {
-            continue;
-        };
+    for &w in split_neighbors(graph, v).0 {
+        let row = &mut counters[w as usize];
         if let Ok(i) = row.binary_search_by_key(&v, |e| e.0) {
-            moved(&mut row[i].1, slot_w);
+            moved(&mut row[i].1, w);
         }
     }
 }
@@ -170,13 +164,6 @@ fn sync_row(row: &mut CounterRow, upper: &[VertexId], mut merge: impl FnMut(Vert
     }
 }
 
-/// Drop the counter of edge `(lo, hi)` from `lo`'s row, if it has one.
-fn retire(row: &mut CounterRow, hi: VertexId) {
-    if let Ok(i) = row.binary_search_by_key(&hi, |e| e.0) {
-        row.remove(i);
-    }
-}
-
 /// `v`'s neighbors below and above it.
 fn split_neighbors(graph: &AdjacencyGraph, v: VertexId) -> (&[VertexId], &[VertexId]) {
     let row = graph.neighbors(v);
@@ -201,17 +188,6 @@ fn edge_balanced_ranges(graph: &AdjacencyGraph, parts: usize) -> Vec<std::ops::R
         ranges.push(start..graph.num_vertices());
     }
     ranges
-}
-
-/// Bytes held by a store's counter rows, with room for `reserved` row
-/// headers.
-fn counter_bytes(rows: &[CounterRow], reserved: usize) -> MemFootprint {
-    let entry = std::mem::size_of::<(VertexId, u32)>();
-    MemFootprint {
-        live_bytes: std::mem::size_of_val(rows) + rows.iter().map(Vec::len).sum::<usize>() * entry,
-        capacity_bytes: reserved * std::mem::size_of::<CounterRow>()
-            + rows.iter().map(Vec::capacity).sum::<usize>() * entry,
-    }
 }
 
 /// The streaming counter store: per-vertex label histograms plus the
@@ -252,8 +228,8 @@ fn counter_bytes(rows: &[CounterRow], reserved: usize) -> MemFootprint {
 pub struct EdgeCounters {
     /// Draws per sequence (`T + 1`) — the denominator's square root.
     m: usize,
-    /// Packed sorted histogram rows, one slot per vertex (slots are
-    /// allocated in vertex order and never released, so `slot == v`).
+    /// Packed sorted histogram rows, one per vertex (allocated in vertex
+    /// order, so a vertex's row handle is its id).
     hists: HistRows,
     /// `counters[v]`: the counter row of `v`'s upper edges that the last
     /// refresh saw and no deletion has retired since.
@@ -298,8 +274,8 @@ impl EdgeCounters {
         self.hists.row(v)
     }
 
-    /// Current histogram of `v`, materialized (diagnostics / shipping;
-    /// hot paths read [`row`](Self::row) instead).
+    /// Current histogram of `v`, materialized (diagnostics; hot paths
+    /// read [`row`](Self::row) instead).
     pub fn hist(&self, v: VertexId) -> Vec<(Label, u32)> {
         self.hists.row(v).to_vec()
     }
@@ -318,7 +294,7 @@ impl EdgeCounters {
         while self.hists.num_slots() < n {
             let v = self.hists.num_slots() as VertexId;
             let slot = self.hists.alloc_default(v as Label);
-            debug_assert_eq!(slot, v, "dense store slots track vertex ids");
+            debug_assert_eq!(slot, v, "row handles track vertex ids");
         }
         self.counters.resize_with(self.hists.num_slots(), Vec::new);
     }
@@ -331,7 +307,9 @@ impl EdgeCounters {
     pub fn delete_edge(&mut self, u: VertexId, v: VertexId) {
         let (lo, hi) = canonical(u, v);
         if let Some(row) = self.counters.get_mut(lo as usize) {
-            retire(row, hi);
+            if let Ok(i) = row.binary_search_by_key(&hi, |e| e.0) {
+                row.remove(i);
+            }
         }
     }
 
@@ -340,7 +318,8 @@ impl EdgeCounters {
     /// and aggregated to one sparse histogram diff per vertex, so each
     /// dirty vertex costs **one** neighbor sweep no matter how many of
     /// its slots moved. Deltas for one `(v, slot)` must arrive in
-    /// application order; anything else may interleave freely. `graph`
+    /// application order; anything else may interleave freely, without
+    /// changing a counter, a histogram or the store's page layout. `graph`
     /// must be the post-repair topology, with every deleted edge already
     /// retired through [`delete_edge`](Self::delete_edge). Returns the
     /// number of net slot changes folded in.
@@ -353,9 +332,7 @@ impl EdgeCounters {
             if diff.is_empty() {
                 continue;
             }
-            // Dense store: a vertex's slot is its id.
-            let lower = split_neighbors(graph, *v).0.iter().copied();
-            push_diff(&self.hists, &mut self.counters, (*v, *v), lower, Some, diff);
+            push_diff(&self.hists, &mut self.counters, graph, *v, diff);
             self.hists.fold_diff(*v, diff);
         }
         count
@@ -405,422 +382,15 @@ impl EdgeCounters {
 
 impl MemAccounted for EdgeCounters {
     fn mem_footprint(&self) -> MemFootprint {
-        self.hists
-            .mem_footprint()
-            .plus(counter_bytes(&self.counters, self.counters.capacity()))
+        let entry = std::mem::size_of::<(VertexId, u32)>();
+        let rows = &self.counters;
+        self.hists.mem_footprint().plus(MemFootprint {
+            live_bytes: std::mem::size_of_val(rows.as_slice())
+                + rows.iter().map(Vec::len).sum::<usize>() * entry,
+            capacity_bytes: rows.capacity() * std::mem::size_of::<CounterRow>()
+                + rows.iter().map(Vec::capacity).sum::<usize>() * entry,
+        })
     }
-}
-
-/// The shard-owned slice of the streaming counter store: histograms of
-/// the shard's own vertices plus the exact `common_uv` counter of every
-/// **interior** edge (both endpoints owned by this shard), in one counter
-/// row per histogram slot — the same rows and row kernel as
-/// [`EdgeCounters`].
-///
-/// # Cross-shard edge ownership rule
-///
-/// An edge's counter is maintained incrementally **only while both
-/// endpoints live on the same shard** — then every slot delta that can
-/// move it originates on that shard, the neighbor histogram it needs is
-/// local, and upkeep runs inside the worker with no cross-shard reads.
-/// Boundary edges (endpoints on different shards) carry no incremental
-/// counter; their numerator is **merged at publish** from the two
-/// endpoint histograms the owners ship with their
-/// [`collect_interior`](Self::collect_interior) /
-/// [`boundary_hists`](Self::boundary_hists) replies. A merge of exact
-/// histograms is exact by definition, so the assembled weight list
-/// ([`assemble_partitioned_weights`]) is bit-identical to the central
-/// [`EdgeCounters`] path — both divide the same integer by the same
-/// `(T+1)²`.
-///
-/// Migration follows the same rule: when a vertex changes owner, its
-/// histogram is recomputed from the migrated row's label sequence
-/// (a pure function, exact), and every counter incident to it is dropped
-/// — edges that end up co-owned again are re-merged lazily at the next
-/// publish, exactly like freshly inserted edges.
-#[derive(Clone, Debug)]
-pub struct CounterPartition {
-    /// Draws per sequence (`T + 1`).
-    m: usize,
-    /// Packed histogram rows of owned vertices (slots released on
-    /// migration, recycled by later adoptions).
-    hists: HistRows,
-    /// Owned vertex id → histogram and counter slot.
-    slots: FxHashMap<VertexId, u32>,
-    /// `counters[slot]`: the counter row of the interior upper edges of
-    /// the vertex at `slot`. Slots past the end have empty rows.
-    counters: Vec<CounterRow>,
-    /// Owned vertices whose histogram changed since their last
-    /// dirty-diff ship (fed by the same slot-delta stream as counter
-    /// upkeep, plus migration adoptions). Interior dirty vertices stay in
-    /// the set — they must ship if they ever become boundary.
-    dirty: FxHashSet<VertexId>,
-    /// Owned vertices whose **current** histogram the publish coordinator
-    /// already holds in its boundary cache (shipped at some collect and
-    /// unchanged since). The ship rule is: ship `v` iff `v` is boundary
-    /// and (`v ∈ dirty` or `v ∉ shipped`).
-    shipped: FxHashSet<VertexId>,
-}
-
-/// Accounting of one dirty-diff boundary ship
-/// ([`CounterPartition::dirty_boundary_hists_into`]).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct BoundaryShipReport {
-    /// Histograms actually shipped (changed since the last ship, or never
-    /// shipped before).
-    pub shipped: u64,
-    /// Boundary vertices in total — what the pre-diff protocol shipped
-    /// every publish.
-    pub boundary: u64,
-    /// Dirty-vertex count at ship time: vertices whose histogram changed
-    /// since their last ship (interior or boundary), plus never-shipped
-    /// boundary vertices. `shipped <= dirty` always holds — the CI gate
-    /// that proves diffs ship no more than the churn touched.
-    pub dirty: u64,
-}
-
-impl BoundaryShipReport {
-    /// Accumulate another shard's report into this one.
-    pub fn absorb(&mut self, other: &BoundaryShipReport) {
-        self.shipped += other.shipped;
-        self.boundary += other.boundary;
-        self.dirty += other.dirty;
-    }
-}
-
-/// Slot of owned vertex `v`, creating the own-label histogram a fresh
-/// untouched sequence has (`{v: m}`) on first sight.
-fn slot_entry(hists: &mut HistRows, slots: &mut FxHashMap<VertexId, u32>, v: VertexId) -> u32 {
-    *slots
-        .entry(v)
-        .or_insert_with(|| hists.alloc_default(v as Label))
-}
-
-impl CounterPartition {
-    /// Carve this shard's slice out of a populated central store:
-    /// histograms of owned vertices, counters of interior edges. Used at
-    /// bootstrap so the genesis weight pass is never repeated.
-    pub fn carve(central: &EdgeCounters, rows: &ShardRepairState) -> Self {
-        let mut part = Self::new(central.m);
-        for v in rows.owned_sorted() {
-            if (v as usize) < central.hists.num_slots() {
-                let slot = part.hists.alloc_from(&central.hists.row(v).to_vec());
-                debug_assert_eq!(slot as usize, part.counters.len());
-                part.slots.insert(v, slot);
-                part.counters.push(
-                    central.counters[v as usize]
-                        .iter()
-                        .copied()
-                        .filter(|&(w, _)| rows.owns(w))
-                        .collect(),
-                );
-            }
-        }
-        part
-    }
-
-    /// An empty partition; histograms and counters fill lazily.
-    pub fn new(m: usize) -> Self {
-        Self {
-            m,
-            hists: HistRows::new(m),
-            slots: FxHashMap::default(),
-            counters: Vec::new(),
-            dirty: FxHashSet::default(),
-            shipped: FxHashSet::default(),
-        }
-    }
-
-    /// Draws per sequence (`T + 1`).
-    pub fn draws(&self) -> usize {
-        self.m
-    }
-
-    /// Live interior-edge counters (diagnostics).
-    pub fn num_counters(&self) -> usize {
-        self.counters.iter().map(Vec::len).sum()
-    }
-
-    /// The counter row at `v`'s slot, if `v` has one.
-    fn row_mut(&mut self, v: VertexId) -> Option<&mut CounterRow> {
-        let slot = *self.slots.get(&v)?;
-        self.counters.get_mut(slot as usize)
-    }
-
-    /// Drop the counter of an interior edge that was just deleted.
-    /// **Must be called for every interior deletion** — a counter that
-    /// survives a delete/re-insert cycle would miss the slot deltas
-    /// applied while the edge was absent. (Boundary deletions have no
-    /// counter; calling this for them is a no-op.)
-    pub fn retire_edge(&mut self, u: VertexId, v: VertexId) {
-        let (lo, hi) = canonical(u, v);
-        if let Some(row) = self.row_mut(lo) {
-            retire(row, hi);
-        }
-    }
-
-    /// Install the histogram of a vertex migrating in, recomputed from
-    /// its row's label sequence (exact — the histogram is a pure function
-    /// of the sequence).
-    pub fn adopt_hist(&mut self, v: VertexId, labels: &[Label]) {
-        debug_assert_eq!(labels.len(), self.m, "sequence length mismatch");
-        let hist = histogram_of(labels);
-        match self.slots.get(&v) {
-            Some(&slot) => self.hists.set_from(slot, &hist),
-            None => {
-                let slot = self.hists.alloc_from(&hist);
-                self.slots.insert(v, slot);
-            }
-        }
-        // A migrated-in vertex must re-ship: whatever the coordinator's
-        // cache holds for it was shipped by the previous owner and may be
-        // stale (and the repartition evicted it anyway).
-        self.shipped.remove(&v);
-        self.dirty.insert(v);
-    }
-
-    /// Forget everything about vertices migrating out: their histograms
-    /// and every counter incident to them (see the ownership rule above).
-    /// `rows` must still hold the leaving vertices' adjacency.
-    pub fn drop_vertices(&mut self, rows: &ShardRepairState, leaving: &[VertexId]) {
-        for &v in leaving {
-            // Counters of `v`'s lower edges sit in its neighbors' rows.
-            for &w in rows.neighbors_of(v).iter().take_while(|&&w| w < v) {
-                if let Some(row) = self.row_mut(w) {
-                    retire(row, v);
-                }
-            }
-            if let Some(slot) = self.slots.remove(&v) {
-                if let Some(row) = self.counters.get_mut(slot as usize) {
-                    *row = Vec::new();
-                }
-                self.hists.release(slot);
-            }
-            // Dirtiness travels with the row: the adopter marks the vertex
-            // dirty unconditionally (`adopt_hist`), so dropping it here
-            // loses nothing.
-            self.dirty.remove(&v);
-            self.shipped.remove(&v);
-        }
-    }
-
-    /// Fold this shard's flush deltas into its own partition: the stream
-    /// is compacted and aggregated per vertex exactly like the central
-    /// [`EdgeCounters::apply_slot_deltas`], but the neighbor sweep only
-    /// touches **interior** counters (the neighbor histogram is then
-    /// guaranteed local). Every delta must target an owned vertex, in
-    /// application order per `(v, slot)` — which the emitting
-    /// [`ShardRepairState`] guarantees, being the vertex's single owner.
-    /// Returns the number of net slot changes folded in.
-    pub fn apply_own_deltas(&mut self, rows: &ShardRepairState, deltas: &[SlotDelta]) -> usize {
-        let (count, diffs) = aggregate_vertex_diffs(deltas);
-        for (v, diff) in &diffs {
-            let v = *v;
-            debug_assert!(
-                rows.owns(v),
-                "slot delta for a vertex this shard does not own"
-            );
-            if diff.is_empty() {
-                continue;
-            }
-            let slot_v = slot_entry(&mut self.hists, &mut self.slots, v);
-            // Only owned neighbors have slots: boundary edges carry no
-            // counter (merged at publish).
-            let lower = rows.neighbors_of(v).iter().copied().take_while(|&w| w < v);
-            let slots = &self.slots;
-            let slot_of = |w: VertexId| slots.get(&w).copied();
-            push_diff(
-                &self.hists,
-                &mut self.counters,
-                (v, slot_v),
-                lower,
-                slot_of,
-                diff,
-            );
-            self.hists.fold_diff(slot_v, diff);
-            // Same stream feeds the ship bookkeeping: the histogram just
-            // moved, so the coordinator's cached copy (if any) is stale.
-            self.dirty.insert(v);
-        }
-        count
-    }
-
-    /// The publish-time contribution of this partition: one
-    /// `(u, v, common)` triple per interior edge, sorted canonically. Each
-    /// owned vertex's counter row is synced against its interior upper
-    /// neighbors — the central refresh's sync — so a live counter is
-    /// copied and only an interior edge with no counter yet (new since
-    /// the last collect, or re-interiorized by migration) pays one local
-    /// histogram merge.
-    pub fn collect_interior(&mut self, rows: &ShardRepairState) -> Vec<(VertexId, VertexId, u64)> {
-        let mut out: Vec<(VertexId, VertexId, u64)> = Vec::new();
-        let mut upper: Vec<VertexId> = Vec::new();
-        for v in rows.owned_sorted() {
-            upper.clear();
-            upper.extend(
-                rows.neighbors_of(v)
-                    .iter()
-                    .copied()
-                    .filter(|&w| w > v && rows.owns(w)),
-            );
-            if upper.is_empty() {
-                continue;
-            }
-            // A vertex without a slot has no counters yet: its histogram,
-            // like a fresh neighbor's, materializes here for the merges.
-            let Self {
-                hists,
-                slots,
-                counters,
-                ..
-            } = self;
-            let slot_v = slot_entry(hists, slots, v);
-            if counters.len() <= slot_v as usize {
-                counters.resize_with(slot_v as usize + 1, Vec::new);
-            }
-            let row = &mut counters[slot_v as usize];
-            sync_row(row, &upper, |w| {
-                let slot_w = slot_entry(hists, slots, w);
-                hists.common(slot_v, slot_w)
-            });
-            out.extend(row.iter().map(|&(w, c)| (v, w, u64::from(c))));
-        }
-        out
-    }
-    /// Histograms of this shard's boundary vertices (owned vertices with
-    /// at least one off-shard neighbor), sorted by vertex — what the
-    /// publish assembly needs to merge boundary edges. Appends into a
-    /// caller-owned buffer so the per-publish allocation can be reused.
-    pub fn boundary_hists_into(
-        &mut self,
-        rows: &ShardRepairState,
-        out: &mut Vec<(VertexId, Vec<(Label, u32)>)>,
-    ) {
-        for v in rows.owned_sorted() {
-            if rows.neighbors_of(v).iter().any(|&w| !rows.owns(w)) {
-                let slot = slot_entry(&mut self.hists, &mut self.slots, v);
-                out.push((v, self.hists.row(slot).to_vec()));
-            }
-        }
-    }
-
-    /// [`boundary_hists_into`](Self::boundary_hists_into), allocating.
-    pub fn boundary_hists(
-        &mut self,
-        rows: &ShardRepairState,
-    ) -> Vec<(VertexId, Vec<(Label, u32)>)> {
-        let mut out = Vec::new();
-        self.boundary_hists_into(rows, &mut out);
-        out
-    }
-
-    /// Dirty-diff variant of [`boundary_hists_into`](Self::boundary_hists_into):
-    /// ship only the boundary vertices the publish coordinator's cache
-    /// does not already hold current histograms for — those whose
-    /// histogram changed since their last ship (`dirty`, maintained from
-    /// the same slot-delta stream that feeds counter upkeep, plus
-    /// migration adoptions) and those never shipped before (fresh
-    /// boundary, carve-time rows, post-migration adoptions).
-    ///
-    /// # Cache-coherence argument
-    ///
-    /// The coordinator overlays every shipped `(v, hist)` into a
-    /// vertex-keyed cache and hands the whole cache to
-    /// [`assemble_partitioned_weights`], which reads it **only for
-    /// endpoints of cross-shard edges** — i.e. current boundary vertices.
-    /// For any such `v` (owned by exactly one shard), after this call:
-    ///
-    /// * `v ∉ shipped` → shipped now, cache holds the current histogram;
-    /// * `v ∈ shipped` and the histogram changed since the last ship →
-    ///   the change passed through [`apply_own_deltas`](Self::apply_own_deltas)
-    ///   or [`adopt_hist`](Self::adopt_hist), both of which marked `v`
-    ///   dirty → shipped now;
-    /// * `v ∈ shipped` and unchanged → the cached copy **is** the current
-    ///   histogram (this covers interior vertices that became boundary
-    ///   through pure topology churn with no label movement).
-    ///
-    /// Stale cache entries can only exist for vertices that are not
-    /// boundary any more — never read. So the assembled map is identical
-    /// to a full [`boundary_hists`](Self::boundary_hists) ship, which the
-    /// equivalence proptest pins bit-for-bit.
-    pub fn dirty_boundary_hists_into(
-        &mut self,
-        rows: &ShardRepairState,
-        out: &mut Vec<(VertexId, Vec<(Label, u32)>)>,
-    ) -> BoundaryShipReport {
-        let mut report = BoundaryShipReport {
-            dirty: self.dirty.len() as u64,
-            ..BoundaryShipReport::default()
-        };
-        for v in rows.owned_sorted() {
-            if !rows.neighbors_of(v).iter().any(|&w| !rows.owns(w)) {
-                continue;
-            }
-            report.boundary += 1;
-            let is_dirty = self.dirty.remove(&v);
-            if !self.shipped.insert(v) && !is_dirty {
-                continue; // already shipped, unchanged since
-            }
-            if !is_dirty {
-                report.dirty += 1; // first ship counts as a dirty vertex
-            }
-            let slot = slot_entry(&mut self.hists, &mut self.slots, v);
-            out.push((v, self.hists.row(slot).to_vec()));
-            report.shipped += 1;
-        }
-        report
-    }
-}
-
-impl MemAccounted for CounterPartition {
-    fn mem_footprint(&self) -> MemFootprint {
-        self.hists
-            .mem_footprint()
-            .plus(counter_bytes(&self.counters, self.counters.capacity()))
-    }
-}
-
-/// Stitch per-shard publish contributions into the canonical weight list
-/// for `graph`: interior edges come off the owners' sorted
-/// [`collect_interior`](CounterPartition::collect_interior) lists via one
-/// cursor per shard; boundary edges are merged from the shipped endpoint
-/// histograms. Bit-identical to the central
-/// [`EdgeCounters::refresh_weights`] — every numerator is the same exact
-/// integer, divided by the same `m²`.
-pub fn assemble_partitioned_weights(
-    graph: &AdjacencyGraph,
-    owner_of: impl Fn(VertexId) -> usize,
-    m: usize,
-    interior: &[Vec<(VertexId, VertexId, u64)>],
-    boundary_hists: &FxHashMap<VertexId, Vec<(Label, u32)>>,
-) -> Vec<(VertexId, VertexId, f64)> {
-    let mm = m as f64 * m as f64;
-    let mut cursors = vec![0usize; interior.len()];
-    let mut wlist = Vec::with_capacity(graph.num_edges());
-    for (u, v) in graph.edges() {
-        debug_assert!(u < v, "edges() must yield canonical pairs");
-        let (ou, ov) = (owner_of(u), owner_of(v));
-        let c = if ou == ov {
-            let cur = &mut cursors[ou];
-            let (iu, iv, c) = interior[ou][*cur];
-            debug_assert_eq!((iu, iv), (u, v), "interior cursor drifted");
-            *cur += 1;
-            c
-        } else {
-            let fu = &boundary_hists[&u];
-            let fv = &boundary_hists[&v];
-            common_labels(fu, fv)
-        };
-        wlist.push((u, v, c as f64 / mm));
-    }
-    debug_assert!(
-        cursors
-            .iter()
-            .zip(interior)
-            .all(|(&c, list)| c == list.len()),
-        "interior weights left unconsumed"
-    );
-    wlist
 }
 
 #[cfg(test)]
@@ -831,7 +401,7 @@ mod tests {
     use crate::postprocess::{edge_weights, postprocess, result_from_weights, PostprocessResult};
     use crate::propagation::run_propagation;
     use rslpa_graph::rng::DetRng;
-    use rslpa_graph::EditBatch;
+    use rslpa_graph::{EditBatch, FxHashSet};
 
     fn assert_weights_equal(a: &[(VertexId, VertexId, f64)], b: &[(VertexId, VertexId, f64)]) {
         assert_eq!(a.len(), b.len());
@@ -935,6 +505,50 @@ mod tests {
         };
         assert_eq!(counters.apply_slot_deltas(&g, &[noop]), 0);
         assert_weights_equal(&counters.refresh_weights(&g, 1), &before);
+    }
+
+    #[test]
+    fn slot_order_of_a_net_change_set_changes_nothing() {
+        // T = 3: vertex 0 holds four distinct labels, so its histogram row
+        // fills its 4-entry page. Slot 1 moves 1 → 5 (a label new to the
+        // row) and slot 2 moves 2 → 1, a legal pair of changes in either
+        // order. Folding the insertion of 5 before the removal of 2 would
+        // move the row to an 8-entry page; the store must pick one order
+        // whatever order the stream brings.
+        let mut g = AdjacencyGraph::new(2);
+        g.insert_edge(0, 1);
+        let mut state = LabelState::new(2, 3, 1);
+        for (t, l) in [(1, 1), (2, 2), (3, 3)] {
+            state.set_label(0, t, l);
+        }
+        state.set_label(1, 1, 5);
+        let genesis = |state: &LabelState| {
+            let mut store = EdgeCounters::new(state);
+            store.refresh_weights(&g, 1);
+            store
+        };
+        let mut stores = [genesis(&state), genesis(&state)];
+        let a_to_b = SlotDelta {
+            v: 0,
+            slot: 1,
+            old: 1,
+            new: 5,
+        };
+        let c_to_a = SlotDelta {
+            v: 0,
+            slot: 2,
+            old: 2,
+            new: 1,
+        };
+        state.set_label(0, 1, 5);
+        state.set_label(0, 2, 1);
+        stores[0].apply_slot_deltas(&g, &[a_to_b, c_to_a]);
+        stores[1].apply_slot_deltas(&g, &[c_to_a, a_to_b]);
+        let [first, second] = &mut stores;
+        let w = first.refresh_weights(&g, 1);
+        assert_weights_equal(&w, &second.refresh_weights(&g, 1));
+        assert_weights_equal(&w, &edge_weights(&g, &state));
+        assert_eq!(first.mem_footprint(), second.mem_footprint());
     }
 
     #[test]
@@ -1293,199 +907,5 @@ mod tests {
         assert_eq!(counters.num_counters(), edges_before - 1);
         counters.refresh_weights(det.graph(), 1);
         assert_eq!(counters.num_counters(), det.graph().num_edges());
-    }
-
-    mod partition {
-        use super::*;
-        use crate::shard::ShardRepairState;
-        use rslpa_graph::{
-            BlockPartitioner, DynamicGraph, EditBatch, HashPartitioner, Partitioner,
-        };
-        use std::sync::Arc;
-
-        fn run_partitioned(
-            parts: usize,
-            seed: u64,
-            batches: &[EditBatch],
-        ) -> (
-            Vec<(VertexId, VertexId, f64)>,
-            Vec<(VertexId, VertexId, f64)>,
-        ) {
-            let t_max = 8usize;
-            let g0 = ring_graph(8);
-            let mut dg = DynamicGraph::new(g0.clone());
-            let mut central_state = run_propagation(dg.graph(), t_max, seed);
-            let mut central = EdgeCounters::new(&central_state);
-            central.refresh_weights(dg.graph(), 1);
-
-            let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
-            let mut shards: Vec<ShardRepairState> = (0..parts)
-                .map(|s| {
-                    ShardRepairState::from_state(&central_state, &g0, s, Arc::clone(&partitioner))
-                })
-                .collect();
-            let mut partitions: Vec<CounterPartition> = shards
-                .iter()
-                .map(|rows| CounterPartition::carve(&central, rows))
-                .collect();
-
-            for batch in batches {
-                let applied = dg.apply(batch).unwrap();
-                let mut central_deltas = Vec::new();
-                let mut dirty = rslpa_graph::FxHashSet::default();
-                crate::incremental::apply_correction_damped(
-                    &mut central_state,
-                    dg.graph(),
-                    &applied,
-                    false,
-                    None,
-                    &mut dirty,
-                    &mut central_deltas,
-                );
-                for &(u, v) in batch.deletions() {
-                    central.delete_edge(u, v);
-                }
-                central.apply_slot_deltas(dg.graph(), &central_deltas);
-
-                // Sharded side: coordinator-style exchange loop, then each
-                // shard retires its interior deletions and folds its own
-                // deltas into its own partition.
-                let per_shard = rslpa_graph::sharding::split_deltas(&applied, partitioner.as_ref());
-                for (shard, partition) in shards.iter_mut().zip(partitions.iter_mut()) {
-                    for (v, delta) in &per_shard[shard.shard()] {
-                        for &w in &delta.removed {
-                            if shard.owns(w) {
-                                partition.retire_edge(*v, w);
-                            }
-                        }
-                    }
-                }
-                let mut outbox = Vec::new();
-                for shard in shards.iter_mut() {
-                    shard.apply_deltas(&per_shard[shard.shard()], &mut outbox);
-                }
-                while !outbox.is_empty() {
-                    let mut inboxes: Vec<Vec<crate::shard::Envelope>> = vec![Vec::new(); parts];
-                    for env in outbox.drain(..) {
-                        inboxes[partitioner.assign(env.to)].push(env);
-                    }
-                    for (shard, inbox) in shards.iter_mut().zip(inboxes) {
-                        if !inbox.is_empty() {
-                            shard.exchange(inbox, &mut outbox);
-                        }
-                    }
-                }
-                // Feed the partitions the *central* engine's stream routed
-                // by owner instead of the shard-emitted one: per-vertex
-                // chains and net effect are identical (each vertex has a
-                // single owner), so the partitions must land on the same
-                // counters either way.
-                let routed = rslpa_graph::split_slot_deltas(&central_deltas, partitioner.as_ref());
-                for (shard, partition) in shards.iter_mut().zip(partitions.iter_mut()) {
-                    shard.take_slot_deltas(); // drained as the serve worker would
-                    partition.apply_own_deltas(shard, &routed[shard.shard()]);
-                }
-            }
-
-            let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-                .iter()
-                .zip(partitions.iter_mut())
-                .map(|(rows, p)| p.collect_interior(rows))
-                .collect();
-            let mut bh: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-            for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
-                for (v, hist) in p.boundary_hists(rows) {
-                    bh.insert(v, hist);
-                }
-            }
-            let assembled = assemble_partitioned_weights(
-                dg.graph(),
-                |v| partitioner.assign(v),
-                t_max + 1,
-                &interior,
-                &bh,
-            );
-            let reference = central.refresh_weights(dg.graph(), 1);
-            assert_weights_equal(&reference, &edge_weights(dg.graph(), &central_state));
-            (assembled, reference)
-        }
-
-        #[test]
-        fn partitioned_collect_matches_central_store() {
-            let batches = [
-                EditBatch::from_lists([(0, 3)], [(1, 2)]),
-                EditBatch::from_lists([(2, 6), (1, 5)], [(0, 3)]),
-                EditBatch::from_lists([(1, 2)], [(4, 5)]),
-            ];
-            for seed in 0..4u64 {
-                for parts in [1usize, 2, 3] {
-                    let (assembled, reference) = run_partitioned(parts, seed, &batches);
-                    assert_weights_equal(&assembled, &reference);
-                }
-            }
-        }
-
-        #[test]
-        fn drop_and_adopt_follow_migration() {
-            // Carve two partitions, migrate vertices from contiguous
-            // blocks to odd/even ownership, and verify the ownership rule:
-            // dropped counters reappear via lazy merge, the adopted
-            // histogram is exact. A leaving vertex keeps co-owned lower
-            // neighbors, whose rows must lose its counter.
-            for g in [ring_graph(6), clique_chain()] {
-                let state = run_propagation(&g, 6, 9);
-                let mut central = EdgeCounters::new(&state);
-                central.refresh_weights(&g, 1);
-                let p_old: Arc<dyn Partitioner> =
-                    Arc::new(BlockPartitioner::new(g.num_vertices(), 2));
-                let mut shards: Vec<ShardRepairState> = (0..2)
-                    .map(|s| ShardRepairState::from_state(&state, &g, s, Arc::clone(&p_old)))
-                    .collect();
-                let mut partitions: Vec<CounterPartition> = shards
-                    .iter()
-                    .map(|rows| CounterPartition::carve(&central, rows))
-                    .collect();
-                let p_new: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(2));
-                assert!(
-                    (0..g.num_vertices() as VertexId).any(|v| p_old.assign(v) != p_new.assign(v))
-                );
-                let mut in_flight: Vec<Vec<(VertexId, crate::shard::VertexRowData)>> =
-                    vec![Vec::new(); 2];
-                for (shard, partition) in shards.iter_mut().zip(partitions.iter_mut()) {
-                    let leaving: Vec<VertexId> = (0..g.num_vertices() as VertexId)
-                        .filter(|&v| {
-                            p_old.assign(v) == shard.shard() && p_new.assign(v) != shard.shard()
-                        })
-                        .collect();
-                    partition.drop_vertices(shard, &leaving);
-                    for (v, row) in shard.extract_rows(&leaving) {
-                        in_flight[p_new.assign(v)].push((v, row));
-                    }
-                }
-                for ((shard, partition), rows) in
-                    shards.iter_mut().zip(partitions.iter_mut()).zip(in_flight)
-                {
-                    shard.set_partitioner(Arc::clone(&p_new));
-                    for (v, data) in &rows {
-                        partition.adopt_hist(*v, &data.labels);
-                    }
-                    shard.adopt_rows(rows);
-                }
-                let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-                    .iter()
-                    .zip(partitions.iter_mut())
-                    .map(|(rows, p)| p.collect_interior(rows))
-                    .collect();
-                let mut bh: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-                for (rows, p) in shards.iter().zip(partitions.iter_mut()) {
-                    for (v, hist) in p.boundary_hists(rows) {
-                        bh.insert(v, hist);
-                    }
-                }
-                let assembled =
-                    assemble_partitioned_weights(&g, |v| p_new.assign(v), 7, &interior, &bh);
-                assert_weights_equal(&assembled, &central.refresh_weights(&g, 1));
-            }
-        }
     }
 }

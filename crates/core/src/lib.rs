@@ -47,9 +47,7 @@ pub mod verify;
 pub use barrier::{SenseBarrier, WaitReport};
 pub use config::{DampingConfig, RslpaConfig};
 pub use detector::{DetectionResult, RslpaDetector};
-pub use edge_counters::{
-    assemble_partitioned_weights, BoundaryShipReport, CounterPartition, EdgeCounters,
-};
+pub use edge_counters::EdgeCounters;
 pub use incremental::{apply_correction, apply_correction_damped, CascadeDamper, UpdateReport};
 pub use postprocess::{postprocess, result_from_weights, PostprocessResult};
 pub use propagation::run_propagation;

@@ -1,4 +1,4 @@
-//! Packed per-vertex histogram rows for the counter stores.
+//! Packed per-vertex histogram rows for the counter store.
 //!
 //! A label histogram is a short sorted run of `(label, count)` pairs with
 //! `count ≤ m = T+1`. The legacy stores kept one `Vec<(Label, u32)>` per
@@ -6,24 +6,19 @@
 //! scattered across the heap. [`HistRows`] packs every row into **two
 //! parallel arenas** (`labels: u32`, `counts: u16` — 6 bytes per entry,
 //! counts provably fit `u16` because `m ≤ 65535` is asserted) managed
-//! with the same size-class page / free-list / tombstone-compaction rules
-//! as [`rslpa_graph::slab`]. Counter upkeep — the per-flush neighbor
-//! sweep of the counter-row kernel shared by `EdgeCounters` and
-//! `CounterPartition` — then reads cache-contiguous rows instead of
-//! chasing one pointer per vertex.
+//! with the same size-class page / free-list rules as
+//! [`rslpa_graph::slab`]. Counter upkeep — the per-flush neighbor sweep
+//! of `EdgeCounters`' row kernel — then reads cache-contiguous rows
+//! instead of chasing one pointer per vertex.
 //!
-//! Rows are addressed by a `u32` slot handle: dense stores use
-//! `slot == vertex id` (slots are allocated in vertex order and never
-//! released), sharded partitions map sparse vertex ids to slots and
-//! release them on migration. Every mutating op (`fold_diff`,
-//! `set_from`) reproduces the exact semantics of the legacy `Vec`
-//! helpers, so counter maintenance stays bit-identical.
+//! Rows are addressed by a `u32` handle, allocated in order and never
+//! released; the counter store allocates one per vertex in vertex order,
+//! so a vertex's handle is its id. [`fold_diff`](HistRows::fold_diff)
+//! reproduces the exact semantics of the legacy `Vec` helpers, so counter
+//! maintenance stays bit-identical.
 
 use rslpa_graph::slab::{class_cap, class_for};
 use rslpa_graph::{Label, MemAccounted, MemFootprint};
-
-/// Arena length below which compaction never triggers.
-const COMPACT_FLOOR: usize = 4096;
 
 /// One row's page over both arenas: `labels[head..head+len]` /
 /// `counts[head..head+len]`, inside a page of `class_cap(class)` entries.
@@ -32,8 +27,6 @@ struct Span {
     head: u32,
     len: u16,
     class: u8,
-    /// Slot released (page recycled, row unusable until re-allocated).
-    dead: bool,
 }
 
 /// A borrowed histogram row: sorted labels with parallel counts.
@@ -67,8 +60,8 @@ impl HistRow<'_> {
         }
     }
 
-    /// Materialize the legacy `(label, count)` representation (shipping
-    /// rows across shard mailboxes, diagnostics).
+    /// Materialize the legacy `(label, count)` representation
+    /// (diagnostics).
     pub fn to_vec(&self) -> Vec<(Label, u32)> {
         self.labels
             .iter()
@@ -109,12 +102,8 @@ pub struct HistRows {
     /// Recycled page heads per size class (shared by both arenas — they
     /// move in lockstep).
     free_pages: Vec<Vec<u32>>,
-    /// Released slot handles, reused before new slots are appended.
-    free_slots: Vec<u32>,
-    /// Σ span.len over live rows.
+    /// Σ span.len over all rows.
     live: usize,
-    /// Σ class_cap(span.class) over live rows.
-    reserved: usize,
 }
 
 impl HistRows {
@@ -127,9 +116,7 @@ impl HistRows {
             counts: Vec::new(),
             spans: Vec::new(),
             free_pages: Vec::new(),
-            free_slots: Vec::new(),
             live: 0,
-            reserved: 0,
         }
     }
 
@@ -139,7 +126,7 @@ impl HistRows {
         self.m as usize
     }
 
-    /// Number of slots ever allocated (dense stores: the vertex count).
+    /// Number of rows allocated.
     #[inline]
     pub fn num_slots(&self) -> usize {
         self.spans.len()
@@ -149,7 +136,6 @@ impl HistRows {
     #[inline]
     pub fn row(&self, slot: u32) -> HistRow<'_> {
         let s = self.spans[slot as usize];
-        debug_assert!(!s.dead, "read of a released row");
         let (a, b) = (s.head as usize, (s.head + u32::from(s.len)) as usize);
         HistRow {
             labels: &self.labels[a..b],
@@ -193,56 +179,19 @@ impl HistRows {
         self.free_pages[class as usize].push(head);
     }
 
-    /// Allocate a slot holding `hist` (sorted `(label, count)` run).
+    /// Allocate a row holding `hist` (sorted `(label, count)` run).
     pub fn alloc_from(&mut self, hist: &[(Label, u32)]) -> u32 {
-        let slot = match self.free_slots.pop() {
-            Some(s) => s,
-            None => {
-                self.spans.push(Span::default());
-                (self.spans.len() - 1) as u32
-            }
-        };
-        self.spans[slot as usize] = Span::default();
+        self.spans.push(Span::default());
+        let slot = (self.spans.len() - 1) as u32;
         self.write_row(slot, hist);
         slot
     }
 
-    /// Allocate a slot with the own-label histogram a fresh untouched
+    /// Allocate a row with the own-label histogram a fresh untouched
     /// sequence has (`{v: m}`).
     pub fn alloc_default(&mut self, v: Label) -> u32 {
         let m = self.m;
         self.alloc_from(&[(v, m)])
-    }
-
-    /// Release `slot`: its page is recycled and the handle reused by a
-    /// later alloc.
-    pub fn release(&mut self, slot: u32) {
-        let s = self.spans[slot as usize];
-        debug_assert!(!s.dead, "double release");
-        if s.class > 0 {
-            self.recycle_page(s.head, s.class);
-            self.reserved -= class_cap(s.class) as usize;
-        }
-        self.live -= usize::from(s.len);
-        self.spans[slot as usize] = Span {
-            dead: true,
-            ..Span::default()
-        };
-        self.free_slots.push(slot);
-        self.maybe_compact();
-    }
-
-    /// Replace row `slot` with `hist` (sorted run).
-    pub fn set_from(&mut self, slot: u32, hist: &[(Label, u32)]) {
-        let s = self.spans[slot as usize];
-        debug_assert!(!s.dead, "write to a released row");
-        if s.class > 0 {
-            self.recycle_page(s.head, s.class);
-            self.reserved -= class_cap(s.class) as usize;
-        }
-        self.live -= usize::from(s.len);
-        self.spans[slot as usize] = Span::default();
-        self.write_row(slot, hist);
     }
 
     /// Write `hist` into a fresh (empty-span) slot.
@@ -256,13 +205,11 @@ impl HistRows {
             self.labels[head as usize + i] = l;
             self.counts[head as usize + i] = c as u16;
         }
-        self.reserved += class_cap(class) as usize;
         self.live += hist.len();
         self.spans[slot as usize] = Span {
             head,
             len: len as u16,
             class,
-            dead: false,
         };
     }
 
@@ -278,7 +225,6 @@ impl HistRows {
         if s.class > 0 {
             self.recycle_page(s.head, s.class);
         }
-        self.reserved += class_cap(new_class) as usize - class_cap(s.class) as usize;
         self.spans[slot as usize] = Span {
             head: new_head,
             class: new_class,
@@ -338,41 +284,6 @@ impl HistRows {
             }
         }
     }
-
-    /// Tombstone compaction: re-pack every live row into the smallest
-    /// class that fits it; free pages are dropped.
-    pub fn compact(&mut self) {
-        let cap = self.live + self.live / 2;
-        let mut labels = Vec::with_capacity(cap);
-        let mut counts = Vec::with_capacity(cap);
-        let mut reserved = 0usize;
-        for s in self.spans.iter_mut() {
-            if s.dead {
-                continue;
-            }
-            let class = class_for(u32::from(s.len));
-            let head = labels.len() as u32;
-            let (a, b) = (s.head as usize, s.head as usize + usize::from(s.len));
-            labels.extend_from_slice(&self.labels[a..b]);
-            counts.extend_from_slice(&self.counts[a..b]);
-            let page_end = head as usize + class_cap(class) as usize;
-            labels.resize(page_end, 0);
-            counts.resize(page_end, 0);
-            reserved += class_cap(class) as usize;
-            s.head = head;
-            s.class = class;
-        }
-        self.labels = labels;
-        self.counts = counts;
-        self.reserved = reserved;
-        self.free_pages.clear();
-    }
-
-    fn maybe_compact(&mut self) {
-        if self.labels.len() > COMPACT_FLOOR && self.labels.len() > 2 * self.reserved {
-            self.compact();
-        }
-    }
 }
 
 impl MemAccounted for HistRows {
@@ -384,9 +295,7 @@ impl MemAccounted for HistRows {
             capacity_bytes: self.labels.capacity() * 4
                 + self.counts.capacity() * 2
                 + self.spans.capacity() * span
-                + (self.free_slots.capacity()
-                    + self.free_pages.iter().map(Vec::capacity).sum::<usize>())
-                    * 4,
+                + self.free_pages.iter().map(Vec::capacity).sum::<usize>() * 4,
         }
     }
 }
@@ -442,75 +351,35 @@ mod tests {
     }
 
     #[test]
-    fn release_recycles_slot_and_page() {
-        let mut rows = HistRows::new(5);
-        let a = rows.alloc_from(&[(0, 1), (1, 1), (2, 1), (3, 1)]);
-        rows.release(a);
-        let b = rows.alloc_from(&[(8, 2)]);
-        assert_eq!(b, a, "slot handle reused");
-        assert_eq!(rows.row(b).to_vec(), vec![(8, 2)]);
-    }
-
-    #[test]
-    fn set_from_replaces_row() {
-        let mut rows = HistRows::new(5);
-        let s = rows.alloc_default(2);
-        rows.set_from(s, &[(1, 2), (3, 3)]);
-        assert_eq!(rows.row(s).to_vec(), vec![(1, 2), (3, 3)]);
-    }
-
-    #[test]
     #[should_panic(expected = "fit u16")]
     fn oversized_draw_count_rejected() {
         HistRows::new(70_000);
     }
 
     proptest! {
-        /// Packed rows stay equal to the Vec model under random shift /
-        /// fold / set / release-realloc streams (exercises page growth,
-        /// recycling, and compaction).
+        /// Packed rows stay equal to the Vec model under random shift
+        /// streams (exercises page growth and page recycling across rows).
         #[test]
         fn packed_rows_match_vec_model(ops in proptest::collection::vec(
             (0usize..6, 0u32..12, 0u32..12), 1..300))
         {
             let m = 40usize;
             let mut rows = HistRows::new(m);
-            let mut model: Vec<Option<(u32, Vec<(Label, u32)>)>> = Vec::new();
+            let mut model: Vec<(u32, Vec<(Label, u32)>)> = Vec::new();
             for i in 0..6u32 {
                 let slot = rows.alloc_default(i);
-                model.push(Some((slot, vec![(i, m as u32)])));
+                model.push((slot, vec![(i, m as u32)]));
             }
             for (who, a, b) in ops {
-                let Some((slot, hist)) = model[who].clone() else {
-                    // Re-allocate a released row.
-                    let slot = rows.alloc_default(who as u32);
-                    model[who] = Some((slot, vec![(who as u32, m as u32)]));
-                    continue;
-                };
-                match a % 3 {
-                    0 => {
-                        // shift mass from an existing label to label b.
-                        let mut hist = hist;
-                        let old = hist[(a as usize) % hist.len()].0;
-                        if old == b { continue; }
-                        model_shift(&mut hist, old, b);
-                        rows.fold_diff(slot, &[(old, -1), (b, 1)]);
-                        model[who] = Some((slot, hist));
-                    }
-                    1 => {
-                        // whole-row replacement.
-                        let fresh = vec![(b, 2u32), (b + 20, 1)];
-                        rows.set_from(slot, &fresh);
-                        model[who] = Some((slot, fresh));
-                    }
-                    _ => {
-                        rows.release(slot);
-                        model[who] = None;
-                    }
-                }
+                // Shift mass from an existing label to label b.
+                let (slot, hist) = &mut model[who];
+                let old = hist[(a as usize) % hist.len()].0;
+                if old == b { continue; }
+                model_shift(hist, old, b);
+                rows.fold_diff(*slot, &[(old, -1), (b, 1)]);
             }
-            for entry in model.iter().flatten() {
-                prop_assert_eq!(rows.row(entry.0).to_vec(), entry.1.clone());
+            for (slot, hist) in &model {
+                prop_assert_eq!(rows.row(*slot).to_vec(), hist.clone());
             }
         }
     }

@@ -326,23 +326,6 @@ impl ShardRepairState {
         self.partitioner.assign(v)
     }
 
-    /// Owned vertices with materialized rows, ascending (the iteration
-    /// order of partition-owned counter collection).
-    pub fn owned_sorted(&self) -> Vec<VertexId> {
-        let mut owned: Vec<VertexId> = self.rows.keys().copied().collect();
-        owned.sort_unstable();
-        owned
-    }
-
-    /// The shard-owned adjacency row of `v` (empty for vertices without a
-    /// materialized row — isolated fresh ids).
-    pub fn neighbors_of(&self, v: VertexId) -> &[VertexId] {
-        self.rows
-            .get(&v)
-            .map(|r| r.neighbors.as_slice())
-            .unwrap_or(&[])
-    }
-
     /// Start a new flush: reset the distinct-slot (η) accounting.
     /// [`apply_deltas`](Self::apply_deltas) does this implicitly; a shard
     /// that participates in a flush **only** through exchange (no routed

@@ -7,17 +7,15 @@
 //!
 //! Two harnesses pin it:
 //!
-//! * the **central-store** harness (PR 4's acceptance property): the
-//!   sequential round driver (every outbox regrouped by owner on one
-//!   thread) feeds one central [`EdgeCounters`];
-//! * the **mesh + partition** harness (PR 5's): real worker threads
-//!   deliver envelopes peer-to-peer over a [`build_mesh`] and each shard
-//!   folds its own deltas into its own [`CounterPartition`]; publish
-//!   barriers assemble interior counters + boundary-histogram merges via
-//!   [`assemble_partitioned_weights`]. Each publish also runs the
-//!   **dirty-diff** collect (ship only changed boundary histograms onto
-//!   a persistent coordinator cache, evicted on migration) and asserts
-//!   it assembles the identical weight list.
+//! * the **sequential** harness: the round driver (every outbox
+//!   regrouped by owner on one thread) feeds one [`EdgeCounters`] store;
+//! * the **mesh** harness: real worker threads deliver envelopes
+//!   peer-to-peer over a [`build_mesh`], and each hands back its Phase-A
+//!   and exchange slot-change streams the way the serve workers' flush
+//!   replies carry them. The streams are appended to one store in an
+//!   arrival order the proptest picks — any order that keeps each shard's
+//!   Phase-A stream ahead of its exchange stream — and a second store
+//!   fed in shard order must match it in weights and in memory layout.
 //!
 //! Both must equal the centralized repair engine plus the full merge
 //! pass, under random edit/migration/barrier interleavings — any drift
@@ -28,12 +26,10 @@ use std::sync::Arc;
 use proptest::prelude::*;
 use rslpa_core::postprocess::edge_weights;
 use rslpa_core::shard::{build_mesh, Envelope, ShardRepairState};
-use rslpa_core::{
-    apply_correction, assemble_partitioned_weights, run_propagation, CounterPartition, EdgeCounters,
-};
+use rslpa_core::{apply_correction, run_propagation, EdgeCounters};
 use rslpa_graph::{
-    AdjacencyGraph, DynamicGraph, EditBatch, FxHashMap, FxHashSet, HashPartitioner, Label,
-    Partitioner, SlotDelta, VertexId,
+    AdjacencyGraph, DynamicGraph, EditBatch, FxHashSet, HashPartitioner, MemAccounted, Partitioner,
+    SlotDelta, VertexId,
 };
 
 /// Vertex-id space: three 4-cliques (0..12) plus two initially isolated
@@ -182,125 +178,75 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
     );
 }
 
-/// The dirty-diff collect the mailbox engine runs at publish: every shard
-/// ships only boundary histograms changed since its last ship (plus
-/// first-time boundary entrants) and the coordinator overlays them onto a
-/// persistent `cache`. The assembled weight list must be bit-identical to
-/// the full-ship path's — that is the coherence contract between the
-/// worker-side `shipped`/`dirty` sets and the coordinator cache.
-fn assemble_dirty(
-    shards: &[ShardRepairState],
-    partitions: &mut [CounterPartition],
-    cache: &mut FxHashMap<VertexId, Vec<(Label, u32)>>,
-    graph: &AdjacencyGraph,
-    p: &Arc<dyn Partitioner>,
-) -> Vec<(VertexId, VertexId, f64)> {
-    let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-        .iter()
-        .zip(partitions.iter_mut())
-        .map(|(rows, part)| part.collect_interior(rows))
-        .collect();
-    for (rows, part) in shards.iter().zip(partitions.iter_mut()) {
-        let mut out = Vec::new();
-        let report = part.dirty_boundary_hists_into(rows, &mut out);
-        assert!(
-            report.shipped <= report.dirty,
-            "shipped {} histograms but only {} were dirty-marked",
-            report.shipped,
-            report.dirty
-        );
-        assert!(
-            report.shipped <= report.boundary,
-            "shipped {} histograms off a {}-vertex boundary",
-            report.shipped,
-            report.boundary
-        );
-        for (v, hist) in out {
-            cache.insert(v, hist);
+/// Append the workers' `waves` (Phase-A stream, exchange stream per
+/// shard) into one stream, in an arrival order drawn from `picks`: each
+/// step takes the next wave of one shard that has waves left.
+fn arrival_order(
+    waves: &mut [[Vec<SlotDelta>; 2]],
+    picks: &mut impl Iterator<Item = usize>,
+) -> Vec<SlotDelta> {
+    let mut taken = vec![0usize; waves.len()];
+    let mut stream = Vec::new();
+    loop {
+        let open: Vec<usize> = (0..waves.len()).filter(|&s| taken[s] < 2).collect();
+        if open.is_empty() {
+            return stream;
         }
+        let s = open[picks.next().unwrap_or(0) % open.len()];
+        stream.append(&mut waves[s][taken[s]]);
+        taken[s] += 1;
     }
-    let p = Arc::clone(p);
-    assemble_partitioned_weights(graph, move |v| p.assign(v), T_MAX + 1, &interior, cache)
 }
 
-/// The PR 5 harness: peer-to-peer delivery over a real threaded mesh,
-/// shard-owned counter upkeep, publish-barrier assembly. One script run
-/// at `parts` shards; migrations re-partition rows *and* counter slices;
-/// every `control & 2` round is a publish barrier comparing the
-/// assembled weight list against the centralized reference bit for bit.
-fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize) {
+/// The mesh harness: peer-to-peer delivery over a real threaded mesh;
+/// the workers' slot-change streams reach one counter store in the
+/// arrival order `order` picks, and a second store in shard order.
+/// Migrations re-partition rows between flushes; every `control & 2`
+/// round is a publish barrier comparing the store's weight list against
+/// the centralized reference bit for bit, and the two stores' memory
+/// footprints against each other.
+fn exercise_mesh(
+    seed: u64,
+    rounds: &[(Vec<(VertexId, VertexId)>, u8)],
+    order: &[usize],
+    parts: usize,
+) {
     let mut dg = DynamicGraph::new(seed_graph());
     let mut central = run_propagation(dg.graph(), T_MAX, seed);
     let mut partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
     let mut shards: Vec<ShardRepairState> = (0..parts)
         .map(|s| ShardRepairState::from_state(&central, dg.graph(), s, Arc::clone(&partitioner)))
         .collect();
-    // Partition slices carved from a genesis-refreshed central store —
-    // the serve bootstrap path.
-    let mut genesis = EdgeCounters::new(&central);
-    genesis.refresh_weights(dg.graph(), 1);
-    let mut partitions: Vec<CounterPartition> = shards
-        .iter()
-        .map(|rows| CounterPartition::carve(&genesis, rows))
-        .collect();
+    // The genesis-refreshed store the serve bootstrap keeps, twice (a
+    // clone would not copy the buffers' capacities).
+    let genesis = || {
+        let mut store = EdgeCounters::new(&central);
+        store.refresh_weights(dg.graph(), 1);
+        store
+    };
+    let (mut counters, mut in_shard_order) = (genesis(), genesis());
     let mut ports = build_mesh(parts);
-    // Coordinator-side boundary-histogram cache for the dirty-diff
-    // collect, persistent across publishes, evicted on migration.
-    let mut cache: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
+    let mut picks = order.iter().copied().cycle();
 
-    let assemble = |shards: &[ShardRepairState],
-                    partitions: &mut [CounterPartition],
-                    graph: &AdjacencyGraph,
-                    p: &Arc<dyn Partitioner>| {
-        let interior: Vec<Vec<(VertexId, VertexId, u64)>> = shards
-            .iter()
-            .zip(partitions.iter_mut())
-            .map(|(rows, part)| part.collect_interior(rows))
-            .collect();
-        let mut boundary: FxHashMap<VertexId, Vec<(Label, u32)>> = FxHashMap::default();
-        for (rows, part) in shards.iter().zip(partitions.iter_mut()) {
-            for (v, hist) in part.boundary_hists(rows) {
-                boundary.insert(v, hist);
-            }
-        }
-        let p = Arc::clone(p);
-        assemble_partitioned_weights(graph, move |v| p.assign(v), T_MAX + 1, &interior, &boundary)
+    let barrier = |counters: &mut EdgeCounters,
+                   in_shard_order: &mut EdgeCounters,
+                   graph: &AdjacencyGraph,
+                   central: &rslpa_core::LabelState| {
+        let weights = counters.refresh_weights(graph, 1);
+        assert_weights_equal(&weights, &edge_weights(graph, central));
+        assert_weights_equal(&weights, &in_shard_order.refresh_weights(graph, 1));
+        assert_eq!(
+            counters.mem_footprint(),
+            in_shard_order.mem_footprint(),
+            "arrival order changed the store's layout"
+        );
     };
 
     for (round, (pairs, control)) in rounds.iter().enumerate() {
         if control & 1 != 0 {
-            // Mid-stream migration: rows move, counter slices follow the
-            // ownership rule (drop incident counters, recompute adopted
-            // histograms from the migrated rows).
             let next: Arc<dyn Partitioner> =
                 Arc::new(HashPartitioner::with_seed(parts, round as u64 + 1));
-            let mut in_flight: Vec<Vec<(VertexId, rslpa_core::VertexRowData)>> =
-                vec![Vec::new(); parts];
-            for (shard, partition) in shards.iter_mut().zip(partitions.iter_mut()) {
-                let leaving: Vec<VertexId> = (0..N)
-                    .filter(|&v| {
-                        partitioner.assign(v) == shard.shard() && next.assign(v) != shard.shard()
-                    })
-                    .collect();
-                partition.drop_vertices(shard, &leaving);
-                // The coordinator invalidates its cache for migrating
-                // vertices; the adopter marks them dirty and re-ships.
-                for v in &leaving {
-                    cache.remove(v);
-                }
-                for (v, row) in shard.extract_rows(&leaving) {
-                    in_flight[next.assign(v)].push((v, row));
-                }
-            }
-            for ((shard, partition), rows) in
-                shards.iter_mut().zip(partitions.iter_mut()).zip(in_flight)
-            {
-                shard.set_partitioner(Arc::clone(&next));
-                for (v, data) in &rows {
-                    partition.adopt_hist(*v, &data.labels);
-                }
-                shard.adopt_rows(rows);
-            }
+            migrate(&mut shards, &partitioner, &next);
             partitioner = next;
         }
         let batch = batch_against(dg.graph(), pairs);
@@ -310,70 +256,44 @@ fn exercise_mesh(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: u
         let applied = dg.apply(&batch).expect("batch built to validate");
         apply_correction(&mut central, dg.graph(), &applied, false);
 
-        // Interior deleted-edge counters retire eagerly, like the serve
-        // worker does from its routed removal deltas.
-        for (shard, partition) in shards.iter().zip(partitions.iter_mut()) {
-            for &(u, v) in batch.deletions() {
-                if shard.owns(u) && shard.owns(v) {
-                    partition.retire_edge(u, v);
-                }
-            }
-        }
-        // Phase A + p2p exchange on real threads, then shard-owned
-        // upkeep inside each worker.
+        // Phase A + p2p exchange on real threads; each worker drains its
+        // stream after each wave, as its Local and Exchanged replies do.
         let per_shard = rslpa_graph::sharding::split_deltas(&applied, partitioner.as_ref());
-        std::thread::scope(|s| {
-            for (((shard, partition), port), deltas) in shards
+        let mut waves: Vec<[Vec<SlotDelta>; 2]> = std::thread::scope(|s| {
+            let workers: Vec<_> = shards
                 .iter_mut()
-                .zip(partitions.iter_mut())
                 .zip(ports.iter_mut())
                 .zip(&per_shard)
-            {
-                s.spawn(move || {
-                    let mut out = Vec::new();
-                    let mut report = shard.apply_deltas(deltas, &mut out);
-                    port.exchange_to_quiescence(shard, out, &mut report);
-                    let deltas = shard.take_slot_deltas();
-                    partition.apply_own_deltas(shard, &deltas);
-                });
-            }
+                .map(|((shard, port), deltas)| {
+                    s.spawn(move || {
+                        let mut out = Vec::new();
+                        let mut report = shard.apply_deltas(deltas, &mut out);
+                        let local = shard.take_slot_deltas();
+                        port.exchange_to_quiescence(shard, out, &mut report);
+                        [local, shard.take_slot_deltas()]
+                    })
+                })
+                .collect();
+            workers
+                .into_iter()
+                .map(|w| w.join().expect("mesh worker"))
+                .collect()
         });
+        let shard_order: Vec<SlotDelta> = waves.iter().flatten().flatten().copied().collect();
+        let arrived = arrival_order(&mut waves, &mut picks);
+
+        for store in [&mut counters, &mut in_shard_order] {
+            for &(u, v) in batch.deletions() {
+                store.delete_edge(u, v);
+            }
+        }
+        counters.apply_slot_deltas(dg.graph(), &arrived);
+        in_shard_order.apply_slot_deltas(dg.graph(), &shard_order);
         if control & 2 != 0 {
-            // Publish barrier: assembled partitioned weights must equal a
-            // fresh merge of the centralized state — via the full-ship
-            // path and via the dirty-diff + cache path.
-            let reference = edge_weights(dg.graph(), &central);
-            assert_weights_equal(
-                &assemble(&shards, &mut partitions, dg.graph(), &partitioner),
-                &reference,
-            );
-            assert_weights_equal(
-                &assemble_dirty(
-                    &shards,
-                    &mut partitions,
-                    &mut cache,
-                    dg.graph(),
-                    &partitioner,
-                ),
-                &reference,
-            );
+            barrier(&mut counters, &mut in_shard_order, dg.graph(), &central);
         }
     }
-    let reference = edge_weights(dg.graph(), &central);
-    assert_weights_equal(
-        &assemble(&shards, &mut partitions, dg.graph(), &partitioner),
-        &reference,
-    );
-    assert_weights_equal(
-        &assemble_dirty(
-            &shards,
-            &mut partitions,
-            &mut cache,
-            dg.graph(),
-            &partitioner,
-        ),
-        &reference,
-    );
+    barrier(&mut counters, &mut in_shard_order, dg.graph(), &central);
 }
 
 proptest! {
@@ -393,15 +313,16 @@ proptest! {
     }
 
     #[test]
-    fn mesh_delivery_and_shard_owned_upkeep_equal_centralized(
+    fn mesh_streams_in_any_reply_order_equal_centralized(
         seed in 0u64..64,
         rounds in proptest::collection::vec(
             (proptest::collection::vec((0u32..N, 0u32..N), 1..8), 0u8..4),
             1..8,
         ),
+        order in proptest::collection::vec(0usize..8, 1..16),
     ) {
         for parts in [1usize, 4] {
-            exercise_mesh(seed, &rounds, parts);
+            exercise_mesh(seed, &rounds, &order, parts);
         }
     }
 }

@@ -70,9 +70,7 @@ pub use mem::{MemAccounted, MemFootprint};
 pub use paged::{AdjacencyStore, PagedAdjacency};
 pub use partition::{BlockPartitioner, HashPartitioner, HubPull, Partitioner, PlannedPartitioner};
 pub use rng::{DetRng, PickKey};
-pub use sharding::{
-    compact_slot_deltas, split_deltas, split_slot_deltas, BoundaryTracker, SlotDelta,
-};
+pub use sharding::{compact_slot_deltas, split_deltas, BoundaryTracker, SlotDelta};
 pub use slab::SlabRows;
 pub use stats::GraphStats;
 

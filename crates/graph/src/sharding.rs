@@ -98,25 +98,6 @@ pub fn split_deltas(
     per_shard
 }
 
-/// Route a slot-delta stream to the owner shards of its vertices,
-/// preserving per-vertex emission order (the only order counter upkeep
-/// needs — one vertex's per-`(v, slot)` chains must compose; across
-/// vertices the updates commute).
-///
-/// Shard-owned counter upkeep normally never routes: each worker's
-/// deltas already target only its own vertices. This helper is for
-/// replaying a *central* engine's stream into per-shard partitions —
-/// the `rslpa_core` partition equivalence tests do exactly that to pin
-/// that routed central streams and shard-emitted streams land on the
-/// same counters.
-pub fn split_slot_deltas(deltas: &[SlotDelta], p: &dyn Partitioner) -> Vec<Vec<SlotDelta>> {
-    let mut per_shard: Vec<Vec<SlotDelta>> = vec![Vec::new(); p.num_parts()];
-    for d in deltas {
-        per_shard[p.assign(d.v)].push(*d);
-    }
-    per_shard
-}
-
 /// Incremental boundary-vertex and cut-edge bookkeeping under a fixed
 /// partitioner.
 ///
@@ -313,17 +294,6 @@ mod tests {
     #[test]
     fn compact_of_empty_stream_is_empty() {
         assert!(compact_slot_deltas(&[]).is_empty());
-    }
-
-    #[test]
-    fn split_slot_deltas_routes_by_owner_in_emission_order() {
-        let d = |v, slot, old, new| SlotDelta { v, slot, old, new };
-        let p = BlockPartitioner::new(8, 2);
-        let stream = [d(1, 1, 0, 2), d(5, 2, 1, 3), d(1, 1, 2, 4), d(6, 1, 0, 9)];
-        let split = split_slot_deltas(&stream, &p);
-        assert_eq!(split.len(), 2);
-        assert_eq!(split[0], vec![d(1, 1, 0, 2), d(1, 1, 2, 4)]);
-        assert_eq!(split[1], vec![d(5, 2, 1, 3), d(6, 1, 0, 9)]);
     }
 
     #[test]

@@ -12,15 +12,15 @@
 //!  writers ──▶ EditQueue ──▶ coordinator ──▶ router ─┬▶ shard worker 0 ◀─┐
 //!             (micro-batch    net-resolve   (deltas  ├▶ shard worker 1 ◀─┤ p2p mailbox
 //!              per policy)    + growth)     by owner)└▶ shard worker N ◀─┘ mesh rounds
-//!                                  │                    (each owns its label rows
-//!                                  │                     and counter partition)
-//!                                  │ shards = 1: the       │ shards > 1: collect
-//!                                  │ single writer's       │ interior counters +
-//!                                  ▼ central counters      ▼ dirty boundary hists
-//!                        weights read off exact counters ──▶ snapshot ──▶ SnapshotStore
-//!                        (publish never re-merges a          assembly     (epoch chain)
-//!                         surviving edge's histograms)                        │
-//!  readers ◀─────────────────── lock-free refresh ◀──────────────────────────┘
+//!                                  │                    (each owns its label rows;
+//!                                  │                     replies carry slot deltas)
+//!                                  │ shards = 1: the       │ shards > 1: the
+//!                                  │ detector's slot       │ workers' slot deltas,
+//!                                  ▼ deltas                ▼ in reply order
+//!                        one EdgeCounters store on the coordinator ──▶ snapshot ──▶ SnapshotStore
+//!                        (publish reads weights off exact counters,    build        (epoch chain)
+//!                         never re-merging a surviving edge)                            │
+//!  readers ◀─────────────────── lock-free refresh ◀────────────────────────────────────┘
 //! ```
 //!
 //! See `docs/ARCHITECTURE.md` at the repository root for the full
@@ -38,11 +38,11 @@
 //!   snapshots by reading weights off exact integer counters (no
 //!   histogram is ever re-merged for a surviving edge).
 //! * `shards` (internal) — the repair engine: a single-writer
-//!   [`RslpaDetector`](rslpa_core::RslpaDetector) with the central
-//!   counter store at `shards = 1` (the default), or per-partition
-//!   workers on a peer-to-peer mailbox mesh, each owning its counter
-//!   partition and re-partitioned around each published cover, at
-//!   `shards > 1`. Rosters are bit-identical across shard counts.
+//!   [`RslpaDetector`](rslpa_core::RslpaDetector) at `shards = 1` (the
+//!   default), or per-partition workers on a peer-to-peer mailbox mesh,
+//!   re-partitioned around each published cover, at `shards > 1` — in
+//!   front of one counter store either way. Rosters are bit-identical
+//!   across shard counts.
 //! * [`snapshot`] — versioned immutable [`CommunitySnapshot`]s linked into
 //!   an epoch chain; readers advance with atomic loads only and can pin
 //!   any epoch indefinitely.

@@ -6,20 +6,18 @@
 //! [`RslpaDetector`](rslpa_core::RslpaDetector) outright (the pre-sharding
 //! single-writer path); with `shards > 1` it routes each flush to the
 //! per-partition workers of the mailbox mesh (see the private `shards`
-//! module). Either way, every flush streams the repair's label-slot
-//! changes into exact integer edge-weight counters (`O(deg)` per net slot
-//! change) — the single writer's central
-//! [`rslpa_core::EdgeCounters`] store, or each mesh worker's own
-//! partition — so snapshot publishing reads each edge weight off a
-//! counter instead of re-merging histograms. Both keep each numerator
-//! once, in a sorted counter row of the edge's lower endpoint, so a
-//! single-writer publish is one sequential pass over the rows that
-//! merges only the edges inserted since the last publish, then a
-//! counting-sort τ1 sweep and a linear extraction: no hash lookup per
-//! edge, merging tracks the insertions, and what remains is a few linear
-//! passes over the edge list. (The mesh coordinator still re-merges
-//! every boundary edge per publish.) Readers interact only through the
-//! epoch-swapped [`SnapshotStore`].
+//! module), which hand back the slot changes they made. Either way, every
+//! flush streams the repair's label-slot changes into one store of exact
+//! integer edge-weight counters on this thread,
+//! [`rslpa_core::EdgeCounters`] (`O(deg)` per net slot change), so
+//! snapshot publishing reads each edge weight off a counter instead of
+//! re-merging histograms. The store keeps each numerator once, in a
+//! sorted counter row of the edge's lower endpoint, so a publish is one
+//! sequential pass over the rows that merges only the edges inserted
+//! since the last publish, then a counting-sort τ1 sweep and a linear
+//! extraction: no hash lookup per edge, merging tracks the insertions,
+//! and what remains is a few linear passes over the edge list. Readers
+//! interact only through the epoch-swapped [`SnapshotStore`].
 //!
 //! Live streams are messier than the paper's curated batches: clients may
 //! insert an edge that already exists, delete one that does not, or emit
@@ -266,21 +264,9 @@ impl MaintenanceLoop {
         self.dirty_since_snapshot = false;
         let publish_span = self.trace.span(names::PUBLISH);
         let started = Instant::now();
-        let result = match self.engine.refresh(&self.trace) {
-            Ok(result) => result,
-            Err(err) => {
-                // A shard worker died. Skip this snapshot — readers keep
-                // the previous epoch — and leave the epoch dirty so the
-                // failure stays visible (and is retried, surfacing the
-                // same sticky error) instead of silently publishing a
-                // partial roster.
-                eprintln!("rslpa-serve: publish failed, keeping previous snapshot: {err}");
-                self.stats.note_publish_failure();
-                self.dirty_since_snapshot = true;
-                return;
-            }
+        let detection = DetectionResult {
+            result: self.engine.refresh(&self.trace),
         };
-        let detection = DetectionResult { result };
         let roster_span = self.trace.span(names::PUBLISH_ROSTER);
         let snapshot = CommunitySnapshot::build(
             self.store.latest_epoch() + 1,

@@ -234,15 +234,9 @@ pub struct ShardStats {
     pub edits_routed: AtomicU64,
     /// Label slots this shard repaired (Σ per-shard η).
     pub slots_repaired: AtomicU64,
-    /// Net slot deltas this shard folded into its own counter partition
-    /// (mesh workers only; 0 under the single writer, whose central
-    /// upkeep records into [`ServeStats::counters`] instead).
-    pub upkeep_deltas: AtomicU64,
-    /// Wall nanoseconds this shard spent on its own counter upkeep.
-    pub upkeep_ns: AtomicU64,
     /// Wall nanoseconds this shard's worker spent actively processing
-    /// commands (flush waves, exchange stepping, collects, migration),
-    /// *excluding* barrier parks and counter upkeep.
+    /// commands (flush waves, exchange stepping, migration), *excluding*
+    /// barrier parks.
     pub work_ns: AtomicU64,
     /// Wall nanoseconds the worker spent blocked on its command sub-queue
     /// waiting for the coordinator (the "mailbox wait").
@@ -257,8 +251,8 @@ pub struct ShardStats {
     /// dominates when workers outnumber cores).
     pub barrier_depart_ns: AtomicU64,
     /// Gauge: total wall nanoseconds of the worker's command loop, set
-    /// once at shutdown. `work + mailbox_wait + barrier_wait + upkeep`
-    /// should account for ≥ 90% of it — the rest is loop bookkeeping.
+    /// once at shutdown. `work + mailbox_wait + barrier_wait` should
+    /// account for ≥ 90% of it — the rest is loop bookkeeping.
     pub wall_ns: AtomicU64,
 }
 
@@ -269,10 +263,6 @@ pub struct ShardCounts {
     pub edits_routed: u64,
     /// See [`ShardStats::slots_repaired`].
     pub slots_repaired: u64,
-    /// See [`ShardStats::upkeep_deltas`].
-    pub upkeep_deltas: u64,
-    /// See [`ShardStats::upkeep_ns`].
-    pub upkeep_ns: u64,
     /// See [`ShardStats::work_ns`].
     pub work_ns: u64,
     /// See [`ShardStats::mailbox_wait_ns`].
@@ -289,13 +279,12 @@ pub struct ShardCounts {
 
 impl ShardCounts {
     /// Fraction of the worker's wall time attributed to work, mailbox
-    /// wait, barrier wait, or upkeep (0.0 before shutdown sets the wall
-    /// gauge).
+    /// wait, or barrier wait (0.0 before shutdown sets the wall gauge).
     pub fn attribution_coverage(&self) -> f64 {
         if self.wall_ns == 0 {
             return 0.0;
         }
-        let accounted = self.work_ns + self.mailbox_wait_ns + self.barrier_wait_ns + self.upkeep_ns;
+        let accounted = self.work_ns + self.mailbox_wait_ns + self.barrier_wait_ns;
         accounted as f64 / self.wall_ns as f64
     }
 }
@@ -314,11 +303,10 @@ pub struct ServeStats {
     /// + index build + epoch swap. Its count is the number of snapshots
     /// published.
     pub snapshots: LatencyHistogram,
-    /// Per-flush **central** edge-weight counter maintenance latency
-    /// (retiring deleted edges' counters + folding the compacted
-    /// slot-delta stream into the common-label counters on the
-    /// maintenance thread). Empty with `shards > 1`, where the mesh
-    /// workers own upkeep — see the per-shard `upkeep_*` counters.
+    /// Per-flush edge-weight counter maintenance latency (retiring
+    /// deleted edges' counters + folding the compacted slot-delta stream
+    /// into the common-label counters on the maintenance thread), at
+    /// every shard count.
     pub counters: LatencyHistogram,
     /// Edit operations accepted into the queue.
     pub edits_enqueued: AtomicU64,
@@ -340,23 +328,6 @@ pub struct ServeStats {
     pub exchange_rounds: AtomicU64,
     /// Envelopes that crossed a shard boundary.
     pub boundary_msgs: AtomicU64,
-    /// Boundary-vertex histograms actually shipped by publish collects
-    /// (dirty diffs only; ≤ `boundary_hists_total`).
-    pub boundary_hists_shipped: AtomicU64,
-    /// Boundary-vertex histograms a ship-everything collect would have
-    /// sent (Σ boundary vertices over all collects — the dirty-diff
-    /// savings denominator).
-    pub boundary_hists_total: AtomicU64,
-    /// Boundary vertices whose histogram was dirty (changed since last
-    /// ship, or never shipped) at collect time. `boundary_hists_shipped`
-    /// never exceeds this — the coherence invariant the CI smoke gates.
-    pub boundary_dirty_marked: AtomicU64,
-    /// Approximate payload bytes of publish-collect replies (interior
-    /// counter triples + shipped histograms).
-    pub collect_bytes: AtomicU64,
-    /// Publishes abandoned because a shard worker died; the snapshot is
-    /// skipped and the epoch stays dirty.
-    pub publish_failures: AtomicU64,
     /// Boundary envelopes the mesh ports sent over peer channels, one
     /// hop each. Tallied port-side, independently of the route-side
     /// `boundary_msgs`, so equality of the two cross-checks delivery.
@@ -456,11 +427,6 @@ impl ServeStats {
             barriers: AtomicU64::new(0),
             exchange_rounds: AtomicU64::new(0),
             boundary_msgs: AtomicU64::new(0),
-            boundary_hists_shipped: AtomicU64::new(0),
-            boundary_hists_total: AtomicU64::new(0),
-            boundary_dirty_marked: AtomicU64::new(0),
-            collect_bytes: AtomicU64::new(0),
-            publish_failures: AtomicU64::new(0),
             envelope_hops: AtomicU64::new(0),
             mailbox_depth: LatencyHistogram::new(),
             barrier_wait: LatencyHistogram::new(),
@@ -509,22 +475,6 @@ impl ServeStats {
         self.barrier_wait.record(barrier_wait);
     }
 
-    /// One shard's own counter upkeep for one wave of one flush.
-    /// Deliberately does **not** record into the per-flush `counters`
-    /// histogram — that histogram means "central upkeep per flush", and
-    /// mixing per-shard per-wave samples in would silently change its
-    /// denominator with the shard count. Shard-owned upkeep is read from the
-    /// per-shard `upkeep_deltas` / `upkeep_ns` counters instead.
-    pub(crate) fn note_shard_upkeep(&self, shard: usize, net_deltas: u64, took: Duration) {
-        let s = &self.shards[shard];
-        bump!(s.upkeep_deltas, net_deltas);
-        bump!(
-            s.upkeep_ns,
-            took.as_nanos().min(u128::from(u64::MAX)) as u64
-        );
-        bump!(self.slot_deltas_net, net_deltas);
-    }
-
     /// One worker command's active-processing and barrier-park time, the
     /// park split into its arrive (waiting for stragglers) and depart
     /// (release-to-resume wakeup latency) phases. The `barrier_wait_ns`
@@ -542,21 +492,6 @@ impl ServeStats {
         bump!(s.barrier_wait_ns, ns(barrier_arrive) + ns(barrier_depart));
         bump!(s.barrier_arrive_ns, ns(barrier_arrive));
         bump!(s.barrier_depart_ns, ns(barrier_depart));
-    }
-
-    /// One worker's publish-collect ship accounting: histograms shipped
-    /// (dirty diff), boundary total (ship-everything baseline), dirty
-    /// marks consumed, and approximate reply payload bytes.
-    pub(crate) fn note_collect(&self, shipped: u64, boundary_total: u64, dirty: u64, bytes: u64) {
-        bump!(self.boundary_hists_shipped, shipped);
-        bump!(self.boundary_hists_total, boundary_total);
-        bump!(self.boundary_dirty_marked, dirty);
-        bump!(self.collect_bytes, bytes);
-    }
-
-    /// A publish was abandoned because a shard worker died.
-    pub(crate) fn note_publish_failure(&self) {
-        bump!(self.publish_failures);
     }
 
     /// Time one worker spent blocked on its command sub-queue.
@@ -669,11 +604,9 @@ impl ServeStats {
             barriers: self.barriers.load(Ordering::Relaxed),
             exchange_rounds: self.exchange_rounds.load(Ordering::Relaxed),
             boundary_msgs: self.boundary_msgs.load(Ordering::Relaxed),
-            boundary_hists_shipped: self.boundary_hists_shipped.load(Ordering::Relaxed),
-            boundary_hists_total: self.boundary_hists_total.load(Ordering::Relaxed),
-            boundary_dirty_marked: self.boundary_dirty_marked.load(Ordering::Relaxed),
-            collect_bytes: self.collect_bytes.load(Ordering::Relaxed),
-            publish_failures: self.publish_failures.load(Ordering::Relaxed),
+            boundary_hists_shipped: 0,
+            collect_bytes: 0,
+            publish_failures: 0,
             envelope_hops: self.envelope_hops.load(Ordering::Relaxed),
             mailbox_depth: self.mailbox_depth.summarize(),
             barrier_wait: self.barrier_wait.summarize(),
@@ -712,8 +645,6 @@ impl ServeStats {
                 .map(|s| ShardCounts {
                     edits_routed: s.edits_routed.load(Ordering::Relaxed),
                     slots_repaired: s.slots_repaired.load(Ordering::Relaxed),
-                    upkeep_deltas: s.upkeep_deltas.load(Ordering::Relaxed),
-                    upkeep_ns: s.upkeep_ns.load(Ordering::Relaxed),
                     work_ns: s.work_ns.load(Ordering::Relaxed),
                     mailbox_wait_ns: s.mailbox_wait_ns.load(Ordering::Relaxed),
                     barrier_wait_ns: s.barrier_wait_ns.load(Ordering::Relaxed),
@@ -758,15 +689,14 @@ pub struct StatsReport {
     pub exchange_rounds: u64,
     /// See [`ServeStats::boundary_msgs`].
     pub boundary_msgs: u64,
-    /// See [`ServeStats::boundary_hists_shipped`].
+    /// Always 0: publish ships no boundary histogram. Kept, like
+    /// `collect_bytes` and `publish_failures`, only because `servebench`
+    /// still reads it; not in the JSON.
     pub boundary_hists_shipped: u64,
-    /// See [`ServeStats::boundary_hists_total`].
-    pub boundary_hists_total: u64,
-    /// See [`ServeStats::boundary_dirty_marked`].
-    pub boundary_dirty_marked: u64,
-    /// See [`ServeStats::collect_bytes`].
+    /// Always 0: publish collects nothing from the workers.
     pub collect_bytes: u64,
-    /// See [`ServeStats::publish_failures`].
+    /// Always 0: publish no longer talks to the workers, so it cannot
+    /// fail; a dead worker surfaces at the next flush or repartition.
     pub publish_failures: u64,
     /// See [`ServeStats::envelope_hops`].
     pub envelope_hops: u64,
@@ -834,16 +764,6 @@ impl StatsReport {
         }
     }
 
-    /// Publish-collect ship ratio: boundary histograms actually shipped
-    /// over the ship-everything baseline (0.0 when no collect ran — the
-    /// single writer).
-    pub fn ship_ratio(&self) -> f64 {
-        if self.boundary_hists_total == 0 {
-            0.0
-        } else {
-            self.boundary_hists_shipped as f64 / self.boundary_hists_total as f64
-        }
-    }
     /// Render as a JSON object fragment (no external deps; all fields are
     /// numbers, so no escaping is needed). The shape is versioned via
     /// `schema_version`; version 2 added the `attribution_per_shard`
@@ -860,7 +780,13 @@ impl StatsReport {
     /// the damping counter `damped_deferrals`, and the per-window degree
     /// gauge `max_degree_delta`; version 6 removed the channel-hop
     /// counter, and `envelope_hops` now counts the envelopes the mesh
-    /// ports sent (one hop each, so it equals `boundary_msgs`).
+    /// ports sent (one hop each, so it equals `boundary_msgs`); version 7
+    /// removed the publish-collect counters (`boundary_hists_shipped`,
+    /// `boundary_hists_total`, `boundary_dirty_marked`, `collect_bytes`,
+    /// `publish_failures`) and the per-shard upkeep (`upkeep_per_shard`,
+    /// `attribution_per_shard.upkeep_us`), since counter upkeep now runs
+    /// on the maintenance thread at every shard count (the `counter_*`
+    /// fields).
     pub fn to_json(&self) -> String {
         let quality = self
             .quality_per_window
@@ -895,21 +821,16 @@ impl StatsReport {
             .collect::<Vec<_>>()
             .join(",");
         format!(
-            "{{\"schema_version\":6,\
+            "{{\"schema_version\":7,\
              \"edits_enqueued\":{},\"edits_applied\":{},\"edits_rejected\":{},\
              \"batches_flushed\":{},\"snapshots_published\":{},\"slots_repaired\":{},\
              \"slot_deltas_net\":{},\"barriers\":{},\
              \"shards\":{},\"shard_edits_routed\":[{}],\"shard_slots_repaired\":[{}],\
-             \"upkeep_per_shard\":{{\"deltas\":[{}],\"ns\":[{}]}},\
              \"attribution_per_shard\":{{\"work_us\":[{}],\"barrier_wait_us\":[{}],\
              \"barrier_arrive_us\":[{}],\"barrier_depart_us\":[{}],\
-             \"mailbox_wait_us\":[{}],\"upkeep_us\":[{}],\"wall_us\":[{}],\
-             \"coverage\":[{}]}},\
+             \"mailbox_wait_us\":[{}],\"wall_us\":[{}],\"coverage\":[{}]}},\
              \"trace_dropped_records\":{},\"saturated_samples\":{},\
              \"exchange_rounds\":{},\"boundary_msgs\":{},\
-             \"boundary_hists_shipped\":{},\"boundary_hists_total\":{},\
-             \"boundary_dirty_marked\":{},\"collect_bytes\":{},\
-             \"publish_failures\":{},\
              \"dirty_vertices\":{},\"dirty_span\":{},\"dirty_fraction\":{:.6},\
              \"quality_per_window\":[{}],\
              \"envelope_hops\":{},\
@@ -938,25 +859,17 @@ impl StatsReport {
             self.shards.len(),
             join(|s| s.edits_routed),
             join(|s| s.slots_repaired),
-            join(|s| s.upkeep_deltas),
-            join(|s| s.upkeep_ns),
             join_us(|s| s.work_ns),
             join_us(|s| s.barrier_wait_ns),
             join_us(|s| s.barrier_arrive_ns),
             join_us(|s| s.barrier_depart_ns),
             join_us(|s| s.mailbox_wait_ns),
-            join_us(|s| s.upkeep_ns),
             join_us(|s| s.wall_ns),
             coverage,
             self.trace_dropped_records,
             self.saturated_samples,
             self.exchange_rounds,
             self.boundary_msgs,
-            self.boundary_hists_shipped,
-            self.boundary_hists_total,
-            self.boundary_dirty_marked,
-            self.collect_bytes,
-            self.publish_failures,
             self.dirty_vertices,
             self.dirty_span,
             self.dirty_fraction(),
@@ -1034,38 +947,23 @@ impl std::fmt::Display for StatsReport {
                 self.mailbox_depth.p99_ns,
                 self.barrier_wait.p99_ns as f64 / 1e3,
             )?;
-            if self.boundary_hists_total > 0 {
-                writeln!(
-                    f,
-                    "publish collect: {} of {} boundary hists shipped ({} dirty-marked), ~{:.1} KiB; {} publish failures",
-                    self.boundary_hists_shipped,
-                    self.boundary_hists_total,
-                    self.boundary_dirty_marked,
-                    self.collect_bytes as f64 / 1024.0,
-                    self.publish_failures,
-                )?;
-            }
             for (i, s) in self.shards.iter().enumerate() {
                 writeln!(
                     f,
-                    "  shard {i}: {} edits routed, {} slots repaired, {} upkeep deltas in {:.2}ms",
-                    s.edits_routed,
-                    s.slots_repaired,
-                    s.upkeep_deltas,
-                    s.upkeep_ns as f64 / 1e6,
+                    "  shard {i}: {} edits routed, {} slots repaired",
+                    s.edits_routed, s.slots_repaired,
                 )?;
                 if s.wall_ns > 0 {
                     writeln!(
                         f,
                         "    attribution: work {:.2}ms, barrier {:.2}ms \
-                         (arrive {:.2} / depart {:.2}), mailbox {:.2}ms, \
-                         upkeep {:.2}ms of {:.2}ms wall ({:.1}% accounted)",
+                         (arrive {:.2} / depart {:.2}), mailbox {:.2}ms \
+                         of {:.2}ms wall ({:.1}% accounted)",
                         s.work_ns as f64 / 1e6,
                         s.barrier_wait_ns as f64 / 1e6,
                         s.barrier_arrive_ns as f64 / 1e6,
                         s.barrier_depart_ns as f64 / 1e6,
                         s.mailbox_wait_ns as f64 / 1e6,
-                        s.upkeep_ns as f64 / 1e6,
                         s.wall_ns as f64 / 1e6,
                         s.attribution_coverage() * 100.0,
                     )?;
@@ -1249,7 +1147,6 @@ mod tests {
             Duration::from_micros(50),
         );
         stats.note_shard_mailbox_wait(0, Duration::from_micros(200));
-        stats.note_shard_upkeep(0, 3, Duration::from_micros(40));
         stats.set_shard_wall(0, Duration::from_micros(1_000));
         let r = stats.report();
         let s0 = &r.shards[0];
@@ -1259,17 +1156,17 @@ mod tests {
         assert_eq!(s0.barrier_depart_ns, 50_000);
         assert_eq!(s0.mailbox_wait_ns, 200_000);
         assert_eq!(s0.wall_ns, 1_000_000);
-        assert!((s0.attribution_coverage() - 0.99).abs() < 1e-9);
+        assert!((s0.attribution_coverage() - 0.95).abs() < 1e-9);
         assert_eq!(r.shards[1].attribution_coverage(), 0.0);
         let json = r.to_json();
-        assert!(json.starts_with("{\"schema_version\":6,"));
+        assert!(json.starts_with("{\"schema_version\":7,"));
         assert!(json.contains("\"attribution_per_shard\":{\"work_us\":[600.0,0.0]"));
         assert!(json.contains("\"barrier_wait_us\":[150.0,0.0]"));
         assert!(json.contains("\"barrier_arrive_us\":[100.0,0.0]"));
         assert!(json.contains("\"barrier_depart_us\":[50.0,0.0]"));
         assert!(json.contains("\"mailbox_wait_us\":[200.0,0.0]"));
         assert!(json.contains("\"wall_us\":[1000.0,0.0]"));
-        assert!(json.contains("\"coverage\":[0.990,0.000]"));
+        assert!(json.contains("\"coverage\":[0.950,0.000]"));
         assert!(json.contains("\"trace_dropped_records\":0"));
     }
 
@@ -1293,26 +1190,6 @@ mod tests {
         // repartition_vertices_moved aliases vertices_migrated.
         assert!(json.contains("\"vertices_migrated\":7"));
         assert!(json.contains("\"repartition_vertices_moved\":7"));
-    }
-
-    #[test]
-    fn collect_counters_roll_into_json() {
-        let stats = ServeStats::with_shards(2);
-        stats.note_collect(3, 40, 5, 2_048);
-        stats.note_collect(1, 40, 1, 512);
-        stats.note_publish_failure();
-        let r = stats.report();
-        assert_eq!(r.boundary_hists_shipped, 4);
-        assert_eq!(r.boundary_hists_total, 80);
-        assert_eq!(r.boundary_dirty_marked, 6);
-        assert_eq!(r.collect_bytes, 2_560);
-        assert_eq!(r.publish_failures, 1);
-        let json = r.to_json();
-        assert!(json.contains("\"boundary_hists_shipped\":4"));
-        assert!(json.contains("\"boundary_hists_total\":80"));
-        assert!(json.contains("\"boundary_dirty_marked\":6"));
-        assert!(json.contains("\"collect_bytes\":2560"));
-        assert!(json.contains("\"publish_failures\":1"));
     }
 
     #[test]

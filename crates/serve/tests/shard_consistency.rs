@@ -8,10 +8,9 @@
 //! on: partitioning is a throughput knob, never a semantics knob. The
 //! runs are genuinely threaded — each service spawns its maintenance
 //! coordinator, and the sharded ones add one mailbox-mesh worker thread
-//! per shard with shard-owned counter upkeep. Publish-time
-//! repartitioning (with counter-partition migration) fires at every
-//! epoch, so these replays exercise mid-stream row + counter migration
-//! continuously.
+//! per shard, whose slot-change streams feed the coordinator's counter
+//! store. Publish-time repartitioning fires at every epoch, so these
+//! replays exercise mid-stream row migration continuously.
 
 use rslpa_core::{postprocess, RslpaConfig, RslpaDetector};
 use rslpa_gen::edits::uniform_batch;
@@ -75,12 +74,14 @@ fn replay(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> (Epochs
     (epochs, service.shutdown())
 }
 
-/// [`replay`] plus the activity checks of a sharded run. Adversarial
-/// windows can legitimately leave a shard idle (a cascade confined to
-/// one block, a delete-only window), so the scenario test calls
-/// [`replay`] directly: idleness is not the property under test there —
+/// [`replay`] at 1 shard and at `shards`, plus the activity checks of
+/// the sharded run. Returns both runs' observations. Adversarial windows
+/// can legitimately leave a shard idle (a cascade confined to one block,
+/// a delete-only window), so the scenario test calls [`replay`]
+/// directly: idleness is not the property under test there —
 /// bit-identity is.
-fn replay_active(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> Epochs {
+fn replay_active(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> [Epochs; 2] {
+    let (single, single_report) = replay(graph.clone(), script, 1);
     let (epochs, report) = replay(graph, script, shards);
     assert_eq!(report.shards.len(), shards);
     if shards > 1 {
@@ -88,11 +89,13 @@ fn replay_active(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> 
         for (i, s) in report.shards.iter().enumerate() {
             assert!(s.slots_repaired > 0, "shard {i} idle: {report:?}");
         }
-        // Upkeep must actually be shard-owned: the workers, not the
-        // coordinator, folded the slot deltas.
-        assert!(
-            report.shards.iter().map(|s| s.upkeep_deltas).sum::<u64>() > 0,
-            "no shard-owned upkeep recorded: {report:?}"
+        // The workers' gathered streams must fold exactly the single
+        // writer's net slot changes into the counter store: none lost,
+        // none invented.
+        assert!(single_report.slot_deltas_net > 0, "no slot changed");
+        assert_eq!(
+            report.slot_deltas_net, single_report.slot_deltas_net,
+            "mesh counter stream diverged from the single writer's: {report:?}"
         );
         // Single-hop delivery, cross-checked through independent
         // counters: `boundary_msgs` is staged route-side by the repair
@@ -105,7 +108,7 @@ fn replay_active(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> 
             "mesh delivery must be single-hop: {report:?}"
         );
     }
-    epochs
+    [single, epochs]
 }
 
 /// The pre-sharding reference: detector + full detect per barrier, with
@@ -152,8 +155,9 @@ fn rosters_and_weights_identical_across_shard_counts_and_vs_reference() {
     let graph = seed_graph();
     let script = edit_script(&graph, 8, 40);
     let reference = replay_reference(graph.clone(), &script, RslpaConfig::quick(ITERATIONS, SEED));
-    for shards in [1usize, 2, 4] {
-        let served = replay_active(graph.clone(), &script, shards);
+    for shards in [2usize, 4] {
+        let [single, served] = replay_active(graph.clone(), &script, shards);
+        assert_same_epochs(&single, &reference, "1 shard");
         assert_same_epochs(&served, &reference, &format!("{shards} shards"));
     }
 }
@@ -168,8 +172,7 @@ fn eight_shard_mesh_is_deadlock_free_on_one_core() {
     // with the single-writer replay makes the run meaningful.
     let graph = seed_graph();
     let script = edit_script(&graph, 4, 60);
-    let single = replay_active(graph.clone(), &script, 1);
-    let meshed = replay_active(graph.clone(), &script, 8);
+    let [single, meshed] = replay_active(graph, &script, 8);
     assert_eq!(single, meshed, "8-shard mesh diverged from single writer");
 }
 
@@ -297,8 +300,7 @@ fn fresh_vertices_and_churn_stay_consistent_when_sharded() {
     script.push(uniform_batch(shadow.graph(), 20, SEED ^ 0xff));
 
     let reference = replay_reference(graph.clone(), &script, RslpaConfig::quick(ITERATIONS, SEED));
-    for shards in [1usize, 4] {
-        let served = replay_active(graph.clone(), &script, shards);
-        assert_same_epochs(&served, &reference, &format!("{shards} shards"));
-    }
+    let [single, served] = replay_active(graph, &script, 4);
+    assert_same_epochs(&single, &reference, "1 shard");
+    assert_same_epochs(&served, &reference, "4 shards");
 }

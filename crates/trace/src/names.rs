@@ -6,15 +6,21 @@
 //! `rslpa_serve` everything else), which is why the taxonomy lives here in
 //! the leaf crate rather than in the serving layer.
 //!
+//! Ids are part of the record format, so an id whose span is gone stays
+//! reserved rather than being reused: nothing emits `publish_collect`,
+//! `upkeep` or `collect` any more (counter upkeep runs on the maintenance
+//! lane at every shard count, and publish collects nothing from the
+//! workers), but readers such as `servebench` still name them.
+//!
 //! | id | name              | lane        | covers                                        |
 //! |----|-------------------|-------------|-----------------------------------------------|
 //! | 0  | `queue_drain`     | maintenance | blocked on [`pop`]ping the edit queue          |
 //! | 1  | `flush`           | maintenance | one micro-batch: resolve → repair → counters  |
 //! | 2  | `resolve`         | maintenance | net-resolving queued ops against the graph    |
 //! | 3  | `repair`          | maintenance | Correction Propagation over the dirty region  |
-//! | 4  | `counter_upkeep`  | maintenance | central per-edge counter maintenance          |
+//! | 4  | `counter_upkeep`  | maintenance | per-edge counter maintenance (every engine)   |
 //! | 5  | `publish`         | maintenance | snapshot publication, all sub-phases          |
-//! | 6  | `publish_collect` | maintenance | collecting worker rows/histograms/weights     |
+//! | 6  | `publish_collect` | maintenance | reserved; no longer emitted                   |
 //! | 7  | `publish_weights` | maintenance | assembling + thresholding edge weights        |
 //! | 8  | `publish_roster`  | maintenance | building + swapping the community snapshot    |
 //! | 9  | `publish_migrate` | maintenance | repartitioning row migration                  |
@@ -23,8 +29,8 @@
 //! | 12 | `exchange`        | worker      | one exchange session (all rounds)             |
 //! | 13 | `exchange_round`  | worker      | one mesh round: drain inbox, step, send       |
 //! | 14 | `barrier_wait`    | worker      | parked at the mesh round barrier (total)      |
-//! | 15 | `upkeep`          | worker      | shard-owned counter-partition upkeep          |
-//! | 16 | `collect`         | worker      | packaging state for a publish collect         |
+//! | 15 | `upkeep`          | worker      | reserved; no longer emitted                   |
+//! | 16 | `collect`         | worker      | reserved; no longer emitted                   |
 //! | 17 | `migrate`         | worker      | extract/adopt row migration                   |
 //! | 18 | `barrier_arrive`  | worker      | barrier phase: waiting for stragglers         |
 //! | 19 | `barrier_depart`  | worker      | barrier phase: release-to-resume latency      |
@@ -39,11 +45,13 @@ pub const FLUSH: u16 = 1;
 pub const RESOLVE: u16 = 2;
 /// Maintenance lane: the repair-engine apply (Correction Propagation).
 pub const REPAIR: u16 = 3;
-/// Maintenance lane: central per-edge common-label counter upkeep.
+/// Maintenance lane: per-edge common-label counter upkeep, for the
+/// single writer and the mesh alike.
 pub const COUNTER_UPKEEP: u16 = 4;
 /// Maintenance lane: snapshot publication (parent of the sub-phases).
 pub const PUBLISH: u16 = 5;
-/// Maintenance lane: collecting worker contributions at publish time.
+/// Reserved (was the maintenance lane's publish collect); no longer
+/// emitted.
 pub const PUBLISH_COLLECT: u16 = 6;
 /// Maintenance lane: assembling and thresholding edge weights.
 pub const PUBLISH_WEIGHTS: u16 = 7;
@@ -61,9 +69,11 @@ pub const EXCHANGE: u16 = 12;
 pub const EXCHANGE_ROUND: u16 = 13;
 /// Worker lane: parked at the mesh round barrier (arrive + depart).
 pub const BARRIER_WAIT: u16 = 14;
-/// Worker lane: shard-owned counter-partition upkeep.
+/// Reserved (was the worker lane's counter-partition upkeep); no longer
+/// emitted.
 pub const UPKEEP: u16 = 15;
-/// Worker lane: packaging rows/weights for a publish collect.
+/// Reserved (was the worker lane's publish-collect packaging); no longer
+/// emitted.
 pub const COLLECT: u16 = 16;
 /// Worker lane: extract/adopt row migration during repartitioning.
 pub const MIGRATE: u16 = 17;

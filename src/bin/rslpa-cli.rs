@@ -41,7 +41,7 @@
 //!
 //! | field | meaning |
 //! |-------|---------|
-//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`); 6 removed the channel-hop counter and made `envelope_hops` the port-side count of mesh envelopes |
+//! | `schema_version` | shape version of this object; 2 added `attribution_per_shard`, `trace_dropped_records`, and `saturated_samples`; 3 split barrier attribution into arrive/depart and added the publish-collect counters (`boundary_hists_*`, `collect_bytes`, `publish_failures`); 4 added the dirty-region counters (`dirty_vertices`, `dirty_span`, `dirty_fraction`) and `quality_per_window`; 5 added the hot-spot counters (`repartition_vertices_moved`, `hub_pulls`, `damped_deferrals`, `max_degree_delta`); 6 removed the channel-hop counter and made `envelope_hops` the port-side count of mesh envelopes; 7 removed the publish-collect counters and the per-shard upkeep (`upkeep_per_shard`, `upkeep_us`), since counter upkeep runs on the maintenance thread at every shard count |
 //! | `edits_enqueued` | ops accepted into the ingestion queue |
 //! | `edits_applied` | ops that survived net-resolution and hit the graph |
 //! | `edits_rejected` | no-op ops (duplicate insert, absent delete, self-loop) |
@@ -53,14 +53,8 @@
 //! | `shards` | maintenance shard count (1 = single writer) |
 //! | `shard_edits_routed` | per-shard array: vertex deltas routed to each shard |
 //! | `shard_slots_repaired` | per-shard array: slots each shard repaired |
-//! | `upkeep_per_shard` | object: per-shard `deltas` folded / wall `ns` of shard-owned counter upkeep (zeros at one shard, where the single writer's upkeep is central) |
 //! | `exchange_rounds` | mailbox-mesh boundary-exchange rounds (0 at one shard) |
 //! | `boundary_msgs` | envelopes that crossed a shard boundary |
-//! | `boundary_hists_shipped` | boundary histograms actually shipped to the coordinator at publish (the dirty diff) |
-//! | `boundary_hists_total` | boundary histogram slots a full (non-incremental) collect would have shipped |
-//! | `boundary_dirty_marked` | boundary vertices dirty at ship time plus first-time ships; `boundary_hists_shipped` ≤ this always holds (the CI gate) |
-//! | `collect_bytes` | approximate bytes of interior-counter + boundary-histogram payload shipped at publish |
-//! | `publish_failures` | publishes abandoned because a mesh worker died or stopped responding (the previous snapshot stays served) |
 //! | `dirty_vertices` | Σ over non-empty flushes of distinct vertices whose stored labels changed (the dirty region) |
 //! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute) |
 //! | `quality_per_window` | array of `{epoch, onmi, f1, omega}` objects recorded by a quality harness (`repro churn`) scoring each published roster against a tracked ground-truth cover; empty when the run is unscored |
@@ -75,11 +69,11 @@
 //! | `hub_pulls` | forming hubs pulled (with their spoke frontiers) into a single shard by hub-aware repartitioning |
 //! | `damped_deferrals` | label deliveries parked by degree-capped cascade damping (muted-hub re-pick reads, suppressed fetch replies, deferred cascade slots) |
 //! | `max_degree_delta` | gauge: largest per-vertex degree gain observed in the most recent repartition window |
-//! | `mem_live_bytes` | gauge: bytes the maintenance thread holds live at the last publish — graph, label rows and edge counters on the single writer; the topology mirror alone with `--shards` > 1, whose label rows and counters live on the shard workers |
+//! | `mem_live_bytes` | gauge: bytes the maintenance thread holds live at the last publish — graph, edge counters and, on the single writer, label rows (with `--shards` > 1 the label rows live on the shard workers) |
 //! | `mem_capacity_bytes` | gauge: bytes the same structures have reserved (allocated capacity) at the last publish |
 //! | `mem_vertices` | gauge: vertex count the memory gauges were sampled at |
 //! | `bytes_per_vertex` | `mem_capacity_bytes` / `mem_vertices` (0 before the first publish) |
-//! | `attribution_per_shard` | object of per-shard arrays — `work_us`, `barrier_wait_us`, `barrier_arrive_us`, `barrier_depart_us`, `mailbox_wait_us`, `upkeep_us`, `wall_us`, `coverage` — attributing each worker's wall time; `barrier_wait_us` = arrive (waiting for stragglers) + depart (release-to-resume latency); `coverage` is the accounted fraction (work + waits + upkeep over wall) |
+//! | `attribution_per_shard` | object of per-shard arrays — `work_us`, `barrier_wait_us`, `barrier_arrive_us`, `barrier_depart_us`, `mailbox_wait_us`, `wall_us`, `coverage` — attributing each worker's wall time; `barrier_wait_us` = arrive (waiting for stragglers) + depart (release-to-resume latency); `coverage` is the accounted fraction (work + waits over wall) |
 //! | `trace_dropped_records` | flight-recorder records overwritten before the final drain (always 0 with tracing off) |
 //! | `saturated_samples` | histogram samples that clamped into the top log₂ bucket (≥ 2⁶³), across all histograms |
 //!
@@ -90,7 +84,7 @@
 //! |-------------|---------|
 //! | `query_count`, `query_mean_ns`, `query_p50_ns`, `query_p90_ns`, `query_p99_ns`, `query_max_ns` | read-side query latency (all query kinds pooled) |
 //! | `flush_count`, `flush_mean_ns`, `flush_p50_ns`, `flush_p99_ns` | flush latency: net-batch resolution + incremental repair |
-//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush **central** edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread); zeros with `--shards` > 1, whose shard-owned upkeep is reported in `upkeep_per_shard` |
+//! | `counter_mean_ns`, `counter_p50_ns`, `counter_p99_ns` | per-flush edge-weight counter maintenance (delete retirement + slot-delta folding on the maintenance thread), at every shard count |
 //! | `snapshot_mean_ns`, `snapshot_p50_ns`, `snapshot_p99_ns` | snapshot publish: counter-read weight pass + thresholding + build + epoch swap |
 
 use std::io::{BufRead, Write};
