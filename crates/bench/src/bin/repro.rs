@@ -56,7 +56,7 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ),
     (
         "scale",
-        "million-vertex storage bench: dense vs paged adjacency under R-MAT churn (emits BENCH_serve.json)",
+        "million-vertex storage bench: adjacency footprint and edits/s under R-MAT churn (emits BENCH_serve.json)",
     ),
     (
         "trace",
@@ -110,11 +110,9 @@ fn run(id: &str, scale: &Scale) -> bool {
 }
 
 /// Extra knobs for the serve experiments (`--shards N`, `--out FILE`,
-/// `--roster-out FILE`, `--backend dense|paged`).
+/// `--roster-out FILE`).
 struct ServeOpts {
     shards: usize,
-    backend: rslpa_graph::StorageBackend,
-    backend_given: bool,
     out: Option<String>,
     roster_out: Option<String>,
 }
@@ -123,8 +121,6 @@ impl Default for ServeOpts {
     fn default() -> Self {
         Self {
             shards: 1,
-            backend: rslpa_graph::StorageBackend::Dense,
-            backend_given: false,
             out: None,
             roster_out: None,
         }
@@ -134,35 +130,26 @@ impl Default for ServeOpts {
 fn run_serve(id: &str, opts: &ServeOpts, smoke: bool) -> bool {
     let out = |default: &str| opts.out.clone().unwrap_or_else(|| default.to_string());
     let roster = opts.roster_out.as_deref();
-    if (id == "serve-sharded" || id == "serve-p2p")
-        && (opts.shards != 1 || roster.is_some() || opts.backend_given)
-    {
+    if (id == "serve-sharded" || id == "serve-p2p") && (opts.shards != 1 || roster.is_some()) {
         // The sweeps fix their own shard counts and check rosters
         // internally; a silently-ignored flag would mislead.
-        eprintln!("{id} does not take --shards, --backend, or --roster-out");
+        eprintln!("{id} does not take --shards or --roster-out");
         std::process::exit(2);
     }
     match id {
         "serve" => exp_serve::serve_to(
-            &ServeWorkload {
-                backend: opts.backend,
-                ..ServeWorkload::full_sharded(opts.shards)
-            },
+            &ServeWorkload::full_sharded(opts.shards),
             &out("BENCH_serve.json"),
             roster,
         ),
         "serve-smoke" => exp_serve::serve_to(
-            &ServeWorkload {
-                backend: opts.backend,
-                ..ServeWorkload::smoke_sharded(opts.shards)
-            },
+            &ServeWorkload::smoke_sharded(opts.shards),
             &out("BENCH_serve.json"),
             roster,
         ),
         "serve-rmat" => exp_serve::serve_to(
             &ServeWorkload {
                 shards: opts.shards,
-                backend: opts.backend,
                 ..ServeWorkload::full_rmat()
             },
             &out("BENCH_serve_rmat.json"),
@@ -184,7 +171,7 @@ fn usage() {
     eprintln!("  serve-smoke    CI-scale serve workload (not part of 'all')");
     eprintln!("  serve-rmat     full serve workload over an R-MAT web graph (not part of 'all')");
     eprintln!("  weights-smoke  CI-scale weight-pass comparison (not part of 'all')");
-    eprintln!("serve options: --shards N, --backend dense|paged, --out FILE, --roster-out FILE");
+    eprintln!("serve options: --shards N, --out FILE, --roster-out FILE");
     eprintln!("weights options: --out FILE");
     eprintln!("scale options: --smoke (n=2^17 instead of 2^20), --out FILE");
     eprintln!("serve-p2p options: --smoke (CI-scale localized-churn sweep at 1/4/8 shards)");
@@ -221,7 +208,6 @@ fn main() {
     } else {
         false
     };
-    let backend_arg = take_option(&mut args, "--backend");
     let serve_opts = ServeOpts {
         shards: take_option(&mut args, "--shards")
             .map(|v| {
@@ -231,16 +217,6 @@ fn main() {
                 })
             })
             .unwrap_or(1),
-        backend: backend_arg
-            .as_deref()
-            .map(|v| {
-                v.parse().unwrap_or_else(|e| {
-                    eprintln!("--backend: {e}");
-                    std::process::exit(2);
-                })
-            })
-            .unwrap_or_default(),
-        backend_given: backend_arg.is_some(),
         out: take_option(&mut args, "--out"),
         roster_out: take_option(&mut args, "--roster-out"),
     };
@@ -250,10 +226,8 @@ fn main() {
         usage();
         std::process::exit(2);
     };
-    let serve_flags_given = serve_opts.shards != 1
-        || serve_opts.backend_given
-        || serve_opts.out.is_some()
-        || serve_opts.roster_out.is_some();
+    let serve_flags_given =
+        serve_opts.shards != 1 || serve_opts.out.is_some() || serve_opts.roster_out.is_some();
     if serve_flags_given
         && !target.starts_with("serve")
         && !target.starts_with("weights")
@@ -263,7 +237,7 @@ fn main() {
         && target != "churn"
     {
         eprintln!(
-            "--shards/--backend/--out/--roster-out only apply to serve/weights/scale/trace experiments"
+            "--shards/--out/--roster-out only apply to serve/weights/scale/trace experiments"
         );
         std::process::exit(2);
     }
@@ -291,7 +265,7 @@ fn main() {
             eprintln!("[{id} done in {:.1}s]\n", t.elapsed().as_secs_f64());
         }
     } else if target == "scale" {
-        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
+        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
             eprintln!("scale takes only --smoke and --out");
             std::process::exit(2);
         }
@@ -306,7 +280,7 @@ fn main() {
             .unwrap_or_else(|| "BENCH_serve.json".to_string());
         exp_scale::scale(&w, &out);
     } else if target == "trace" {
-        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
+        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
             eprintln!("trace takes only --smoke, --out, and --trace-out");
             std::process::exit(2);
         }
@@ -317,7 +291,7 @@ fn main() {
         let trace_file = trace_out.unwrap_or_else(|| "BENCH_trace.json".to_string());
         exp_trace::trace(smoke, &out, &trace_file);
     } else if target == "churn" {
-        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
+        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
             eprintln!("churn takes only --smoke, --scenario, and --out");
             std::process::exit(2);
         }
@@ -333,7 +307,7 @@ fn main() {
             .unwrap_or_else(|| "BENCH_churn.json".to_string());
         exp_churn::churn(&w, &out);
     } else if target == "barrier" {
-        if serve_opts.shards != 1 || serve_opts.backend_given || serve_opts.roster_out.is_some() {
+        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
             eprintln!("barrier takes only --out");
             std::process::exit(2);
         }

@@ -1,25 +1,21 @@
-//! Million-vertex storage-layer scale benchmark.
+//! Million-vertex adjacency scale benchmark.
 //!
-//! Not a paper experiment — this measures the thing the compact storage
-//! layer exists for: holding a web-scale dynamic graph in memory and
-//! sustaining churn against it. The driver builds the same R-MAT seed
-//! graph on the dense (`Vec<Vec>`) and paged (slab-arena) adjacency
-//! backends, replays an identical deterministic churn stream through
-//! [`rslpa_graph::DynamicGraph`] on each — including id-space growth past
-//! the seed universe — and reports sustained edits/sec *and*
-//! `bytes_per_vertex` per backend into `BENCH_serve.json`.
+//! Not a paper experiment — this measures holding a web-scale dynamic
+//! graph in memory and sustaining churn against it. `repro scale` builds
+//! an R-MAT seed graph, replays a deterministic churn stream through
+//! [`rslpa_graph::DynamicGraph`] — including id-space growth past the
+//! seed universe — and reports sustained edits/sec *and*
+//! `bytes_per_vertex` into `BENCH_serve.json`.
 //!
-//! The two replays must end bit-identical (same vertices, same neighbor
-//! lists): the backend is a layout decision, never a semantic one. The
-//! driver asserts this; CI additionally gates on `bytes_per_vertex`
-//! regressions of the paged backend (>10% vs the committed baseline),
-//! which is a stable gate because the paged footprint is a pure function
-//! of the op sequence.
+//! The final graph and its footprint are pure functions of the op
+//! sequence, so CI gates both against the committed
+//! `BENCH_scale_smoke.json`: the edge fingerprint must match exactly and
+//! `bytes_per_vertex` may not regress by more than 10%.
 
 use std::time::Instant;
 
 use rslpa_gen::webgraph::{rmat, RmatChurn, RmatParams};
-use rslpa_graph::{AdjacencyGraph, AppliedBatch, DynamicGraph, MemAccounted, StorageBackend};
+use rslpa_graph::{AdjacencyGraph, AppliedBatch, DynamicGraph, MemAccounted};
 
 use crate::host_cores;
 use crate::report::Table;
@@ -78,12 +74,10 @@ impl ScaleWorkload {
     }
 }
 
-/// Per-backend measurements.
+/// Measurements of one replay.
 #[derive(Clone, Copy, Debug)]
-pub struct BackendRun {
-    /// Which adjacency layout this run used.
-    pub backend: StorageBackend,
-    /// Seconds to generate (or convert to) the seed graph.
+pub struct ScaleBenchResult {
+    /// Seconds to generate the seed graph.
     pub build_secs: f64,
     /// Wall seconds replaying all churn rounds.
     pub churn_secs: f64,
@@ -97,9 +91,12 @@ pub struct BackendRun {
     pub mem_live_bytes: usize,
     /// Adjacency bytes reserved by the backing buffers.
     pub mem_capacity_bytes: usize,
+    /// FNV-1a fingerprint over the final sorted edge list (a pure function
+    /// of the workload; recorded so CI diffs catch drift).
+    pub edges_fingerprint: u64,
 }
 
-impl BackendRun {
+impl ScaleBenchResult {
     /// Reserved adjacency bytes per vertex — the headline number.
     pub fn bytes_per_vertex(&self) -> f64 {
         self.mem_capacity_bytes as f64 / self.final_vertices.max(1) as f64
@@ -115,24 +112,13 @@ impl BackendRun {
     }
 }
 
-/// Both backends' runs plus the cross-backend identity verdict.
-#[derive(Clone, Debug)]
-pub struct ScaleBenchResult {
-    /// Dense then paged.
-    pub runs: Vec<BackendRun>,
-    /// FNV-1a fingerprint over the final sorted edge list (equal across
-    /// backends by construction; recorded so CI diffs catch drift).
-    pub edges_fingerprint: u64,
-}
-
-/// Replay the churn stream on one backend, returning the measurements
-/// and the final graph (for the cross-backend identity check).
-fn run_backend(w: &ScaleWorkload, backend: StorageBackend) -> (BackendRun, AdjacencyGraph) {
+/// Build the seed graph and replay the churn stream against it.
+pub fn run_workload(w: &ScaleWorkload) -> ScaleBenchResult {
     let build_started = Instant::now();
-    let seed_graph = rmat(&RmatParams::web(w.scale, w.seed)).into_backend(backend);
+    let seed_graph = rmat(&RmatParams::web(w.scale, w.seed));
     let build_secs = build_started.elapsed().as_secs_f64();
     eprintln!(
-        "[scale:{}] {backend} seed built: n={}, m={}, {:.2}s",
+        "[scale:{}] seed built: n={}, m={}, {:.2}s",
         w.mode,
         seed_graph.num_vertices(),
         seed_graph.num_edges(),
@@ -159,8 +145,7 @@ fn run_backend(w: &ScaleWorkload, backend: StorageBackend) -> (BackendRun, Adjac
     let churn_secs = churn_started.elapsed().as_secs_f64();
 
     let mem = graph.graph().mem_footprint();
-    let run = BackendRun {
-        backend,
+    let r = ScaleBenchResult {
         build_secs,
         churn_secs,
         edits_per_sec: total_ops as f64 / churn_secs,
@@ -168,16 +153,17 @@ fn run_backend(w: &ScaleWorkload, backend: StorageBackend) -> (BackendRun, Adjac
         final_edges: graph.graph().num_edges(),
         mem_live_bytes: mem.live_bytes,
         mem_capacity_bytes: mem.capacity_bytes,
+        edges_fingerprint: fingerprint_edges(graph.graph()),
     };
     eprintln!(
-        "[scale:{}] {backend} churn done: {} ops in {:.2}s ({:.0} edits/s), {:.1} bytes/vertex",
+        "[scale:{}] churn done: {} ops in {:.2}s ({:.0} edits/s), {:.1} bytes/vertex",
         w.mode,
         total_ops,
         churn_secs,
-        run.edits_per_sec,
-        run.bytes_per_vertex(),
+        r.edits_per_sec,
+        r.bytes_per_vertex(),
     );
-    (run, graph.graph().clone())
+    r
 }
 
 /// FNV-1a over the (u, v) edge stream in iteration order.
@@ -196,57 +182,18 @@ fn fingerprint_edges(graph: &AdjacencyGraph) -> u64 {
     h
 }
 
-/// Run both backends and assert bit-identity of the final graphs.
-pub fn run_workload(w: &ScaleWorkload) -> ScaleBenchResult {
-    let (dense_run, dense_graph) = run_backend(w, StorageBackend::Dense);
-    let (paged_run, paged_graph) = run_backend(w, StorageBackend::Paged);
-    assert_eq!(
-        dense_graph, paged_graph,
-        "dense and paged replays diverged — storage backend changed semantics"
-    );
-    let edges_fingerprint = fingerprint_edges(&dense_graph);
-    assert_eq!(
-        edges_fingerprint,
-        fingerprint_edges(&paged_graph),
-        "edge fingerprints diverged"
-    );
-    ScaleBenchResult {
-        runs: vec![dense_run, paged_run],
-        edges_fingerprint,
-    }
-}
-
 /// Serialize the result (one JSON object, same envelope style as the
 /// other bench writers).
 pub fn to_json(w: &ScaleWorkload, r: &ScaleBenchResult) -> String {
-    let backends: Vec<String> = r
-        .runs
-        .iter()
-        .map(|b| {
-            format!(
-                "{{\"backend\": \"{}\", \"build_secs\": {:.4}, \"churn_secs\": {:.4}, \
-                 \"edits_per_sec\": {:.1}, \"final_vertices\": {}, \"final_edges\": {}, \
-                 \"mem_live_bytes\": {}, \"mem_capacity_bytes\": {}, \
-                 \"bytes_per_vertex\": {:.2}, \"utilization\": {:.4}}}",
-                b.backend,
-                b.build_secs,
-                b.churn_secs,
-                b.edits_per_sec,
-                b.final_vertices,
-                b.final_edges,
-                b.mem_live_bytes,
-                b.mem_capacity_bytes,
-                b.bytes_per_vertex(),
-                b.utilization(),
-            )
-        })
-        .collect();
     format!(
         "{{\n  \"experiment\": \"scale\",\n  \"mode\": \"{}\",\n  \
          \"config\": {{\"scale\": {}, \"seed_n\": {}, \"rounds\": {}, \"batch_inserts\": {}, \
          \"batch_deletes\": {}, \"grow_per_batch\": {}, \"cores\": {}, \"seed\": {}}},\n  \
          \"edges_fingerprint\": \"{:016x}\",\n  \
-         \"backends\": [\n    {}\n  ]\n}}\n",
+         \"build_secs\": {:.4},\n  \"churn_secs\": {:.4},\n  \"edits_per_sec\": {:.1},\n  \
+         \"final_vertices\": {},\n  \"final_edges\": {},\n  \
+         \"mem_live_bytes\": {},\n  \"mem_capacity_bytes\": {},\n  \
+         \"bytes_per_vertex\": {:.2},\n  \"utilization\": {:.4}\n}}\n",
         w.mode,
         w.scale,
         w.n(),
@@ -257,7 +204,15 @@ pub fn to_json(w: &ScaleWorkload, r: &ScaleBenchResult) -> String {
         host_cores(),
         w.seed,
         r.edges_fingerprint,
-        backends.join(",\n    "),
+        r.build_secs,
+        r.churn_secs,
+        r.edits_per_sec,
+        r.final_vertices,
+        r.final_edges,
+        r.mem_live_bytes,
+        r.mem_capacity_bytes,
+        r.bytes_per_vertex(),
+        r.utilization(),
     )
 }
 
@@ -277,7 +232,6 @@ pub fn scale(w: &ScaleWorkload, out_path: &str) {
     let mut t = Table::new(
         format!("storage scale ({}, n={})", w.mode, w.n()),
         &[
-            "backend",
             "build (s)",
             "churn edits/s",
             "final edges",
@@ -285,19 +239,16 @@ pub fn scale(w: &ScaleWorkload, out_path: &str) {
             "utilization",
         ],
     );
-    for b in &r.runs {
-        t.row(vec![
-            b.backend.to_string(),
-            format!("{:.2}", b.build_secs),
-            format!("{:.0}", b.edits_per_sec),
-            b.final_edges.to_string(),
-            format!("{:.1}", b.bytes_per_vertex()),
-            format!("{:.3}", b.utilization()),
-        ]);
-    }
+    t.row(vec![
+        format!("{:.2}", r.build_secs),
+        format!("{:.0}", r.edits_per_sec),
+        r.final_edges.to_string(),
+        format!("{:.1}", r.bytes_per_vertex()),
+        format!("{:.3}", r.utilization()),
+    ]);
     t.print();
     eprintln!(
-        "[scale:{}] backends bit-identical (edge fingerprint {:016x})",
+        "[scale:{}] edge fingerprint {:016x}",
         w.mode, r.edges_fingerprint,
     );
     let json = to_json(w, &r);
@@ -310,7 +261,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn micro_scale_backends_agree_and_serialize() {
+    fn micro_scale_replay_is_deterministic_and_serializes() {
         let w = ScaleWorkload {
             mode: "micro",
             scale: 10,
@@ -320,19 +271,19 @@ mod tests {
             grow_per_batch: 16,
             seed: 5,
         };
-        let r = run_workload(&w); // asserts bit-identity internally
-        assert_eq!(r.runs.len(), 2);
-        let (dense, paged) = (&r.runs[0], &r.runs[1]);
-        assert_eq!(dense.backend, StorageBackend::Dense);
-        assert_eq!(paged.backend, StorageBackend::Paged);
-        assert_eq!(dense.final_vertices, 1024 + 3 * 16);
-        assert_eq!(dense.final_vertices, paged.final_vertices);
-        assert_eq!(dense.final_edges, paged.final_edges);
-        assert!(dense.mem_capacity_bytes > 0 && paged.mem_capacity_bytes > 0);
+        let r = run_workload(&w);
+        assert_eq!(r.final_vertices, 1024 + 3 * 16);
+        assert!(r.final_edges > 0 && r.mem_capacity_bytes > 0);
+        // CI pins the fingerprint and the footprint against a committed
+        // baseline, so a replay must reproduce both exactly.
+        let again = run_workload(&w);
+        assert_eq!(r.edges_fingerprint, again.edges_fingerprint);
+        assert_eq!(r.final_edges, again.final_edges);
+        assert_eq!(r.mem_live_bytes, again.mem_live_bytes);
+        assert_eq!(r.mem_capacity_bytes, again.mem_capacity_bytes);
         let json = to_json(&w, &r);
         assert!(json.contains("\"experiment\": \"scale\""));
-        assert!(json.contains("\"backend\": \"dense\""));
-        assert!(json.contains("\"backend\": \"paged\""));
+        assert!(json.contains("\"edges_fingerprint\""));
         assert!(json.contains("\"bytes_per_vertex\""));
         assert_eq!(json.matches('{').count(), json.matches('}').count());
     }

@@ -16,7 +16,7 @@ use rslpa_gen::edits::{localized_batch, targeted_batch, uniform_batch, EditWorkl
 use rslpa_gen::lfr::LfrParams;
 use rslpa_gen::webgraph::{rmat, RmatParams};
 use rslpa_graph::rng::DetRng;
-use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph, EditBatch, StorageBackend, VertexId};
+use rslpa_graph::{AdjacencyGraph, Cover, DynamicGraph, EditBatch, VertexId};
 use rslpa_serve::trace::Dump;
 use rslpa_serve::{BySize, CommunityService, LatencySummary, ServeConfig, TraceOptions};
 
@@ -49,10 +49,6 @@ pub struct ServeWorkload {
     pub mode: &'static str,
     /// Graph family the stream runs over.
     pub topology: Topology,
-    /// Adjacency storage backend the service runs on. Rosters and weight
-    /// fingerprints are bit-identical across backends for the same
-    /// workload — asserted in tests and diffed in CI.
-    pub backend: StorageBackend,
     /// Approximate vertex count of the seed graph (R-MAT rounds up to the
     /// next power of two).
     pub graph_n: usize,
@@ -89,7 +85,6 @@ impl ServeWorkload {
         Self {
             mode: "full",
             topology: Topology::Lfr,
-            backend: StorageBackend::Dense,
             graph_n: 2_000,
             iterations: 50,
             total_edits: 100_000,
@@ -126,7 +121,6 @@ impl ServeWorkload {
         Self {
             mode: "smoke",
             topology: Topology::Lfr,
-            backend: StorageBackend::Dense,
             graph_n: 400,
             iterations: 25,
             total_edits: 4_000,
@@ -189,7 +183,7 @@ pub struct ServeBenchResult {
 /// Build the seed graph for the configured topology, plus the planted
 /// cover when one exists (it parameterizes community-respecting churn).
 fn seed_graph(w: &ServeWorkload) -> (AdjacencyGraph, Option<Cover>) {
-    let (graph, truth) = match w.topology {
+    match w.topology {
         Topology::Lfr => {
             let instance = LfrParams {
                 seed: w.seed,
@@ -203,8 +197,7 @@ fn seed_graph(w: &ServeWorkload) -> (AdjacencyGraph, Option<Cover>) {
             let scale = (w.graph_n.max(2) as f64).log2().ceil() as u32;
             (rmat(&RmatParams::web(scale, w.seed)), None)
         }
-    };
-    (graph.into_backend(w.backend), truth)
+    }
 }
 
 /// One round's edit batch under the configured churn bias.
@@ -407,7 +400,7 @@ pub(crate) fn to_json_with_extra(w: &ServeWorkload, r: &ServeBenchResult, extra:
     };
     format!(
         "{{\n  \"experiment\": \"serve\",\n  \"mode\": \"{}\",\n  \
-         \"config\": {{\"topology\": \"{}\", \"backend\": \"{}\", \"graph_n\": {}, \"iterations\": {}, \"total_edits\": {}, \
+         \"config\": {{\"topology\": \"{}\", \"graph_n\": {}, \"iterations\": {}, \"total_edits\": {}, \
          \"queries_per_edit\": {}, \"query_threads\": {}, \"flush_size\": {}, \
          \"snapshot_every\": {}, \"shards\": {}, \"churn\": \"{}\", \
          \"cores\": {}, \"seed\": {}}},\n  \
@@ -420,7 +413,6 @@ pub(crate) fn to_json_with_extra(w: &ServeWorkload, r: &ServeBenchResult, extra:
          \"final_epoch\": {},\n  \"stats\": {}{}\n}}\n",
         w.mode,
         w.topology.label(),
-        w.backend,
         w.graph_n,
         w.iterations,
         w.total_edits,
@@ -886,7 +878,6 @@ mod tests {
         let w = ServeWorkload {
             mode: "micro",
             topology: Topology::Lfr,
-            backend: StorageBackend::Dense,
             graph_n: 200,
             iterations: 15,
             total_edits: 300,
@@ -927,7 +918,6 @@ mod tests {
             "window counts must partition the cumulative count"
         );
         assert!(json.contains("\"edits_per_sec\""));
-        assert!(json.contains("\"backend\": \"dense\""));
         assert!(json.contains("\"bytes_per_vertex\""));
         // Crude but effective: balanced braces, parseable-ish.
         assert_eq!(
@@ -943,7 +933,6 @@ mod tests {
         let base = ServeWorkload {
             mode: "micro",
             topology: Topology::Lfr,
-            backend: StorageBackend::Dense,
             graph_n: 200,
             iterations: 15,
             total_edits: 400,
@@ -965,47 +954,5 @@ mod tests {
         );
         assert_eq!(r1.final_epoch, r4.final_epoch, "snapshot cadence drifted");
         assert_eq!(r4.stats.shards.len(), 4);
-    }
-
-    #[test]
-    fn micro_workload_backends_are_bit_identical() {
-        // The storage backend is a layout decision, not a semantic one:
-        // dense and paged runs of the same workload must publish the same
-        // roster AND the same weight-list fingerprint (bit-identity), at
-        // both shard counts. CI repeats this at the full n=2000 scale.
-        let base = ServeWorkload {
-            mode: "micro",
-            topology: Topology::Lfr,
-            backend: StorageBackend::Dense,
-            graph_n: 200,
-            iterations: 15,
-            total_edits: 400,
-            round_edits: 100,
-            queries_per_edit: 1,
-            query_threads: 1,
-            flush_size: 64,
-            snapshot_every: 2,
-            shards: 1,
-            churn: EditWorkload::Uniform,
-            seed: 31,
-        };
-        for shards in [1usize, 4] {
-            let dense = run_workload(&ServeWorkload { shards, ..base });
-            let paged = run_workload(&ServeWorkload {
-                shards,
-                backend: StorageBackend::Paged,
-                ..base
-            });
-            assert!(!dense.final_cover.is_empty());
-            assert_eq!(
-                dense.final_cover, paged.final_cover,
-                "backend changed the roster at {shards} shard(s)"
-            );
-            assert_eq!(
-                dense.final_weights_fingerprint, paged.final_weights_fingerprint,
-                "backend changed the weights at {shards} shard(s)"
-            );
-            assert_eq!(dense.final_epoch, paged.final_epoch);
-        }
     }
 }

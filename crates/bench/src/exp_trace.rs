@@ -212,7 +212,6 @@ pub fn trace(smoke: bool, out_path: &str, trace_out: &str) {
 mod tests {
     use super::*;
     use rslpa_gen::edits::EditWorkload;
-    use rslpa_graph::StorageBackend;
 
     use crate::exp_serve::Topology;
 
@@ -220,7 +219,6 @@ mod tests {
         ServeWorkload {
             mode: "micro",
             topology: Topology::Lfr,
-            backend: StorageBackend::Dense,
             graph_n: 200,
             iterations: 15,
             total_edits: 300,

@@ -210,8 +210,9 @@ pub fn run_workload(w: &WeightsWorkload) -> WeightsBenchResult {
             let batch = next_batch(det.graph(), w.seed.wrapping_add(round));
             round += 1;
             let mut deltas = Vec::new();
-            det.apply_batch_streaming(&batch, &mut dirty, &mut deltas)
+            det.apply_batch_streaming(&batch, &mut deltas)
                 .expect("generated batch validates");
+            dirty.extend(deltas.iter().map(|d| d.v));
             // Streaming side: per-flush counter maintenance.
             let t = Instant::now();
             for &(u, v) in batch.deletions() {

@@ -22,9 +22,7 @@
 //! assert_eq!(updated.result.cover.covered_vertices().len(), 6);
 //! ```
 
-use rslpa_graph::{
-    AdjacencyGraph, DynamicGraph, EditBatch, EditError, FxHashSet, SlotDelta, VertexId,
-};
+use rslpa_graph::{AdjacencyGraph, DynamicGraph, EditBatch, EditError, SlotDelta};
 
 use crate::config::RslpaConfig;
 use crate::incremental::{apply_correction_damped, CascadeDamper, UpdateReport};
@@ -101,19 +99,17 @@ impl RslpaDetector {
     /// Apply an edit batch and incrementally repair the label state
     /// (Correction Propagation). Returns the work report.
     pub fn apply_batch(&mut self, batch: &EditBatch) -> Result<UpdateReport, EditError> {
-        self.apply_batch_streaming(batch, &mut FxHashSet::default(), &mut Vec::new())
+        self.apply_batch_streaming(batch, &mut Vec::new())
     }
 
-    /// [`apply_batch`](Self::apply_batch) that additionally accumulates
-    /// every vertex whose label sequence changed into `dirty` and emits
-    /// the repair's label-slot changes as [`SlotDelta`]s, in application
+    /// [`apply_batch`](Self::apply_batch) that additionally emits the
+    /// repair's label-slot changes as [`SlotDelta`]s, in application
     /// order — what a streaming
     /// [`EdgeCounters`](crate::edge_counters::EdgeCounters) store consumes
     /// to keep edge weights exact without ever re-merging histograms.
     pub fn apply_batch_streaming(
         &mut self,
         batch: &EditBatch,
-        dirty: &mut FxHashSet<VertexId>,
         slot_deltas: &mut Vec<SlotDelta>,
     ) -> Result<UpdateReport, EditError> {
         let applied = self.graph.apply(batch)?;
@@ -123,7 +119,6 @@ impl RslpaDetector {
             &applied,
             self.config.value_pruned_cascade,
             self.damper.as_mut(),
-            dirty,
             slot_deltas,
         );
         self.batches_applied += 1;

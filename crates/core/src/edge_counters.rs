@@ -600,9 +600,8 @@ mod tests {
     /// does: repair with a slot-delta stream, retire deleted edges' counters,
     /// then apply the stream against the post-batch graph.
     fn flush(det: &mut RslpaDetector, counters: &mut EdgeCounters, batch: &EditBatch) {
-        let (mut dirty, mut deltas) = (FxHashSet::default(), Vec::new());
-        det.apply_batch_streaming(batch, &mut dirty, &mut deltas)
-            .unwrap();
+        let mut deltas = Vec::new();
+        det.apply_batch_streaming(batch, &mut deltas).unwrap();
         for &(u, v) in batch.deletions() {
             counters.delete_edge(u, v);
         }
@@ -844,9 +843,8 @@ mod tests {
             let mut rng = DetRng::new(99);
             for _ in 0..3 {
                 let batch = random_batch(det.graph(), &mut rng, 60);
-                let (mut dirty, mut deltas) = (FxHashSet::default(), Vec::new());
-                det.apply_batch_streaming(&batch, &mut dirty, &mut deltas)
-                    .unwrap();
+                let mut deltas = Vec::new();
+                det.apply_batch_streaming(&batch, &mut deltas).unwrap();
                 for store in [&mut serial, &mut threaded] {
                     for &(u, v) in batch.deletions() {
                         store.delete_edge(u, v);

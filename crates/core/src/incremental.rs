@@ -152,6 +152,10 @@ pub struct UpdateReport {
     /// plus re-pick reads that kept the listener's own value (damping
     /// only; always 0 without a [`CascadeDamper`]).
     pub damped_deferrals: usize,
+    /// Distinct vertices whose stored labels changed (the dirty region,
+    /// counted like the sharded engine's
+    /// [`ShardFlushReport::dirty_vertices`](crate::shard::ShardFlushReport::dirty_vertices)).
+    pub dirty_vertices: usize,
 }
 
 /// Apply Correction Propagation to `state` for a batch already applied to
@@ -169,7 +173,6 @@ pub fn apply_correction(
         applied,
         value_pruned,
         None,
-        &mut FxHashSet::default(),
         &mut Vec::new(),
     )
 }
@@ -177,8 +180,6 @@ pub fn apply_correction(
 /// [`apply_correction`] with optional degree-capped cascade damping,
 /// reporting what the repair changed.
 ///
-/// Every vertex whose label *value* changed is recorded into `dirty` (a
-/// vertex whose histogram is unchanged cannot change any edge weight).
 /// One [`SlotDelta`] per label-slot *value* change is appended to
 /// `slot_deltas` in application order — the input stream for
 /// [`EdgeCounters`](crate::edge_counters::EdgeCounters). A slot rewritten
@@ -186,7 +187,7 @@ pub fn apply_correction(
 /// compact with [`compact_slot_deltas`](rslpa_graph::compact_slot_deltas)
 /// before paying `O(deg)` per delta); unchanged-value writes emit
 /// nothing, so the stream is exactly the histogram movement of this
-/// repair.
+/// repair, and its distinct vertices are the report's `dirty_vertices`.
 ///
 /// With `damper = None` this is bit-for-bit the undamped repair. With a
 /// damper, the flush runs in four steps:
@@ -208,16 +209,15 @@ pub fn apply_correction(
 ///    is suppressed (counted in `damped_deferrals`); a formerly-capped
 ///    vertex that dropped back under the cap forwards normally and its
 ///    parked entry is cleared.
-#[allow(clippy::too_many_arguments)]
 pub fn apply_correction_damped(
     state: &mut LabelState,
     graph_after: &AdjacencyGraph,
     applied: &AppliedBatch,
     value_pruned: bool,
     mut damper: Option<&mut CascadeDamper>,
-    dirty: &mut FxHashSet<VertexId>,
     slot_deltas: &mut Vec<SlotDelta>,
 ) -> UpdateReport {
+    let first_delta = slot_deltas.len();
     let t_max = state.iterations() as u32;
     let seed = state.seed();
     let mut report = UpdateReport {
@@ -302,7 +302,6 @@ pub fn apply_correction_damped(
                     report.repicks += 1;
                     touched.insert((v, t));
                     if changed {
-                        dirty.insert(v);
                         slot_deltas.push(SlotDelta {
                             v,
                             slot: t,
@@ -334,7 +333,6 @@ pub fn apply_correction_damped(
                     &mut damper,
                     &mut report,
                     &mut touched,
-                    dirty,
                     slot_deltas,
                     |v, t| schedule(v, t, &mut buckets, &mut scheduled),
                 );
@@ -369,7 +367,6 @@ pub fn apply_correction_damped(
                     &mut damper,
                     &mut report,
                     &mut touched,
-                    dirty,
                     slot_deltas,
                     |v, t| schedule(v, t, &mut buckets, &mut scheduled),
                 );
@@ -389,7 +386,6 @@ pub fn apply_correction_damped(
         if changed {
             state.set_label(r, k, l);
             report.value_changes += 1;
-            dirty.insert(r);
             slot_deltas.push(SlotDelta {
                 v: r,
                 slot: k,
@@ -435,7 +431,6 @@ pub fn apply_correction_damped(
                 if changed {
                     state.set_label(r, k, l);
                     report.value_changes += 1;
-                    dirty.insert(r);
                     slot_deltas.push(SlotDelta {
                         v: r,
                         slot: k,
@@ -457,6 +452,11 @@ pub fn apply_correction_damped(
     }
 
     report.eta = touched.len();
+    report.dirty_vertices = slot_deltas[first_delta..]
+        .iter()
+        .map(|d| d.v)
+        .collect::<FxHashSet<_>>()
+        .len();
     debug_assert!(
         damper
             .as_deref()
@@ -481,7 +481,6 @@ fn repick(
     damper: &mut Option<&mut CascadeDamper>,
     report: &mut UpdateReport,
     touched: &mut FxHashSet<(VertexId, u32)>,
-    dirty: &mut FxHashSet<VertexId>,
     slot_deltas: &mut Vec<SlotDelta>,
     mut schedule: impl FnMut(VertexId, u32),
 ) {
@@ -510,7 +509,6 @@ fn repick(
     state.set_label(v, t, new_label);
     touched.insert((v, t));
     if changed {
-        dirty.insert(v);
         slot_deltas.push(SlotDelta {
             v,
             slot: t,
@@ -849,17 +847,9 @@ mod tests {
             let applied = dg
                 .apply(&EditBatch::from_lists([(1, 3)], [(0, 1)]))
                 .unwrap();
-            let mut dirty = FxHashSet::default();
             let mut deltas = Vec::new();
-            apply_correction_damped(
-                &mut state,
-                dg.graph(),
-                &applied,
-                false,
-                None,
-                &mut dirty,
-                &mut deltas,
-            );
+            let report =
+                apply_correction_damped(&mut state, dg.graph(), &applied, false, None, &mut deltas);
             let mut replayed = before.clone();
             for d in &deltas {
                 let slot = d.slot as usize;
@@ -872,13 +862,15 @@ mod tests {
             }
             for v in 0..5u32 {
                 assert_eq!(replayed[v as usize], state.label_sequence(v));
-                // Dirty tracking and delta emission must agree.
-                assert_eq!(
-                    dirty.contains(&v),
-                    before[v as usize] != state.label_sequence(v),
-                    "dirty set wrong for {v}"
-                );
             }
+            // The stream names exactly the changed vertices, and the
+            // report counts them.
+            let streamed: FxHashSet<VertexId> = deltas.iter().map(|d| d.v).collect();
+            let changed: FxHashSet<VertexId> = (0..5u32)
+                .filter(|&v| before[v as usize] != state.label_sequence(v))
+                .collect();
+            assert_eq!(streamed, changed);
+            assert_eq!(report.dirty_vertices, changed.len());
             // Compaction preserves the net movement.
             let net = rslpa_graph::compact_slot_deltas(&deltas);
             let mut compact_replay = before.clone();
@@ -900,17 +892,7 @@ mod tests {
         damper: Option<&mut CascadeDamper>,
     ) -> UpdateReport {
         let applied = dg.apply(&batch).expect("valid batch");
-        let mut dirty = FxHashSet::default();
-        let mut deltas = Vec::new();
-        apply_correction_damped(
-            state,
-            dg.graph(),
-            &applied,
-            false,
-            damper,
-            &mut dirty,
-            &mut deltas,
-        )
+        apply_correction_damped(state, dg.graph(), &applied, false, damper, &mut Vec::new())
     }
 
     #[test]

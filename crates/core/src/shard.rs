@@ -151,8 +151,6 @@ pub struct VertexRowData {
     pub records: Vec<Record>,
     /// Sorted neighbor list.
     pub neighbors: Vec<VertexId>,
-    /// Whether the label sequence changed since the last dirty drain.
-    pub dirty: bool,
     /// Damping: sorted slots whose receivers may be out of date and
     /// await an unmute release (empty without damping).
     pub pending: Vec<u32>,
@@ -219,9 +217,6 @@ pub struct ShardRepairState {
     damping: Option<DampingConfig>,
     partitioner: Arc<dyn Partitioner>,
     rows: FxHashMap<VertexId, VertexRow>,
-    /// Owned vertices whose label sequence changed since the last drain
-    /// (the input to dirty-region post-processing).
-    dirty: FxHashSet<VertexId>,
     /// Label-slot value changes since the last
     /// [`take_slot_deltas`](Self::take_slot_deltas), in application order
     /// — the stream a central
@@ -276,7 +271,6 @@ impl ShardRepairState {
             damping: None,
             partitioner,
             rows,
-            dirty: FxHashSet::default(),
             slot_deltas: Vec::new(),
             touched: FxHashSet::default(),
             flush_dirty: FxHashSet::default(),
@@ -450,8 +444,8 @@ impl ShardRepairState {
     }
 
     /// Remove and return the rows of `ids` (vertices this shard no longer
-    /// owns), with their dirty flags. Must only be called between flushes
-    /// (no envelopes in flight).
+    /// owns). Must only be called between flushes (no envelopes in
+    /// flight).
     pub fn extract_rows(&mut self, ids: &[VertexId]) -> Vec<(VertexId, VertexRowData)> {
         debug_assert!(
             self.slot_deltas.is_empty(),
@@ -460,7 +454,6 @@ impl ShardRepairState {
         ids.iter()
             .map(|&v| {
                 let row = self.rows.remove(&v).expect("extracting a row we own");
-                let dirty = self.dirty.remove(&v);
                 self.pending_set.remove(&v);
                 (
                     v,
@@ -470,7 +463,6 @@ impl ShardRepairState {
                         epochs: row.epochs,
                         records: row.records,
                         neighbors: row.neighbors,
-                        dirty,
                         pending: row.pending,
                     },
                 )
@@ -486,9 +478,6 @@ impl ShardRepairState {
         );
         for (v, data) in rows {
             debug_assert!(self.owns(v), "adopting a row we do not own");
-            if data.dirty {
-                self.dirty.insert(v);
-            }
             if !data.pending.is_empty() {
                 self.pending_set.insert(v);
             }
@@ -518,17 +507,6 @@ impl ShardRepairState {
     /// / [`adopt_rows`](Self::adopt_rows) assert the queue is empty.
     pub fn take_slot_deltas(&mut self) -> Vec<SlotDelta> {
         std::mem::take(&mut self.slot_deltas)
-    }
-
-    /// Owned vertices whose label sequences changed since the last drain,
-    /// with their current sequences; clears the dirty set.
-    pub fn drain_dirty(&mut self) -> Vec<(VertexId, Vec<Label>)> {
-        let mut dirty: Vec<VertexId> = self.dirty.drain().collect();
-        dirty.sort_unstable();
-        dirty
-            .into_iter()
-            .map(|v| (v, self.rows[&v].labels.clone()))
-            .collect()
     }
 
     /// Copy this shard's rows back into a global [`LabelState`] (test and
@@ -615,7 +593,6 @@ impl ShardRepairState {
                         if self.flush_dirty.insert(v) {
                             report.dirty_vertices += 1;
                         }
-                        self.dirty.insert(v);
                         self.slot_deltas.push(SlotDelta {
                             v,
                             slot: t,
@@ -748,7 +725,6 @@ impl ShardRepairState {
                     if self.flush_dirty.insert(v) {
                         report.dirty_vertices += 1;
                     }
-                    self.dirty.insert(v);
                     self.slot_deltas.push(SlotDelta {
                         v,
                         slot: t,
@@ -1450,38 +1426,6 @@ mod tests {
     }
 
     #[test]
-    fn drain_dirty_reports_changed_sequences_once() {
-        let t_max = 8usize;
-        let mut dg = DynamicGraph::new(cube_graph());
-        let state0 = run_propagation(dg.graph(), t_max, 3);
-        let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(2));
-        let mut shards: Vec<ShardRepairState> = (0..2)
-            .map(|s| ShardRepairState::from_state(&state0, dg.graph(), s, Arc::clone(&partitioner)))
-            .collect();
-        let applied = dg.apply(&EditBatch::from_lists([], [(0, 1)])).unwrap();
-        run_shards(&mut shards, partitioner.as_ref(), &applied);
-        let assembled = assemble(&shards, 8, t_max, 3);
-        let mut reported: Vec<VertexId> = Vec::new();
-        for shard in &mut shards {
-            for (v, labels) in shard.drain_dirty() {
-                assert_eq!(labels, assembled.label_sequence(v), "sequence for {v}");
-                reported.push(v);
-            }
-        }
-        // Every vertex whose sequence differs from the pre-batch state
-        // must have been reported dirty.
-        for v in 0..8u32 {
-            if state0.label_sequence(v) != assembled.label_sequence(v) {
-                assert!(reported.contains(&v), "dirty vertex {v} not reported");
-            }
-        }
-        // A second drain is empty.
-        for shard in &mut shards {
-            assert!(shard.drain_dirty().is_empty());
-        }
-    }
-
-    #[test]
     fn sharded_slot_deltas_match_centralized_net_movement() {
         // The coordinator feeds shard-emitted deltas to a central counter
         // store; their compacted net effect must equal the centralized
@@ -1497,7 +1441,6 @@ mod tests {
                     .unwrap();
 
                 let mut central = state0.clone();
-                let mut dirty = rslpa_graph::FxHashSet::default();
                 let mut central_deltas = Vec::new();
                 crate::incremental::apply_correction_damped(
                     &mut central,
@@ -1505,7 +1448,6 @@ mod tests {
                     &applied,
                     false,
                     None,
-                    &mut dirty,
                     &mut central_deltas,
                 );
 
@@ -1683,16 +1625,13 @@ mod tests {
             .iter()
             .map(|batch| {
                 let applied = dg.apply(batch).unwrap();
-                let mut dirty = FxHashSet::default();
-                let mut deltas = Vec::new();
                 crate::incremental::apply_correction_damped(
                     &mut state,
                     dg.graph(),
                     &applied,
                     false,
                     Some(&mut damper),
-                    &mut dirty,
-                    &mut deltas,
+                    &mut Vec::new(),
                 );
                 state.clone()
             })

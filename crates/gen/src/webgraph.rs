@@ -103,8 +103,8 @@ pub fn rmat(params: &RmatParams) -> AdjacencyGraph {
 ///
 /// The stream is a pure function of the seed and the graphs it is shown:
 /// replaying the same batches against the same seed graph reproduces the
-/// same edit log bit-for-bit (which is what lets two storage backends be
-/// diffed for bit-identity after a million edits).
+/// same edit log bit-for-bit (which is what lets the scale bench pin the
+/// final graph's edge fingerprint against a committed baseline).
 pub struct RmatChurn {
     /// Corner probabilities (the `scale`/`edges` fields are ignored; the
     /// walk depth tracks the evolving graph instead).

@@ -6,67 +6,31 @@
 //! by a random offset, and which set-difference style delta computations can
 //! merge-scan.
 //!
-//! The graph is backed by one of two interchangeable stores (the
-//! [`AdjacencyStore`] trait surface):
-//!
-//! * [`StorageBackend::Dense`] — one `Vec<VertexId>` per vertex, the
-//!   original layout; pointer-chasing but simple.
-//! * [`StorageBackend::Paged`] — [`PagedAdjacency`], every list a
-//!   size-class page inside one arena (see [`crate::slab`]), built for
-//!   million-vertex graphs where per-`Vec` headers and allocator slack
-//!   dominate.
-//!
-//! Both hand out identical sorted `&[VertexId]` slices, so every
-//! consumer — and every random pick the detector makes off a neighbor
-//! slice — behaves bit-identically regardless of backend.
+//! Every vertex owns one sorted `Vec<VertexId>` row, so `neighbors()`
+//! hands out that row as a plain `&[VertexId]` with no indirection.
 
 use crate::mem::{MemAccounted, MemFootprint};
-use crate::paged::{AdjacencyStore, PagedAdjacency};
 use crate::VertexId;
 
-/// Which store backs an [`AdjacencyGraph`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum StorageBackend {
-    /// `Vec<Vec<VertexId>>` — the legacy layout.
-    #[default]
-    Dense,
-    /// Arena-paged rows — the compact layout for large graphs.
-    Paged,
-}
-
-impl std::fmt::Display for StorageBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            Self::Dense => "dense",
-            Self::Paged => "paged",
-        })
-    }
-}
-
-impl std::str::FromStr for StorageBackend {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "dense" => Ok(Self::Dense),
-            "paged" => Ok(Self::Paged),
-            other => Err(format!("unknown backend {other:?} (dense|paged)")),
+/// Insert `w` into a sorted row; `false` if already present.
+fn insert_sorted(row: &mut Vec<VertexId>, w: VertexId) -> bool {
+    match row.binary_search(&w) {
+        Ok(_) => false,
+        Err(p) => {
+            row.insert(p, w);
+            true
         }
     }
 }
 
-#[derive(Clone, Debug)]
-enum Storage {
-    Dense(Vec<Vec<VertexId>>),
-    Paged(PagedAdjacency),
-}
-
-impl Storage {
-    fn store_mut(&mut self) -> &mut dyn AdjacencyStore {
-        match self {
-            Self::Dense(d) => d,
-            Self::Paged(p) => p,
+/// Remove `w` from a sorted row; `false` if absent.
+fn remove_sorted(row: &mut Vec<VertexId>, w: VertexId) -> bool {
+    match row.binary_search(&w) {
+        Ok(p) => {
+            row.remove(p);
+            true
         }
+        Err(_) => false,
     }
 }
 
@@ -76,49 +40,17 @@ impl Storage {
 /// * neighbor lists are strictly sorted (no duplicates),
 /// * no self-loops,
 /// * symmetry: `u ∈ adj[v] ⇔ v ∈ adj[u]`.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct AdjacencyGraph {
-    storage: Storage,
+    adj: Vec<Vec<VertexId>>,
     num_edges: usize,
 }
 
-impl Default for AdjacencyGraph {
-    fn default() -> Self {
-        Self::new(0)
-    }
-}
-
-impl PartialEq for AdjacencyGraph {
-    /// Structural equality over the logical graph — backends compare
-    /// equal when they hold the same vertices and neighbor lists.
-    fn eq(&self, other: &Self) -> bool {
-        self.num_edges == other.num_edges
-            && self.num_vertices() == other.num_vertices()
-            && (0..self.num_vertices() as VertexId).all(|v| self.neighbors(v) == other.neighbors(v))
-    }
-}
-
-impl Eq for AdjacencyGraph {}
-
 impl AdjacencyGraph {
-    /// An empty graph with `n` isolated vertices (dense backend).
+    /// An empty graph with `n` isolated vertices.
     pub fn new(n: usize) -> Self {
-        Self::with_backend(n, StorageBackend::Dense)
-    }
-
-    /// An empty graph with `n` isolated vertices on the paged backend.
-    pub fn new_paged(n: usize) -> Self {
-        Self::with_backend(n, StorageBackend::Paged)
-    }
-
-    /// An empty graph with `n` isolated vertices on the given backend.
-    pub fn with_backend(n: usize, backend: StorageBackend) -> Self {
-        let storage = match backend {
-            StorageBackend::Dense => Storage::Dense(vec![Vec::new(); n]),
-            StorageBackend::Paged => Storage::Paged(PagedAdjacency::new(n)),
-        };
         Self {
-            storage,
+            adj: vec![Vec::new(); n],
             num_edges: 0,
         }
     }
@@ -136,46 +68,10 @@ impl AdjacencyGraph {
         g
     }
 
-    /// The backend currently holding the rows.
-    pub fn backend(&self) -> StorageBackend {
-        match &self.storage {
-            Storage::Dense(_) => StorageBackend::Dense,
-            Storage::Paged(_) => StorageBackend::Paged,
-        }
-    }
-
-    /// Rebuild this graph on `backend` (no-op if already there). Rows are
-    /// copied verbatim, so the result is [`eq`](PartialEq) to the input —
-    /// and every downstream pick sequence is unchanged.
-    #[must_use]
-    pub fn into_backend(self, backend: StorageBackend) -> Self {
-        if self.backend() == backend {
-            return self;
-        }
-        let n = self.num_vertices();
-        let storage = match backend {
-            StorageBackend::Dense => Storage::Dense(
-                (0..n as VertexId)
-                    .map(|v| self.neighbors(v).to_vec())
-                    .collect(),
-            ),
-            StorageBackend::Paged => Storage::Paged(PagedAdjacency::from_rows(
-                (0..n as VertexId).map(|v| self.neighbors(v)),
-            )),
-        };
-        Self {
-            storage,
-            num_edges: self.num_edges,
-        }
-    }
-
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {
-        match &self.storage {
-            Storage::Dense(d) => d.len(),
-            Storage::Paged(p) => AdjacencyStore::num_vertices(p),
-        }
+        self.adj.len()
     }
 
     /// Number of (undirected) edges.
@@ -193,10 +89,7 @@ impl AdjacencyGraph {
     /// Sorted neighbors of `v`.
     #[inline]
     pub fn neighbors(&self, v: VertexId) -> &[VertexId] {
-        match &self.storage {
-            Storage::Dense(d) => &d[v as usize],
-            Storage::Paged(p) => AdjacencyStore::neighbors(p, v),
-        }
+        &self.adj[v as usize]
     }
 
     /// Degree of `v`.
@@ -218,7 +111,8 @@ impl AdjacencyGraph {
 
     /// Append an isolated vertex, returning its id.
     pub fn add_vertex(&mut self) -> VertexId {
-        self.storage.store_mut().add_vertex()
+        self.adj.push(Vec::new());
+        (self.adj.len() - 1) as VertexId
     }
 
     /// Insert the undirected edge `{u, v}`.
@@ -230,11 +124,10 @@ impl AdjacencyGraph {
         assert_ne!(u, v, "self-loop ({u}, {u})");
         let n = self.num_vertices();
         assert!((u as usize) < n && (v as usize) < n, "vertex out of range");
-        let store = self.storage.store_mut();
-        if !store.insert_sorted(u, v) {
+        if !insert_sorted(&mut self.adj[u as usize], v) {
             return false;
         }
-        let other = store.insert_sorted(v, u);
+        let other = insert_sorted(&mut self.adj[v as usize], u);
         assert!(other, "symmetry violated: edge half-present");
         self.num_edges += 1;
         true
@@ -242,11 +135,10 @@ impl AdjacencyGraph {
 
     /// Remove the undirected edge `{u, v}`. Returns `false` if absent.
     pub fn remove_edge(&mut self, u: VertexId, v: VertexId) -> bool {
-        let store = self.storage.store_mut();
-        if !store.remove_sorted(u, v) {
+        if !remove_sorted(&mut self.adj[u as usize], v) {
             return false;
         }
-        let other = store.remove_sorted(v, u);
+        let other = remove_sorted(&mut self.adj[v as usize], u);
         assert!(other, "symmetry violated: edge half-present");
         self.num_edges -= 1;
         true
@@ -255,10 +147,9 @@ impl AdjacencyGraph {
     /// Remove all edges incident to `v` (used by vertex deletion, which the
     /// paper reduces to edge deletions). Returns the removed neighbors.
     pub fn isolate_vertex(&mut self, v: VertexId) -> Vec<VertexId> {
-        let store = self.storage.store_mut();
-        let nbrs = store.take_row(v);
+        let nbrs = std::mem::take(&mut self.adj[v as usize]);
         for &u in &nbrs {
-            let removed = store.remove_sorted(u, v);
+            let removed = remove_sorted(&mut self.adj[u as usize], v);
             assert!(removed, "symmetry violated");
         }
         self.num_edges -= nbrs.len();
@@ -300,9 +191,6 @@ impl AdjacencyGraph {
 
     /// Verify all structural invariants; used by tests and debug assertions.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Storage::Paged(p) = &self.storage {
-            p.check_invariants()?;
-        }
         let n = self.num_vertices();
         let mut count = 0usize;
         for u in 0..n as VertexId {
@@ -334,10 +222,7 @@ impl AdjacencyGraph {
 
 impl MemAccounted for AdjacencyGraph {
     fn mem_footprint(&self) -> MemFootprint {
-        match &self.storage {
-            Storage::Dense(d) => d.mem_footprint(),
-            Storage::Paged(p) => p.mem_footprint(),
-        }
+        self.adj.mem_footprint()
     }
 }
 
@@ -429,41 +314,6 @@ mod tests {
         g.check_invariants().unwrap();
     }
 
-    #[test]
-    fn backend_round_trip_preserves_graph() {
-        let g = triangle();
-        assert_eq!(g.backend(), StorageBackend::Dense);
-        let p = g.clone().into_backend(StorageBackend::Paged);
-        assert_eq!(p.backend(), StorageBackend::Paged);
-        assert_eq!(p, g, "paged copy structurally equal");
-        p.check_invariants().unwrap();
-        let back = p.into_backend(StorageBackend::Dense);
-        assert_eq!(back, g);
-    }
-
-    #[test]
-    fn paged_backend_full_edit_surface() {
-        let mut g = AdjacencyGraph::new_paged(5);
-        assert!(g.insert_edge(0, 4));
-        assert!(g.insert_edge(0, 2));
-        assert!(!g.insert_edge(2, 0));
-        assert_eq!(g.neighbors(0), &[2, 4]);
-        assert!(g.remove_edge(0, 4));
-        let v = g.add_vertex();
-        assert!(g.insert_edge(v, 0));
-        assert_eq!(g.isolate_vertex(0), vec![2, 5]);
-        assert_eq!(g.num_edges(), 0);
-        g.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn backend_parses_and_displays() {
-        assert_eq!("paged".parse::<StorageBackend>(), Ok(StorageBackend::Paged));
-        assert_eq!("dense".parse::<StorageBackend>(), Ok(StorageBackend::Dense));
-        assert!("mmap".parse::<StorageBackend>().is_err());
-        assert_eq!(StorageBackend::Paged.to_string(), "paged");
-    }
-
     proptest! {
         /// Random interleavings of inserts/removes preserve all invariants
         /// and agree with a reference HashSet-of-edges model.
@@ -485,43 +335,6 @@ mod tests {
             for &(u, v) in &model {
                 prop_assert!(g.has_edge(u, v));
             }
-        }
-
-        /// The two backends stay structurally identical under random
-        /// interleaved insert/remove/isolate streams — the satellite
-        /// contract for the paged store, covering page recycling
-        /// (isolate frees pages; later growth reuses them).
-        #[test]
-        fn paged_and_dense_backends_agree(ops in proptest::collection::vec(
-            (0u32..24, 0u32..24, 0u8..6), 1..300))
-        {
-            let mut dense = AdjacencyGraph::new(24);
-            let mut paged = AdjacencyGraph::new_paged(24);
-            for (a, b, op) in ops {
-                match op {
-                    0..=2 => {
-                        if a == b { continue; }
-                        prop_assert_eq!(dense.insert_edge(a, b), paged.insert_edge(a, b));
-                    }
-                    3 | 4 => {
-                        if a == b { continue; }
-                        prop_assert_eq!(dense.remove_edge(a, b), paged.remove_edge(a, b));
-                    }
-                    _ => {
-                        prop_assert_eq!(dense.isolate_vertex(a), paged.isolate_vertex(a));
-                    }
-                }
-            }
-            prop_assert_eq!(&dense, &paged);
-            prop_assert_eq!(dense.num_edges(), paged.num_edges());
-            for v in 0..24u32 {
-                prop_assert_eq!(dense.neighbors(v), paged.neighbors(v));
-                prop_assert_eq!(dense.degree(v), paged.degree(v));
-            }
-            let de: Vec<_> = dense.edges().collect();
-            let pe: Vec<_> = paged.edges().collect();
-            prop_assert_eq!(de, pe);
-            prop_assert!(paged.check_invariants().is_ok());
         }
     }
 }

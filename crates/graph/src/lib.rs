@@ -51,14 +51,13 @@ pub mod edits;
 pub mod fxhash;
 pub mod io;
 pub mod mem;
-pub mod paged;
 pub mod partition;
 pub mod rng;
 pub mod sharding;
 pub mod slab;
 pub mod stats;
 
-pub use adjacency::{AdjacencyGraph, StorageBackend};
+pub use adjacency::AdjacencyGraph;
 pub use builder::GraphBuilder;
 pub use connectivity::{connected_components, UnionFind};
 pub use cover::Cover;
@@ -67,7 +66,6 @@ pub use dynamic::{AppliedBatch, DynamicGraph, VertexDelta};
 pub use edits::{EditBatch, EditError};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use mem::{MemAccounted, MemFootprint};
-pub use paged::{AdjacencyStore, PagedAdjacency};
 pub use partition::{BlockPartitioner, HashPartitioner, HubPull, Partitioner, PlannedPartitioner};
 pub use rng::{DetRng, PickKey};
 pub use sharding::{compact_slot_deltas, split_deltas, BoundaryTracker, SlotDelta};

@@ -1,10 +1,12 @@
 //! Memory-footprint accounting for the storage layer.
 //!
-//! Every compact store (paged adjacency, record arenas, packed histogram
-//! rows) reports two numbers: the bytes its *live* entries occupy and the
-//! bytes its backing buffers have *reserved*. The gap between the two is
+//! Every store (adjacency rows, record arenas, packed histogram rows)
+//! reports two numbers: the bytes its *live* entries occupy and the bytes
+//! its backing buffers have *reserved*. The gap between the two is
 //! allocator slack plus recycling head-room — the quantity the scale
 //! bench's `bytes_per_vertex` gate watches.
+
+use crate::VertexId;
 
 /// Live vs reserved bytes of one store (or a sum of stores).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -58,6 +60,20 @@ impl MemFootprint {
 pub trait MemAccounted {
     /// Current live / reserved byte counts.
     fn mem_footprint(&self) -> MemFootprint;
+}
+
+impl MemAccounted for Vec<Vec<VertexId>> {
+    fn mem_footprint(&self) -> MemFootprint {
+        let header = std::mem::size_of::<Vec<VertexId>>();
+        let elem = std::mem::size_of::<VertexId>();
+        let live: usize = self.iter().map(|r| r.len() * elem + header).sum();
+        let cap: usize =
+            self.iter().map(|r| r.capacity() * elem).sum::<usize>() + self.capacity() * header;
+        MemFootprint {
+            live_bytes: live,
+            capacity_bytes: cap,
+        }
+    }
 }
 
 #[cfg(test)]

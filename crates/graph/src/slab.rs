@@ -1,6 +1,7 @@
 //! Size-class slab arena: many small growable rows in one allocation.
 //!
-//! The storage idiom every compact store in this repo shares. A
+//! The layout of the receiver records in `rslpa_core::state`, whose
+//! size classes `rslpa_core::rows::HistRows` shares. A
 //! [`SlabRows<T>`] keeps all rows' entries in **one** backing `Vec<T>`
 //! (the arena). Each row owns a contiguous *page* — a block whose
 //! capacity is a power-of-two size class — described by a span
@@ -11,18 +12,12 @@
 //! * **Growth** moves a row to a page of the next class (copy `len`
 //!   entries) and *recycles* the old page onto a per-class free list —
 //!   later growths of other rows reuse it before the arena extends.
-//! * **Clearing** a row recycles its page immediately.
-//! * **Tombstone compaction**: pages on free lists are dead space inside
-//!   the arena. When dead space exceeds the live reservation
-//!   (`arena.len() > 2 × Σ class_cap(row)` past a fixed floor), the whole
-//!   arena is rebuilt tight — every row re-packed into the smallest class
-//!   that fits its current length, free lists emptied. Compaction is a
-//!   pure function of the operation sequence, so replays stay
-//!   deterministic.
+//! * **Shrinking** ([`SlabRows::swap_remove`]) happens in place: a row
+//!   keeps its page, so the next push into it needs no allocation.
 //!
 //! Invariants (checked by [`SlabRows::check_invariants`]):
-//! * `len ≤ class_cap(class)` for every span, and `class == 0 ⇔` the row
-//!   has no page (`len == 0`);
+//! * `len ≤ class_cap(class)` for every span, and `class == 0` implies
+//!   the row has no page (`len == 0`);
 //! * live pages and free pages never overlap, and every page lies inside
 //!   the arena;
 //! * `live_entries` equals the sum of span lengths.
@@ -31,9 +26,6 @@ use crate::mem::{MemAccounted, MemFootprint};
 
 /// Capacity of the smallest (class 1) page.
 const BASE_CAP: u32 = 4;
-
-/// Arena length below which compaction never triggers (not worth it).
-const COMPACT_FLOOR: usize = 4096;
 
 /// Page capacity of a size class (class 0 = no page).
 #[inline]
@@ -78,46 +70,25 @@ pub struct SlabRows<T: Copy> {
     free: Vec<Vec<u32>>,
     /// Σ span.len — live entry count.
     live: usize,
-    /// Σ class_cap(span.class) — entries reserved by live pages.
-    reserved: usize,
 }
 
 impl<T: Copy> SlabRows<T> {
-    /// An empty slab; `fill` pads reserved-but-unwritten arena space.
-    pub fn new(fill: T) -> Self {
+    /// A slab with `rows` empty rows; `fill` pads reserved-but-unwritten
+    /// arena space.
+    pub fn with_rows(rows: usize, fill: T) -> Self {
         Self {
             fill,
             arena: Vec::new(),
-            spans: Vec::new(),
+            spans: vec![Span::default(); rows],
             free: Vec::new(),
             live: 0,
-            reserved: 0,
         }
-    }
-
-    /// A slab with `rows` empty rows.
-    pub fn with_rows(rows: usize, fill: T) -> Self {
-        let mut s = Self::new(fill);
-        s.spans = vec![Span::default(); rows];
-        s
-    }
-
-    /// Number of rows.
-    #[inline]
-    pub fn num_rows(&self) -> usize {
-        self.spans.len()
     }
 
     /// Total live entries across all rows.
     #[inline]
     pub fn live_entries(&self) -> usize {
         self.live
-    }
-
-    /// Append an empty row, returning its index.
-    pub fn push_row(&mut self) -> usize {
-        self.spans.push(Span::default());
-        self.spans.len() - 1
     }
 
     /// Grow to at least `rows` rows (new rows empty).
@@ -132,19 +103,6 @@ impl<T: Copy> SlabRows<T> {
     pub fn row(&self, i: usize) -> &[T] {
         let s = self.spans[i];
         &self.arena[s.head as usize..(s.head + s.len) as usize]
-    }
-
-    /// Mutable live entries of row `i`.
-    #[inline]
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
-        let s = self.spans[i];
-        &mut self.arena[s.head as usize..(s.head + s.len) as usize]
-    }
-
-    /// Length of row `i`.
-    #[inline]
-    pub fn len_of(&self, i: usize) -> usize {
-        self.spans[i].len as usize
     }
 
     /// Take a page of `class` off the free list or reserve one at the
@@ -195,7 +153,6 @@ impl<T: Copy> SlabRows<T> {
         if s.class > 0 {
             self.recycle_page(s.head, s.class);
         }
-        self.reserved += class_cap(new_class) as usize - class_cap(s.class) as usize;
         self.spans[i] = Span {
             head: new_head,
             len: s.len,
@@ -214,35 +171,6 @@ impl<T: Copy> SlabRows<T> {
         self.live += 1;
     }
 
-    /// Insert `x` at position `idx` of row `i`, shifting the tail right.
-    pub fn insert(&mut self, i: usize, idx: usize, x: T) {
-        if self.spans[i].len == class_cap(self.spans[i].class) {
-            self.grow_row(i);
-        }
-        let s = self.spans[i];
-        debug_assert!(idx <= s.len as usize);
-        let head = s.head as usize;
-        self.arena
-            .copy_within(head + idx..head + s.len as usize, head + idx + 1);
-        self.arena[head + idx] = x;
-        self.spans[i].len += 1;
-        self.live += 1;
-    }
-
-    /// Remove and return the entry at position `idx` of row `i`, shifting
-    /// the tail left (order-preserving).
-    pub fn remove(&mut self, i: usize, idx: usize) -> T {
-        let s = self.spans[i];
-        debug_assert!(idx < s.len as usize);
-        let head = s.head as usize;
-        let out = self.arena[head + idx];
-        self.arena
-            .copy_within(head + idx + 1..head + s.len as usize, head + idx);
-        self.spans[i].len -= 1;
-        self.live -= 1;
-        out
-    }
-
     /// Remove and return the entry at position `idx` of row `i` by moving
     /// the last entry into its place — exactly `Vec::swap_remove`, so
     /// consumers that relied on `Vec` ordering see the same order here.
@@ -257,88 +185,9 @@ impl<T: Copy> SlabRows<T> {
         out
     }
 
-    /// Empty row `i`, recycling its page. Returns nothing — copy the row
-    /// out first if its contents are needed.
-    pub fn clear_row(&mut self, i: usize) {
-        let s = self.spans[i];
-        if s.class > 0 {
-            self.recycle_page(s.head, s.class);
-            self.reserved -= class_cap(s.class) as usize;
-        }
-        self.live -= s.len as usize;
-        self.spans[i] = Span::default();
-        self.maybe_compact();
-    }
-
-    /// Rebuild the arena tight if dead space (recycled pages + class
-    /// slack released by compaction) exceeds the live reservation.
-    fn maybe_compact(&mut self) {
-        if self.arena.len() > COMPACT_FLOOR && self.arena.len() > 2 * self.reserved {
-            self.compact();
-        }
-    }
-
-    /// Tombstone compaction: re-pack every row into the smallest class
-    /// that fits it, in row order, dropping all free pages.
-    pub fn compact(&mut self) {
-        let mut arena = Vec::with_capacity(self.live + self.live / 2);
-        let mut reserved = 0usize;
-        for s in self.spans.iter_mut() {
-            let class = class_for(s.len);
-            let head = arena.len() as u32;
-            arena.extend_from_slice(&self.arena[s.head as usize..(s.head + s.len) as usize]);
-            arena.resize(head as usize + class_cap(class) as usize, self.fill);
-            reserved += class_cap(class) as usize;
-            *s = Span {
-                head,
-                len: s.len,
-                class,
-            };
-        }
-        self.arena = arena;
-        self.reserved = reserved;
-        self.free.clear();
-    }
-
-    /// Build a slab from an iterator of rows, each packed into the
-    /// smallest class that fits it. The arena and span table are sized
-    /// exactly up front (two passes over the row headers), so a bulk
-    /// build carries no `Vec`-doubling slack — only the size-class
-    /// head-room itself.
-    pub fn from_rows<'a>(rows: impl IntoIterator<Item = &'a [T]>, fill: T) -> Self
-    where
-        T: 'a,
-    {
-        let rows: Vec<&'a [T]> = rows.into_iter().collect();
-        let total: usize = rows
-            .iter()
-            .map(|r| class_cap(class_for(r.len() as u32)) as usize)
-            .sum();
-        let mut s = Self::new(fill);
-        s.arena.reserve_exact(total);
-        s.spans.reserve_exact(rows.len());
-        for row in rows {
-            let i = s.push_row();
-            let class = class_for(row.len() as u32);
-            if class > 0 {
-                let head = s.alloc_page(class);
-                s.arena[head as usize..head as usize + row.len()].copy_from_slice(row);
-                s.reserved += class_cap(class) as usize;
-                s.spans[i] = Span {
-                    head,
-                    len: row.len() as u32,
-                    class,
-                };
-                s.live += row.len();
-            }
-        }
-        s
-    }
-
     /// Verify every structural invariant (tests and debug assertions).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut live = 0usize;
-        let mut reserved = 0usize;
         let mut pages: Vec<(u32, u32)> = Vec::new(); // (head, cap)
         for (i, s) in self.spans.iter().enumerate() {
             if s.class == 0 && s.len != 0 {
@@ -353,7 +202,6 @@ impl<T: Copy> SlabRows<T> {
                     return Err(format!("row {i}: page out of arena"));
                 }
                 pages.push((s.head, cap));
-                reserved += cap as usize;
             }
             live += s.len as usize;
         }
@@ -374,12 +222,6 @@ impl<T: Copy> SlabRows<T> {
         }
         if live != self.live {
             return Err(format!("live count {} != cached {}", live, self.live));
-        }
-        if reserved != self.reserved {
-            return Err(format!(
-                "reserved count {} != cached {}",
-                reserved, self.reserved
-            ));
         }
         Ok(())
     }
@@ -432,19 +274,6 @@ mod tests {
     }
 
     #[test]
-    fn insert_remove_keep_order() {
-        let mut s = SlabRows::with_rows(1, 0u32);
-        for x in [1u32, 3, 5] {
-            s.push(0, x);
-        }
-        s.insert(0, 1, 2);
-        assert_eq!(s.row(0), &[1, 2, 3, 5]);
-        assert_eq!(s.remove(0, 2), 3);
-        assert_eq!(s.row(0), &[1, 2, 5]);
-        s.check_invariants().unwrap();
-    }
-
-    #[test]
     fn swap_remove_mirrors_vec() {
         let mut s = SlabRows::with_rows(1, 0u32);
         let mut model = vec![10u32, 20, 30, 40];
@@ -456,81 +285,47 @@ mod tests {
     }
 
     #[test]
-    fn clear_recycles_pages_for_reuse() {
+    fn growth_recycles_pages_for_reuse() {
         let mut s = SlabRows::with_rows(2, 0u32);
-        for x in 0..4u32 {
-            s.push(0, x);
+        for x in 0..5u32 {
+            s.push(0, x); // the fifth push moves row 0 to a class-2 page
         }
         let before = s.arena.len();
-        s.clear_row(0);
         for x in 0..4u32 {
-            s.push(1, x); // must reuse the recycled class-1 page
+            s.push(1, x); // must reuse row 0's recycled class-1 page
         }
         assert_eq!(s.arena.len(), before, "arena must not grow");
+        assert_eq!(s.row(0), &[0, 1, 2, 3, 4]);
         assert_eq!(s.row(1), &[0, 1, 2, 3]);
         s.check_invariants().unwrap();
     }
 
-    #[test]
-    fn compaction_drops_dead_space() {
-        let mut s = SlabRows::with_rows(64, 0u32);
-        // Inflate every row past several growths, then clear most.
-        for i in 0..64 {
-            for x in 0..40u32 {
-                s.push(i, x);
-            }
-        }
-        for i in 0..60 {
-            s.clear_row(i);
-        }
-        s.compact();
-        s.check_invariants().unwrap();
-        assert_eq!(s.live_entries(), 4 * 40);
-        for i in 60..64 {
-            assert_eq!(s.row(i), (0..40).collect::<Vec<_>>().as_slice());
-        }
-        // Arena is tight: reserved pages only.
-        assert_eq!(s.arena.len(), 4 * class_cap(class_for(40)) as usize);
-    }
-
-    #[test]
-    fn from_rows_round_trip() {
-        let rows: Vec<Vec<u32>> = vec![vec![], vec![7], vec![1, 2, 3, 4, 5]];
-        let s = SlabRows::from_rows(rows.iter().map(|r| r.as_slice()), 0u32);
-        for (i, r) in rows.iter().enumerate() {
-            assert_eq!(s.row(i), r.as_slice());
-        }
-        s.check_invariants().unwrap();
-    }
-
     proptest! {
-        /// Random op streams agree with a Vec<Vec> model and keep
-        /// invariants, including page recycling and compaction paths.
+        /// Random push / swap-remove streams — the two mutations
+        /// receiver records make — agree with a `Vec<Vec>` model and keep
+        /// every invariant after each op, while rows grow through several
+        /// size classes and recycle the pages they leave behind.
         #[test]
         fn random_ops_match_vec_model(ops in proptest::collection::vec(
-            (0usize..8, 0u8..4, 0u32..1000), 1..400))
+            (0usize..8, 0u8..3, 0u32..1000), 1..400))
         {
             let mut s = SlabRows::with_rows(8, 0u32);
             let mut model: Vec<Vec<u32>> = vec![Vec::new(); 8];
             for (row, op, x) in ops {
-                match op {
-                    0 => { s.push(row, x); model[row].push(x); }
-                    1 => {
-                        let idx = x as usize % (model[row].len() + 1);
-                        s.insert(row, idx, x); model[row].insert(idx, x);
-                    }
-                    2 if !model[row].is_empty() => {
-                        let idx = x as usize % model[row].len();
-                        prop_assert_eq!(s.remove(row, idx), model[row].remove(idx));
-                    }
-                    3 => { s.clear_row(row); model[row].clear(); }
-                    _ => {}
+                if op < 2 {
+                    s.push(row, x);
+                    model[row].push(x);
+                } else if !model[row].is_empty() {
+                    let idx = x as usize % model[row].len();
+                    prop_assert_eq!(s.swap_remove(row, idx), model[row].swap_remove(idx));
                 }
+                prop_assert_eq!(s.row(row), model[row].as_slice());
+                prop_assert!(s.check_invariants().is_ok());
             }
             for (i, r) in model.iter().enumerate() {
                 prop_assert_eq!(s.row(i), r.as_slice());
             }
-            prop_assert!(s.check_invariants().is_ok());
+            prop_assert_eq!(s.live_entries(), model.iter().map(Vec::len).sum::<usize>());
         }
     }
 }

@@ -43,8 +43,8 @@ use rslpa_core::{
 use rslpa_graph::sharding::split_deltas;
 use rslpa_graph::Cover;
 use rslpa_graph::{
-    AdjacencyGraph, AppliedBatch, BoundaryTracker, DynamicGraph, EditBatch, FxHashSet, HubPull,
-    MemAccounted, MemFootprint, Partitioner, PlannedPartitioner, SlotDelta, VertexId,
+    AdjacencyGraph, AppliedBatch, BoundaryTracker, DynamicGraph, EditBatch, HubPull, MemAccounted,
+    MemFootprint, Partitioner, PlannedPartitioner, SlotDelta, VertexId,
 };
 use rslpa_trace::{names, TraceWriter, Tracer};
 
@@ -448,13 +448,12 @@ impl RepairEngine {
         self.slot_deltas.clear();
         match &mut self.repair {
             Repair::Single(d) => {
-                let mut dirty = FxHashSet::default();
                 let report = d
-                    .apply_batch_streaming(batch, &mut dirty, &mut self.slot_deltas)
+                    .apply_batch_streaming(batch, &mut self.slot_deltas)
                     .expect("net-resolved batch validates by construction");
                 stats.note_shard_flush(0, report.affected_vertices as u64, report.eta as u64);
                 stats.note_damped_deferrals(report.damped_deferrals as u64);
-                (report.eta as u64, dirty.len() as u64)
+                (report.eta as u64, report.dirty_vertices as u64)
             }
             Repair::Mailbox(e) => e.apply(batch, stats, &mut self.slot_deltas),
         }
