@@ -135,7 +135,7 @@ pub fn barrier(out_path: &str) {
     t.print();
 
     let list = |f: &dyn Fn(&Cell) -> String| -> String {
-        cells.iter().map(|c| f(c)).collect::<Vec<_>>().join(", ")
+        cells.iter().map(f).collect::<Vec<_>>().join(", ")
     };
     let block = format!(
         "\"barrier\": {{\n    \"rounds_per_cell\": {ROUNDS},\n    \"cores\": {},\n    \

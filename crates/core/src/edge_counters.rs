@@ -67,6 +67,9 @@ use crate::state::{histogram_of, LabelState};
 /// [`HistRows`]), so it is stored as a `u32`.
 type CounterRow = Vec<(VertexId, u32)>;
 
+/// One vertex's sparse histogram diff: `(label, Δcount)` pairs.
+type VertexDiff = (VertexId, Vec<(Label, i64)>);
+
 /// Compact a slot-delta stream and aggregate it to one sparse histogram
 /// diff per vertex (`Σ` of `-1` at each net `old`, `+1` at each net
 /// `new`), so every dirty vertex costs one neighbor sweep no matter how
@@ -77,7 +80,7 @@ type CounterRow = Vec<(VertexId, u32)>;
 /// its labels in an order fixed by the net change set alone: the order
 /// in which [`HistRows::fold_diff`] grows and shrinks a row (and so the
 /// store's page layout) cannot follow the order the stream arrived in.
-fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<(VertexId, Vec<(Label, i64)>)>) {
+fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<VertexDiff>) {
     let mut net = compact_slot_deltas(deltas);
     if net.is_empty() {
         return (0, Vec::new());
@@ -91,7 +94,7 @@ fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<(VertexId, Vec<(L
         Some(e) => e.1 += dl,
         None => diff.push((l, dl)),
     };
-    let mut out: Vec<(VertexId, Vec<(Label, i64)>)> = Vec::new();
+    let mut out: Vec<VertexDiff> = Vec::new();
     let mut i = 0;
     while i < net.len() {
         let v = net[i].v;
@@ -449,7 +452,7 @@ mod tests {
         state.set_label(1, 3, 1);
         let mut counters = EdgeCounters::new(&state);
         counters.refresh_weights(&g, 1);
-        assert_eq!(counters.common_of(0, 1), Some(2 * 1 + 2 * 3)); // = 8
+        assert_eq!(counters.common_of(0, 1), Some(8)); // 2·1 + 2·3
 
         // One correction rewrites slot 2 of vertex 0 from y to x: the
         // streaming update is common += f_1(x) − f_1(y) = 1 − 3.
@@ -461,7 +464,7 @@ mod tests {
         };
         counters.apply_slot_deltas(&g, &[rewrite]);
         // Fresh merge of f_0 = {x:3, y:1}, f_1 = {x:1, y:3}: 3·1 + 1·3.
-        assert_eq!(counters.common_of(0, 1), Some(3 * 1 + 1 * 3)); // = 6
+        assert_eq!(counters.common_of(0, 1), Some(6)); // 3·1 + 1·3
         assert_eq!(counters.hist(0), &[(0, 3), (1, 1)]);
         let w = counters.refresh_weights(&g, 1);
         assert_eq!(w[0].2.to_bits(), (6.0f64 / 16.0).to_bits());
@@ -583,7 +586,7 @@ mod tests {
     fn threaded_and_serial_first_refresh_agree() {
         // > 256 missing edges so the parallel path actually runs.
         let n = 300u32;
-        let mut g = ring_graph(n as u32);
+        let mut g = ring_graph(n);
         for v in 0..n {
             g.insert_edge(v, (v + 5) % n);
         }

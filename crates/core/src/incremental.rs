@@ -877,8 +877,8 @@ mod tests {
             for d in &net {
                 compact_replay[d.v as usize][d.slot as usize] = d.new;
             }
-            for v in 0..5usize {
-                assert_eq!(compact_replay[v], state.label_sequence(v as u32));
+            for (v, seq) in compact_replay.iter().enumerate() {
+                assert_eq!(*seq, state.label_sequence(v as u32));
             }
         }
     }

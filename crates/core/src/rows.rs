@@ -335,7 +335,7 @@ mod tests {
         let mut rows = HistRows::new(6);
         let a = rows.alloc_from(&[(0, 2), (1, 2), (5, 2)]);
         let b = rows.alloc_from(&[(1, 3), (5, 1), (9, 2)]);
-        assert_eq!(rows.common(a, b), 2 * 3 + 2 * 1);
+        assert_eq!(rows.common(a, b), 8); // 2·3 + 2·1
     }
 
     #[test]

@@ -10,9 +10,12 @@
 //! cascade as far as it runs inside the shard. Corrections that cross a
 //! partition boundary become [`ShardMsg`]s addressed to the owner of the
 //! remote vertex. The serve subsystem delivers them over **the
-//! peer-to-peer mailbox mesh** ([`MailboxPort`]): every worker holds a
-//! direct channel to every peer and delivers its outbox itself (one hop
-//! per envelope). Rounds synchronize on a shared sense-reversing barrier
+//! peer-to-peer mailbox mesh** ([`MailboxPort`]) in BSP supersteps: in
+//! round r every port writes its outbox into shared mailbox cells, one
+//! cell per (round parity, sender, receiver), and after the round's
+//! barrier each port reads its own column in sender order, so round r
+//! applies exactly the batches sent in round r (one hop per envelope).
+//! Rounds synchronize on a shared sense-reversing barrier
 //! ([`SenseBarrier`]) and terminate by a monotone sent-envelope counter:
 //! **one** barrier wait per round, with the last arriver (the leader)
 //! publishing the counter snapshot from inside the barrier's pre-release
@@ -37,11 +40,13 @@
 //! unique — independent of shard count, message ordering, transport, and
 //! how eagerly a shard drains its local cascade. The tests below pin that
 //! claim against the centralized [`apply_correction`](crate::incremental)
-//! bit for bit, for both the sequential driver and the mesh.
+//! bit for bit, for both the sequential driver and the mesh. Superstep
+//! delivery makes the path there deterministic as well: the envelope,
+//! round, deferral and dirty-vertex counts of a flush are a function of
+//! the batch sequence alone, whatever the thread schedule.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
 use rslpa_graph::{
@@ -55,7 +60,7 @@ use crate::propagation::draw_pick;
 use crate::state::{LabelState, Record, NO_SOURCE};
 
 /// A boundary-exchange message between shards (same protocol as the BSP
-/// correction program, carried over shard channels instead of the
+/// correction program, carried in the mesh's mailbox cells instead of the
 /// simulator's per-vertex mailboxes).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ShardMsg {
@@ -291,21 +296,9 @@ impl ShardRepairState {
         self.damping = damping;
     }
 
-    /// Whether any owned vertex has a parked re-spray awaiting release.
-    /// The mailbox engine uses this to keep posting (possibly empty)
-    /// flushes to an otherwise-idle shard until its pending work drains.
-    pub fn has_pending(&self) -> bool {
-        !self.pending_set.is_empty()
-    }
-
     /// Shard index.
     pub fn shard(&self) -> usize {
         self.shard
-    }
-
-    /// Number of owned vertices.
-    pub fn num_owned(&self) -> usize {
-        self.rows.len()
     }
 
     /// Whether this shard owns `v` under the current partitioner.
@@ -320,27 +313,19 @@ impl ShardRepairState {
         self.partitioner.assign(v)
     }
 
-    /// Start a new flush: reset the distinct-slot (η) accounting.
-    /// [`apply_deltas`](Self::apply_deltas) does this implicitly; a shard
-    /// that participates in a flush **only** through exchange (no routed
-    /// deltas — possible under the mailbox engine's sub-queue admission)
-    /// must call this before its first [`exchange`](Self::exchange) of
-    /// the flush, or slots it repaired in an earlier flush would be
-    /// deduplicated out of this flush's η.
-    pub fn begin_flush(&mut self) {
-        self.touched.clear();
-        self.flush_dirty.clear();
-    }
-
     /// Apply this shard's per-vertex deltas (Phase A of Algorithm 2), then
     /// drain the local cascade; cross-shard envelopes are appended to
-    /// `out`. Starts a new flush (resets the distinct-slot accounting).
+    /// `out`. Starts a new flush (resets the distinct-slot and dirty-vertex
+    /// accounting), so every shard runs it once per flush, with an empty
+    /// slice if no delta is routed to it: that also runs its damping
+    /// releases, as the centralized engine does every flush.
     pub fn apply_deltas(
         &mut self,
         deltas: &[(VertexId, VertexDelta)],
         out: &mut Vec<Envelope>,
     ) -> ShardFlushReport {
-        self.begin_flush();
+        self.touched.clear();
+        self.flush_dirty.clear();
         let mut report = ShardFlushReport::default();
         let mut staged = Vec::new();
         // Bring the adjacency rows to the post-batch topology first:
@@ -868,10 +853,11 @@ fn stage_repick(
     report.repicks += 1;
 }
 
-/// Shared synchronization state of a peer-to-peer mailbox mesh: the round
-/// barrier plus a **monotone** count of envelopes ever sent over peer
-/// channels. The counter is never reset — each port diffs successive
-/// snapshots — so no reset has to be ordered against anyone's sends.
+/// Shared state of a peer-to-peer mailbox mesh: the round barrier, a
+/// **monotone** count of envelopes ever written into mailbox cells, and
+/// the cells themselves. The counter is never reset — each port diffs
+/// successive snapshots — so no reset has to be ordered against anyone's
+/// sends.
 struct MeshCore {
     barrier: SenseBarrier,
     sent: AtomicU64,
@@ -881,6 +867,23 @@ struct MeshCore {
     /// the barrier's release. Relaxed accesses suffice: the sense flip's
     /// release/acquire edge orders them.
     snapshot: AtomicU64,
+    /// Port count.
+    shards: usize,
+    /// One mailbox cell per (round parity, sender, receiver), flat in that
+    /// order. A sender writes its cell before the round's barrier, the
+    /// receiver empties it after; the next write to the cell comes two
+    /// rounds later, past the barrier that follows the read, so the locks
+    /// are never contended.
+    cells: Vec<Mutex<Vec<Envelope>>>,
+}
+
+impl MeshCore {
+    /// The cell `from` writes for `to` in rounds of parity `parity`.
+    fn cell(&self, parity: usize, from: usize, to: usize) -> MutexGuard<'_, Vec<Envelope>> {
+        self.cells[(parity * self.shards + from) * self.shards + to]
+            .lock()
+            .expect("no port panics while holding a mailbox cell")
+    }
 }
 
 /// Per-flush accounting of one port's mesh exchange (summable across
@@ -891,7 +894,7 @@ pub struct MeshExchangeReport {
     pub rounds: u64,
     /// Envelopes this port sent.
     pub envelopes_sent: u64,
-    /// Inbox depth (envelopes drained) per delivering round.
+    /// Inbox depth (envelopes read) per delivering round.
     pub inbox_depths: Vec<u64>,
     /// Wall time this port spent parked on the round barrier
     /// (`barrier_arrive + barrier_depart`).
@@ -921,22 +924,21 @@ impl MeshPoisoner {
     }
 }
 
-/// One shard's endpoint of the peer-to-peer mailbox mesh: a direct
-/// channel to every peer, the shared round barrier, and this port's last
-/// sent-counter snapshot.
+/// One shard's endpoint of the peer-to-peer mailbox mesh: its row and
+/// column of the shared mailbox cells, the shared round barrier, and this
+/// port's last sent-counter snapshot.
 ///
 /// Every exchange session must involve **every** port of the mesh (the
 /// barrier is sized to the shard count), and each session leaves all
-/// ports with the same snapshot — the invariant that lets the mesh be
-/// reused across flushes without a reset.
+/// ports with the same snapshot and every cell empty — the invariant that
+/// lets the mesh be reused across flushes without a reset.
 pub struct MailboxPort {
     shard: usize,
-    peers: Vec<Option<Sender<Vec<Envelope>>>>,
-    inbox: Receiver<Vec<Envelope>>,
     core: Arc<MeshCore>,
     last_snapshot: u64,
     /// This port's private sense flag for the mesh barrier (flipped every
-    /// round; see [`SenseBarrier`]).
+    /// round; see [`SenseBarrier`]). It flips on every port alike, so it
+    /// doubles as the round parity that selects the mailbox cells.
     sense: bool,
     /// Flight-recorder handle for this port's lane (the owning worker
     /// thread's), attached by the serve layer; `None` leaves the port
@@ -951,25 +953,12 @@ pub fn build_mesh(shards: usize) -> Vec<MailboxPort> {
         barrier: SenseBarrier::new(shards),
         sent: AtomicU64::new(0),
         snapshot: AtomicU64::new(0),
+        shards,
+        cells: (0..2 * shards * shards).map(|_| Mutex::default()).collect(),
     });
-    let mut senders: Vec<Sender<Vec<Envelope>>> = Vec::with_capacity(shards);
-    let mut inboxes: Vec<Receiver<Vec<Envelope>>> = Vec::with_capacity(shards);
-    for _ in 0..shards {
-        let (tx, rx) = std::sync::mpsc::channel();
-        senders.push(tx);
-        inboxes.push(rx);
-    }
-    inboxes
-        .into_iter()
-        .enumerate()
-        .map(|(shard, inbox)| MailboxPort {
+    (0..shards)
+        .map(|shard| MailboxPort {
             shard,
-            peers: senders
-                .iter()
-                .enumerate()
-                .map(|(i, tx)| (i != shard).then(|| tx.clone()))
-                .collect(),
-            inbox,
             core: Arc::clone(&core),
             last_snapshot: 0,
             sense: false,
@@ -991,18 +980,6 @@ impl MailboxPort {
         self.trace = Some(trace);
     }
 
-    /// Poison the mesh barrier: every port currently parked (or arriving
-    /// later) bails out of its exchange with `poisoned` set. Called by a
-    /// dying worker so its peers do not wait forever for its arrival.
-    pub fn poison_mesh(&self) {
-        self.core.barrier.poison();
-    }
-
-    /// Whether the mesh barrier has been poisoned (some worker died).
-    pub fn mesh_poisoned(&self) -> bool {
-        self.core.barrier.is_poisoned()
-    }
-
     /// Detachable poison handle for this port's mesh: poisons the round
     /// barrier without borrowing the port, so a coordinator (or a worker's
     /// panic guard) can unblock parked peers from another thread.
@@ -1010,33 +987,35 @@ impl MailboxPort {
         MeshPoisoner(Arc::clone(&self.core))
     }
 
-    /// Drive boundary exchange to quiescence, delivering envelopes
-    /// directly to peer mailboxes. `first_out` is this shard's Phase-A
-    /// outbox; corrections received along the way are applied to `state`
-    /// and their follow-up envelopes forwarded in later rounds.
+    /// Drive boundary exchange to quiescence in BSP supersteps. `first_out`
+    /// is this shard's Phase-A outbox; corrections received along the way
+    /// are applied to `state` and their follow-up envelopes sent in the
+    /// next round.
     ///
     /// Round protocol (identical on every port, which is what keeps the
     /// barrier deadlock-free):
     ///
-    /// 1. **send** — group the staged outbox by owner shard, send one
-    ///    batch per peer with traffic, add the envelope count to the
-    ///    shared monotone counter;
+    /// 1. **send** — group the staged outbox by owner shard, write each
+    ///    peer's batch into this round's cell for it, and add the envelope
+    ///    count to the shared monotone counter;
     /// 2. **one barrier wait** — the last arriver (leader) copies the
     ///    shared counter into the round-snapshot slot *inside the
     ///    pre-release closure*: every send of the round is already counted
     ///    (its port has arrived), no port can be sending (none released),
-    ///    and the release publishes the snapshot to every port. This is
-    ///    the single-barrier quiescence rule that replaced the old
-    ///    barrier/read/barrier sandwich;
-    /// 3. if the snapshot did not advance, nothing was sent by anyone and
-    ///    everything previously sent was already drained: **quiescent**.
-    ///    Otherwise drain the own mailbox, apply
+    ///    and the release publishes the snapshot — and every cell written
+    ///    before it — to every port;
+    /// 3. if the snapshot did not advance, nobody sent anything this round
+    ///    and every earlier round's batches were read in their own round:
+    ///    **quiescent**. Otherwise read this round's cells addressed to
+    ///    this port in sender order, apply them
     ///    ([`ShardRepairState::exchange`]), and loop.
     ///
-    /// A batch sent early in step 1 may be drained by a peer still in its
-    /// *previous* round's step 3 — harmless, because the repaired fixed
-    /// point is delivery-order independent and the counter tracks sends,
-    /// not receipts (the accelerated round then just drains empty).
+    /// Round r therefore applies exactly the batches sent in round r, in
+    /// an order fixed by the senders' outboxes, so the rounds, envelope
+    /// counts and transient labels of a flush do not depend on the thread
+    /// schedule. Cells alternate by round parity: a peer already sending
+    /// round r+1 writes the other parity, and a cell is written again only
+    /// after every port has passed the barrier that follows its read.
     ///
     /// If the mesh barrier is poisoned (a peer worker panicked), the
     /// session bails out with `poisoned` set instead of waiting for an
@@ -1050,38 +1029,28 @@ impl MailboxPort {
         let mut mesh = MeshExchangeReport::default();
         let mut staged = first_out;
         loop {
-            if self.core.barrier.is_poisoned() {
+            let core = &*self.core;
+            if core.barrier.is_poisoned() {
                 mesh.poisoned = true;
                 return mesh;
             }
-            let mut by_peer: Vec<Vec<Envelope>> = vec![Vec::new(); self.peers.len()];
+            let parity = usize::from(self.sense);
+            let mut by_peer: Vec<Vec<Envelope>> = vec![Vec::new(); core.shards];
             for env in staged.drain(..) {
                 let owner = state.owner_of(env.to);
                 debug_assert_ne!(owner, self.shard, "boundary envelope addressed to self");
                 by_peer[owner].push(env);
             }
             let mut sent_now = 0u64;
-            for (peer, batch) in by_peer.into_iter().enumerate() {
-                if batch.is_empty() {
-                    continue;
-                }
-                sent_now += batch.len() as u64;
-                let delivered = self.peers[peer]
-                    .as_ref()
-                    .expect("no channel to self")
-                    .send(batch);
-                if delivered.is_err() {
-                    // The peer's inbox is gone: its worker died. Poison the
-                    // mesh so every surviving port bails out too, instead
-                    // of deadlocking on an arrival that will never come.
-                    self.core.barrier.poison();
-                    mesh.poisoned = true;
-                    return mesh;
+            for (peer, mut batch) in by_peer.into_iter().enumerate() {
+                if !batch.is_empty() {
+                    sent_now += batch.len() as u64;
+                    core.cell(parity, self.shard, peer).append(&mut batch);
                 }
             }
             mesh.envelopes_sent += sent_now;
             if sent_now > 0 {
-                self.core.sent.fetch_add(sent_now, Ordering::Release);
+                core.sent.fetch_add(sent_now, Ordering::Release);
             }
             let bw_t0 = self
                 .trace
@@ -1091,9 +1060,8 @@ impl MailboxPort {
             // Single barrier: the leader snapshots the sent counter in the
             // pre-release slot (all arrived, none released), and the
             // release's happens-before edge makes both the snapshot and
-            // every round send (mpsc batch + counter add sequenced before
+            // every round send (cell write + counter add sequenced before
             // the sender's arrival) visible to every port.
-            let core = &*self.core;
             let wait = core.barrier.wait_then(&mut self.sense, || {
                 core.snapshot
                     .store(core.sent.load(Ordering::Acquire), Ordering::Relaxed);
@@ -1129,7 +1097,7 @@ impl MailboxPort {
             self.last_snapshot = snapshot;
             if round_sent == 0 {
                 debug_assert!(
-                    self.inbox.try_recv().is_err(),
+                    (0..core.shards).all(|from| core.cell(parity, from, self.shard).is_empty()),
                     "mesh quiescent with undelivered envelopes"
                 );
                 return mesh;
@@ -1141,11 +1109,11 @@ impl MailboxPort {
                 .filter(|t| t.enabled())
                 .map(|t| t.now_ns());
             let mut inbound: Vec<Envelope> = Vec::new();
-            while let Ok(batch) = self.inbox.try_recv() {
-                inbound.extend(batch);
+            for from in 0..core.shards {
+                inbound.append(&mut core.cell(parity, from, self.shard));
             }
-            mesh.inbox_depths.push(inbound.len() as u64);
             let drained = inbound.len() as u64;
+            mesh.inbox_depths.push(drained);
             if !inbound.is_empty() {
                 report.absorb(&state.exchange(inbound, &mut staged));
             }
@@ -1611,13 +1579,14 @@ mod tests {
         AdjacencyGraph::from_edges(11, edges)
     }
 
-    /// The centralized damped reference: per-batch states for a script.
+    /// The centralized damped reference: per-batch states for a script,
+    /// and per batch the number of vertices the damper holds parked.
     fn central_damped_script(
         batches: &[EditBatch],
         seed: u64,
         t_max: usize,
         cfg: DampingConfig,
-    ) -> Vec<LabelState> {
+    ) -> (Vec<LabelState>, Vec<usize>) {
         let mut dg = DynamicGraph::new(hub_graph());
         let mut state = run_propagation(dg.graph(), t_max, seed);
         let mut damper = crate::incremental::CascadeDamper::new(cfg);
@@ -1633,9 +1602,9 @@ mod tests {
                     Some(&mut damper),
                     &mut Vec::new(),
                 );
-                state.clone()
+                (state.clone(), damper.pending_vertices())
             })
-            .collect()
+            .unzip()
     }
 
     fn damped_script() -> Vec<EditBatch> {
@@ -1662,7 +1631,7 @@ mod tests {
         let t_max = 10usize;
         let batches = damped_script();
         for seed in 0..4u64 {
-            let reference = central_damped_script(&batches, seed, t_max, cfg);
+            let (reference, _) = central_damped_script(&batches, seed, t_max, cfg);
             for parts in [1usize, 2, 4, 8] {
                 let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
                 let state0 = run_propagation(&hub_graph(), t_max, seed);
@@ -1704,7 +1673,7 @@ mod tests {
         let t_max = 10usize;
         let batches = damped_script();
         for seed in 0..3u64 {
-            let reference = central_damped_script(&batches, seed, t_max, cfg);
+            let (reference, _) = central_damped_script(&batches, seed, t_max, cfg);
             for parts in [2usize, 4] {
                 let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
                 let state0 = run_propagation(&hub_graph(), t_max, seed);
@@ -1744,7 +1713,10 @@ mod tests {
         let seed = 9u64;
         let parts = 3usize;
         let batches = damped_script();
-        let reference = central_damped_script(&batches, seed, t_max, cfg);
+        let (reference, parked) = central_damped_script(&batches, seed, t_max, cfg);
+        // Every shard count matches the centralized damper, whose parked
+        // vertices are the pending rows the migration below must carry.
+        assert!(parked[1] > 0, "script must leave pending work at batch 1");
 
         let p_old: Arc<dyn Partitioner> = Arc::new(HashPartitioner::with_seed(parts, 1));
         let state0 = run_propagation(&hub_graph(), t_max, seed);
@@ -1768,10 +1740,6 @@ mod tests {
             );
             if i == 1 {
                 // Mid-drain migration: the hub has parked slots here.
-                assert!(
-                    shards.iter().any(|s| s.has_pending()),
-                    "script must leave pending work at batch 1"
-                );
                 let p_new: Arc<dyn Partitioner> = Arc::new(HashPartitioner::with_seed(parts, 99));
                 let mut in_flight: Vec<Vec<(VertexId, VertexRowData)>> = vec![Vec::new(); parts];
                 for shard in shards.iter_mut() {
@@ -1884,7 +1852,7 @@ mod tests {
                 shadow.apply(&batch).unwrap();
                 batches.push(batch);
             }
-            let reference = central_damped_script(&batches, seed, t_max, cfg);
+            let (reference, _) = central_damped_script(&batches, seed, t_max, cfg);
             for parts in [2usize, 3, 4] {
                 let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
                 let state0 = run_propagation(&hub_graph(), t_max, seed);

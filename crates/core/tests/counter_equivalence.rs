@@ -10,11 +10,10 @@
 //! * the **sequential** harness: the round driver (every outbox
 //!   regrouped by owner on one thread) feeds one [`EdgeCounters`] store;
 //! * the **mesh** harness: real worker threads deliver envelopes
-//!   peer-to-peer over a [`build_mesh`], and each hands back its Phase-A
-//!   and exchange slot-change streams the way the serve workers' flush
-//!   replies carry them. The streams are appended to one store in an
-//!   arrival order the proptest picks — any order that keeps each shard's
-//!   Phase-A stream ahead of its exchange stream — and a second store
+//!   peer-to-peer over a [`build_mesh`], and each hands back its flush's
+//!   slot-change stream the way a serve worker's one flush reply carries
+//!   it. The streams are appended to one store in an arrival order the
+//!   proptest picks — any permutation of the shards — and a second store
 //!   fed in shard order must match it in weights and in memory layout.
 //!
 //! Both must equal the centralized repair engine plus the full merge
@@ -178,24 +177,20 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
     );
 }
 
-/// Append the workers' `waves` (Phase-A stream, exchange stream per
-/// shard) into one stream, in an arrival order drawn from `picks`: each
-/// step takes the next wave of one shard that has waves left.
+/// Append the workers' per-shard `streams` into one, in an arrival order
+/// drawn from `picks`: each step takes the stream of one shard not taken
+/// yet.
 fn arrival_order(
-    waves: &mut [[Vec<SlotDelta>; 2]],
+    streams: &mut [Vec<SlotDelta>],
     picks: &mut impl Iterator<Item = usize>,
 ) -> Vec<SlotDelta> {
-    let mut taken = vec![0usize; waves.len()];
-    let mut stream = Vec::new();
-    loop {
-        let open: Vec<usize> = (0..waves.len()).filter(|&s| taken[s] < 2).collect();
-        if open.is_empty() {
-            return stream;
-        }
-        let s = open[picks.next().unwrap_or(0) % open.len()];
-        stream.append(&mut waves[s][taken[s]]);
-        taken[s] += 1;
+    let mut open: Vec<usize> = (0..streams.len()).collect();
+    let mut arrived = Vec::new();
+    while !open.is_empty() {
+        let s = open.remove(picks.next().unwrap_or(0) % open.len());
+        arrived.append(&mut streams[s]);
     }
+    arrived
 }
 
 /// The mesh harness: peer-to-peer delivery over a real threaded mesh;
@@ -257,9 +252,9 @@ fn exercise_mesh(
         apply_correction(&mut central, dg.graph(), &applied, false);
 
         // Phase A + p2p exchange on real threads; each worker drains its
-        // stream after each wave, as its Local and Exchanged replies do.
+        // stream once per flush, as its one flush reply does.
         let per_shard = rslpa_graph::sharding::split_deltas(&applied, partitioner.as_ref());
-        let mut waves: Vec<[Vec<SlotDelta>; 2]> = std::thread::scope(|s| {
+        let mut streams: Vec<Vec<SlotDelta>> = std::thread::scope(|s| {
             let workers: Vec<_> = shards
                 .iter_mut()
                 .zip(ports.iter_mut())
@@ -268,9 +263,8 @@ fn exercise_mesh(
                     s.spawn(move || {
                         let mut out = Vec::new();
                         let mut report = shard.apply_deltas(deltas, &mut out);
-                        let local = shard.take_slot_deltas();
                         port.exchange_to_quiescence(shard, out, &mut report);
-                        [local, shard.take_slot_deltas()]
+                        shard.take_slot_deltas()
                     })
                 })
                 .collect();
@@ -279,8 +273,8 @@ fn exercise_mesh(
                 .map(|w| w.join().expect("mesh worker"))
                 .collect()
         });
-        let shard_order: Vec<SlotDelta> = waves.iter().flatten().flatten().copied().collect();
-        let arrived = arrival_order(&mut waves, &mut picks);
+        let shard_order: Vec<SlotDelta> = streams.concat();
+        let arrived = arrival_order(&mut streams, &mut picks);
 
         for store in [&mut counters, &mut in_shard_order] {
             for &(u, v) in batch.deletions() {

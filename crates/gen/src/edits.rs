@@ -364,7 +364,7 @@ mod tests {
     #[test]
     fn localized_batch_confines_edits_to_the_window() {
         let g = erdos_renyi(1000, 6000, 13);
-        let window = (1000 / 20).max(32) as VertexId; // 50
+        let window: VertexId = 50; // (n / 20).max(32).min(n) at n = 1000
         let b = localized_batch(&g, 60, 9);
         assert!(b.validate(&g).is_ok());
         assert_eq!(b.insertions().len() + b.deletions().len(), 60);

@@ -61,7 +61,7 @@ impl HubTracker {
         gainers
             .into_iter()
             .map(|(hub, _)| {
-                let mut spokes: Vec<VertexId> = graph.neighbors(hub).iter().copied().collect();
+                let mut spokes: Vec<VertexId> = graph.neighbors(hub).to_vec();
                 spokes.sort_unstable();
                 HubPull { hub, spokes }
             })

@@ -29,8 +29,8 @@
 //!
 //! * [`queue`] — MPSC ingestion queue carrying [`EditOp`]s, barriers, and
 //!   shutdown, in submission order.
-//! * [`policy`] — pluggable micro-batching: flush by size, by deadline,
-//!   per-edit, or only at explicit barriers.
+//! * [`policy`] — pluggable micro-batching: flush by size (with a linger
+//!   bound for partial batches), or only at explicit barriers.
 //! * [`maintain`] — the maintenance coordinator; folds op soup into valid
 //!   [`EditBatch`](rslpa_graph::EditBatch)es (net-effect resolution),
 //!   repairs the label state through the engine, has the engine fold
@@ -65,7 +65,7 @@ pub(crate) mod shards;
 pub mod snapshot;
 pub mod stats;
 
-pub use policy::{BarrierOnly, ByDeadline, BySize, FlushPolicy, Immediate};
+pub use policy::{BarrierOnly, BySize, FlushPolicy};
 pub use query::QueryEngine;
 pub use queue::EditOp;
 pub use service::{CommunityService, IngestHandle, ServeConfig, ServiceClosed, TraceOptions};

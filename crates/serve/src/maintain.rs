@@ -192,7 +192,7 @@ impl MaintenanceLoop {
                 }
             }
             // Timed out (or drained) without a size flush: give the
-            // deadline policies their say.
+            // policy's linger bound its say.
             let age = oldest_at.map(|t| t.elapsed()).unwrap_or_default();
             if self.policy.should_flush(pending.len(), age) {
                 self.flush(&mut pending);

@@ -22,9 +22,6 @@ pub trait FlushPolicy: Send {
     /// `oldest_age`. `None` = wait indefinitely (only safe when
     /// `pending == 0` or the policy flushes purely by size/barrier).
     fn poll_timeout(&self, pending: usize, oldest_age: Duration) -> Option<Duration>;
-
-    /// Policy name for reports.
-    fn name(&self) -> &'static str;
 }
 
 /// Flush when the batch reaches `max_edits`, or when a partial batch has
@@ -64,63 +61,6 @@ impl FlushPolicy for BySize {
         // edit is flushed on time, not one full window late.
         (pending > 0).then(|| self.max_linger.saturating_sub(oldest_age))
     }
-
-    fn name(&self) -> &'static str {
-        "by-size"
-    }
-}
-
-/// Flush on a latency deadline: every buffered edit is applied within
-/// `deadline` of arriving, with `max_edits` as an overload backstop.
-#[derive(Clone, Copy, Debug)]
-pub struct ByDeadline {
-    /// Maximum time an edit may sit in the buffer before a flush.
-    pub deadline: Duration,
-    /// Overload cap: flush early once this many edits are buffered.
-    pub max_edits: usize,
-}
-
-impl ByDeadline {
-    /// Deadline-triggered flushing with a 4096-edit overload cap.
-    pub fn new(deadline: Duration) -> Self {
-        Self {
-            deadline,
-            max_edits: 4096,
-        }
-    }
-}
-
-impl FlushPolicy for ByDeadline {
-    fn should_flush(&mut self, pending: usize, oldest_age: Duration) -> bool {
-        pending >= self.max_edits || (pending > 0 && oldest_age >= self.deadline)
-    }
-
-    fn poll_timeout(&self, pending: usize, oldest_age: Duration) -> Option<Duration> {
-        (pending > 0).then(|| self.deadline.saturating_sub(oldest_age))
-    }
-
-    fn name(&self) -> &'static str {
-        "by-deadline"
-    }
-}
-
-/// Flush after every single edit — no batching at all. The degenerate
-/// baseline that makes micro-batching measurable.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct Immediate;
-
-impl FlushPolicy for Immediate {
-    fn should_flush(&mut self, pending: usize, _oldest_age: Duration) -> bool {
-        pending > 0
-    }
-
-    fn poll_timeout(&self, _pending: usize, _oldest_age: Duration) -> Option<Duration> {
-        None
-    }
-
-    fn name(&self) -> &'static str {
-        "immediate"
-    }
 }
 
 /// Never flush on its own: batches are cut only by explicit barriers (and
@@ -135,10 +75,6 @@ impl FlushPolicy for BarrierOnly {
 
     fn poll_timeout(&self, _pending: usize, _oldest_age: Duration) -> Option<Duration> {
         None
-    }
-
-    fn name(&self) -> &'static str {
-        "barrier-only"
     }
 }
 
@@ -169,21 +105,6 @@ mod tests {
             Some(p.max_linger - p.max_linger / 2)
         );
         assert_eq!(p.poll_timeout(1, p.max_linger * 3), Some(Duration::ZERO));
-    }
-
-    #[test]
-    fn by_deadline_honors_age_and_cap() {
-        let mut p = ByDeadline::new(Duration::from_millis(20));
-        assert!(!p.should_flush(100, Duration::from_millis(5)));
-        assert!(p.should_flush(100, Duration::from_millis(25)));
-        assert!(p.should_flush(p.max_edits, Duration::ZERO));
-    }
-
-    #[test]
-    fn immediate_flushes_everything() {
-        let mut p = Immediate;
-        assert!(p.should_flush(1, Duration::ZERO));
-        assert!(!p.should_flush(0, Duration::ZERO));
     }
 
     #[test]

@@ -429,7 +429,7 @@ impl Drop for CommunityService {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::policy::{BarrierOnly, Immediate};
+    use crate::policy::{BarrierOnly, BySize};
     use std::time::Duration;
 
     fn two_triangles() -> AdjacencyGraph {
@@ -443,7 +443,7 @@ mod tests {
         // identical epoch.
         let svc = CommunityService::start(
             two_triangles(),
-            ServeConfig::quick(20, 3).with_policy(Immediate),
+            ServeConfig::quick(20, 3).with_policy(BySize::new(1)),
         );
         let ingest = svc.ingest();
         ingest.insert(0, 1).unwrap(); // already present → rejected
@@ -537,7 +537,7 @@ mod tests {
     fn immediate_policy_flushes_per_edit() {
         let svc = CommunityService::start(
             two_triangles(),
-            ServeConfig::quick(20, 2).with_policy(Immediate),
+            ServeConfig::quick(20, 2).with_policy(BySize::new(1)),
         );
         let ingest = svc.ingest();
         ingest.insert(0, 4).unwrap();
@@ -547,7 +547,7 @@ mod tests {
         assert_eq!(report.edits_applied, 2);
         assert!(
             report.batches_flushed >= 2,
-            "immediate policy batches nothing: {report:?}"
+            "a one-edit size policy batches nothing: {report:?}"
         );
     }
 
@@ -555,7 +555,7 @@ mod tests {
     fn size_policy_batches_edits() {
         let svc = CommunityService::start(
             two_triangles(),
-            ServeConfig::quick(20, 2).with_policy(crate::policy::BySize {
+            ServeConfig::quick(20, 2).with_policy(BySize {
                 max_edits: 64,
                 max_linger: Duration::from_millis(50),
             }),
@@ -588,7 +588,7 @@ mod tests {
         let svc = CommunityService::start(
             two_triangles(),
             ServeConfig::quick(20, 4)
-                .with_policy(Immediate)
+                .with_policy(BySize::new(1))
                 .with_snapshot_every(1000),
         );
         let ingest = svc.ingest();

@@ -6,22 +6,22 @@
 //!   [`RslpaDetector`] owned by the maintenance thread, repairing via
 //!   centralized Correction Propagation. Default (`shards = 1`).
 //! * [`Repair::Mailbox`] — the decentralized engine for `shards > 1`:
-//!   workers exchange envelopes **directly** over a [`MailboxPort`] mesh,
-//!   rounds synchronize on a shared barrier with a monotone sent-counter
-//!   for termination (no coordinator traffic per round, 1 channel hop per
-//!   envelope), and each worker owns the label rows of its vertices. The
-//!   coordinator posts a flush into the sub-queues of only the shards
-//!   with routed deltas; the full mesh wakes only when some shard
-//!   actually staged boundary traffic (interior flushes never wake idle
-//!   shards). Each worker hands back the slot changes it made inside the
-//!   reply it sends anyway.
+//!   workers exchange envelopes **directly** over a [`MailboxPort`] mesh
+//!   in BSP supersteps (each round's batches go through shared mailbox
+//!   cells, one hop per envelope; rounds synchronize on a shared barrier
+//!   with a monotone sent-counter for termination, with no coordinator
+//!   traffic per round), and each worker owns the label rows of its
+//!   vertices. Every flush, the coordinator posts one `Flush` with its
+//!   routed deltas (possibly none) to every worker; each runs Phase A
+//!   and its damping releases, joins the exchange, and sends back one
+//!   reply carrying its counts and the slot changes it made.
 //!
 //! Either way the coordinator keeps the one [`EdgeCounters`] store: every
 //! flush folds the repair's slot-change stream into it, and every publish
 //! reads the weight list off it. The mesh's streams arrive shard by
 //! shard, in reply order; the store needs only each `(v, slot)` chain in
-//! application order, and a vertex's chain comes from its one owner,
-//! whose Phase-A reply precedes its exchange reply.
+//! application order, and a vertex's chain comes whole from its one
+//! owner's reply.
 //!
 //! Both engines produce **bit-identical** label state, weights, and
 //! rosters for the same batch sequence (pinned by `rslpa_core::shard` /
@@ -34,8 +34,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use rslpa_core::shard::{
-    build_mesh, Envelope, MailboxPort, MeshPoisoner, ShardFlushReport, ShardRepairState,
-    VertexRowData,
+    build_mesh, MailboxPort, MeshPoisoner, ShardFlushReport, ShardRepairState, VertexRowData,
 };
 use rslpa_core::{
     result_from_weights, EdgeCounters, PostprocessResult, RslpaConfig, RslpaDetector,
@@ -56,17 +55,10 @@ const WORKER_REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
 /// Commands the coordinator posts into a mesh worker's sub-queue.
 enum MeshCmd {
-    /// Phase A for this shard's slice of flush `epoch` (posted only to
-    /// shards with routed deltas). The worker stages boundary envelopes
-    /// locally — no further coordination unless an `Exchange` follows.
-    Flush {
-        epoch: u64,
-        deltas: Vec<(VertexId, rslpa_graph::VertexDelta)>,
-    },
-    /// Join the mesh exchange for flush `epoch` (broadcast to every shard
-    /// once any shard reported staged boundary traffic). A shard that got
-    /// no `Flush` for this epoch resets its per-flush η accounting here.
-    Exchange { epoch: u64 },
+    /// Phase A for this shard's slice of the flush (posted to every
+    /// shard, with an empty slice if none is routed to it), then the
+    /// mesh exchange to quiescence.
+    Flush(Vec<(VertexId, rslpa_graph::VertexDelta)>),
     /// Hand over the rows of vertices this shard no longer owns.
     Extract(Vec<VertexId>),
     /// Install the new ownership map and any rows migrating in.
@@ -80,31 +72,16 @@ enum MeshCmd {
 
 /// Mesh worker replies.
 enum MeshReply {
-    /// Phase A + local cascade done; `boundary` envelopes are staged for
-    /// the mesh (0 means this shard needs no exchange). `pending` reports
-    /// whether damping left parked cascade work on this shard — the
-    /// coordinator must keep posting (possibly empty) flushes until it
-    /// drains, since the normal wake rule skips shards with no routed
-    /// deltas. `slot_deltas` are the wave's label-slot changes, in
-    /// application order.
-    Local {
-        shard: usize,
-        boundary: u64,
-        report: ShardFlushReport,
-        pending: bool,
-        slot_deltas: Vec<SlotDelta>,
-    },
-    /// Mesh exchange ran to quiescence. `envelopes_sent` is counted by
-    /// the port at its peer channels — independent of the route-side
-    /// `report.boundary_msgs`, so the coordinator can cross-check the
-    /// two. `pending` and `slot_deltas` as in [`MeshReply::Local`]
-    /// (exchange deliveries can park new slots at over-cap receivers).
-    Exchanged {
+    /// Phase A and the mesh exchange ran to quiescence. `envelopes_sent`
+    /// is counted by the port at its mailbox cells — independent of the
+    /// route-side `report.boundary_msgs`, so the coordinator can
+    /// cross-check the two. `slot_deltas` are the flush's label-slot
+    /// changes on this shard, in application order.
+    Flushed {
         shard: usize,
         report: ShardFlushReport,
         rounds: u64,
         envelopes_sent: u64,
-        pending: bool,
         slot_deltas: Vec<SlotDelta>,
     },
     Extracted {
@@ -137,14 +114,6 @@ fn mesh_worker_loop(
         }
     }
     let _poison_guard = PoisonOnPanic(port.poisoner());
-    // Boundary envelopes staged by the last Flush, awaiting the
-    // coordinator's exchange decision. Non-empty only between a Flush
-    // that staged traffic and the Exchange broadcast that must follow.
-    let mut pending_out: Vec<Envelope> = Vec::new();
-    // Flush epoch this worker last ran Phase A for; an Exchange for a
-    // different epoch means this shard had no routed deltas and must
-    // reset its per-flush η accounting itself.
-    let mut flushed_epoch: Option<u64> = None;
     loop {
         let wait_t0 = trace.enabled().then(|| trace.now_ns());
         let waited = Instant::now();
@@ -166,44 +135,24 @@ fn mesh_worker_loop(
         let mut barrier_arrive = Duration::ZERO;
         let mut barrier_depart = Duration::ZERO;
         let reply = match cmd {
-            MeshCmd::Flush { epoch, deltas } => {
-                debug_assert!(pending_out.is_empty(), "flush while exchange pending");
-                flushed_epoch = Some(epoch);
-                let _span = trace.span_with(names::SHARD_FLUSH, deltas.len() as u64);
+            MeshCmd::Flush(deltas) => {
                 let mut out = Vec::new();
-                let report = state.apply_deltas(&deltas, &mut out);
-                let boundary = out.len() as u64;
-                pending_out = out;
-                MeshReply::Local {
-                    shard: idx,
-                    boundary,
-                    report,
-                    pending: state.has_pending(),
-                    slot_deltas: state.take_slot_deltas(),
-                }
-            }
-            MeshCmd::Exchange { epoch } => {
-                if flushed_epoch != Some(epoch) {
-                    // No Phase A this flush: the distinct-η set still
-                    // holds the previous flush's slots.
-                    state.begin_flush();
-                }
-                let _span = trace.span(names::EXCHANGE);
-                let mut report = ShardFlushReport::default();
-                let mesh = port.exchange_to_quiescence(
-                    &mut state,
-                    std::mem::take(&mut pending_out),
-                    &mut report,
-                );
+                let mut report = {
+                    let _span = trace.span_with(names::SHARD_FLUSH, deltas.len() as u64);
+                    state.apply_deltas(&deltas, &mut out)
+                };
+                let mesh = {
+                    let _span = trace.span(names::EXCHANGE);
+                    port.exchange_to_quiescence(&mut state, out, &mut report)
+                };
                 stats.note_mesh(&mesh.inbox_depths, mesh.barrier_wait);
                 barrier_arrive = mesh.barrier_arrive;
                 barrier_depart = mesh.barrier_depart;
-                MeshReply::Exchanged {
+                MeshReply::Flushed {
                     shard: idx,
                     report,
                     rounds: mesh.rounds,
                     envelopes_sent: mesh.envelopes_sent,
-                    pending: state.has_pending(),
                     slot_deltas: state.take_slot_deltas(),
                 }
             }
@@ -238,8 +187,8 @@ fn mesh_worker_loop(
 
 /// Decentralized engine: coordinator state for the peer-to-peer mailbox
 /// mesh. Label exchange lives on the workers; the coordinator routes
-/// flush deltas, decides whether the mesh must wake, and gathers the
-/// workers' slot-change streams for the counter store.
+/// flush deltas and gathers the workers' slot-change streams for the
+/// counter store.
 struct MailboxEngine {
     /// Topology mirror (net-op resolution, delta routing, and the counter
     /// store's adjacency).
@@ -252,13 +201,6 @@ struct MailboxEngine {
     batches_applied: usize,
     /// Per-flush delta scratch, retained across batches.
     applied: AppliedBatch,
-    /// Which shards reported parked (damped) cascade work after their
-    /// last command. The flush wake rule normally skips shards with no
-    /// routed deltas; a shard with pending work gets a possibly-empty
-    /// `Flush` anyway so its release budget keeps draining. Conservatively
-    /// all-true after a repartition (pending rows may have migrated to
-    /// any shard); each flush reply then settles the flag to truth.
-    pending_shards: Vec<bool>,
     /// Poison handle for the workers' round barrier: unblocks peers
     /// parked mid-exchange when the engine unwinds.
     poisoner: MeshPoisoner,
@@ -389,7 +331,6 @@ impl RepairEngine {
                     handles,
                     batches_applied: 0,
                     applied: AppliedBatch::default(),
-                    pending_shards: vec![false; shards],
                     poisoner,
                 })),
                 counters,
@@ -504,11 +445,9 @@ impl MailboxEngine {
             .expect("mesh shard worker unresponsive (panicked?)")
     }
 
-    /// One flush over the mesh: post deltas into the sub-queues of shards
-    /// that have any, collect their Phase-A replies, and wake the full
-    /// mesh for direct peer exchange only if someone staged boundary
-    /// traffic. Every reply's slot-change stream is appended to
-    /// `slot_deltas` as it arrives.
+    /// One flush over the mesh: post every shard its slice of the deltas,
+    /// then collect one reply per shard. Every reply's slot-change stream
+    /// is appended to `slot_deltas` as it arrives.
     fn apply(
         &mut self,
         batch: &EditBatch,
@@ -523,91 +462,50 @@ impl MailboxEngine {
             self.boundary.cut_edges() as u64,
             self.boundary.boundary_vertices() as u64,
         );
-        let shards = self.workers.len();
-        let epoch = self.batches_applied as u64;
         let per_shard = split_deltas(&self.applied, self.partitioner.as_ref());
-        let mut routed = vec![0u64; shards];
-        let mut participants = 0usize;
-        for (s, deltas) in per_shard.into_iter().enumerate() {
-            if deltas.is_empty() && !self.pending_shards[s] {
-                continue; // sub-queue stays empty; the shard sleeps
-            }
-            // A shard with parked damped work gets a (possibly empty)
-            // flush so its release budget keeps draining — exactly the
-            // per-flush release the centralized path runs unconditionally.
-            routed[s] = deltas.len() as u64;
-            participants += 1;
-            self.workers[s]
-                .send(MeshCmd::Flush { epoch, deltas })
+        let routed: Vec<u64> = per_shard.iter().map(|d| d.len() as u64).collect();
+        for (worker, deltas) in self.workers.iter().zip(per_shard) {
+            worker
+                .send(MeshCmd::Flush(deltas))
                 .expect("mesh worker alive");
         }
-        let mut reports = vec![ShardFlushReport::default(); shards];
-        let mut staged = 0u64;
-        for _ in 0..participants {
+        let mut reports = vec![ShardFlushReport::default(); self.workers.len()];
+        let mut rounds = 0u64;
+        let mut delivered = 0u64;
+        for _ in 0..self.workers.len() {
             match self.recv_reply() {
-                MeshReply::Local {
+                MeshReply::Flushed {
                     shard,
-                    boundary,
                     report,
-                    pending,
+                    rounds: r,
+                    envelopes_sent,
                     slot_deltas: wave,
                 } => {
-                    reports[shard].absorb(&report);
-                    staged += boundary;
-                    self.pending_shards[shard] = pending;
+                    reports[shard] = report;
+                    rounds = rounds.max(r);
+                    delivered += envelopes_sent;
                     slot_deltas.extend(wave);
                 }
                 _ => unreachable!("only flush replies in flight"),
             }
         }
-        let mut rounds = 0u64;
-        let mut envelopes = 0u64;
-        let mut delivered = 0u64;
-        if staged > 0 {
-            for worker in &self.workers {
-                worker
-                    .send(MeshCmd::Exchange { epoch })
-                    .expect("mesh worker alive");
-            }
-            for _ in 0..shards {
-                match self.recv_reply() {
-                    MeshReply::Exchanged {
-                        shard,
-                        report,
-                        rounds: r,
-                        envelopes_sent,
-                        pending,
-                        slot_deltas: wave,
-                    } => {
-                        envelopes += report.boundary_msgs as u64;
-                        delivered += envelopes_sent;
-                        reports[shard].absorb(&report);
-                        rounds = rounds.max(r);
-                        self.pending_shards[shard] = pending;
-                        slot_deltas.extend(wave);
-                    }
-                    _ => unreachable!("only exchange replies in flight"),
-                }
-            }
-            // Phase-A outboxes were staged before the Local reply and
-            // counted there; they travel in the exchange's first round.
-            envelopes += staged;
-            // Route-side staging and port-side delivery count the same
-            // envelopes through independent code paths.
-            debug_assert_eq!(envelopes, delivered, "mesh lost or invented envelopes");
-        }
         let mut eta = 0u64;
         let mut dirty = 0u64;
         let mut deferred = 0u64;
+        let mut envelopes = 0u64;
         for (s, report) in reports.iter().enumerate() {
             stats.note_shard_flush(s, routed[s], report.eta as u64);
             eta += report.eta as u64;
             dirty += report.dirty_vertices as u64;
             deferred += report.damped_deferrals as u64;
+            envelopes += report.boundary_msgs as u64;
         }
+        // Route-side staging and port-side delivery count the same
+        // envelopes through independent code paths.
+        debug_assert_eq!(envelopes, delivered, "mesh lost or invented envelopes");
         stats.note_damped_deferrals(deferred);
         stats.note_exchange(rounds, envelopes);
-        // Mesh delivery is direct: one channel hop per envelope. Counted
+        // Mesh delivery is direct: one cell hop per envelope. Counted
         // from the ports' own send tallies — independent of the
         // route-side `boundary_msgs` above, so the two stats cross-check
         // each other (the shard-consistency tests assert equality).
@@ -651,12 +549,6 @@ impl MailboxEngine {
             match self.recv_reply() {
                 MeshReply::Extracted { rows } => {
                     for (v, row) in rows {
-                        // A migrating row can carry parked damped slots;
-                        // its adopter must keep getting flushes so the
-                        // release budget drains there.
-                        if !row.pending.is_empty() {
-                            self.pending_shards[next.assign(v)] = true;
-                        }
                         incoming[next.assign(v)].push((v, row));
                     }
                 }

@@ -299,8 +299,8 @@ pub struct ServeStats {
     /// Flush latency: net-batch resolution + incremental repair only;
     /// detection/publish cost is tracked separately in `snapshots`.
     pub flushes: LatencyHistogram,
-    /// Snapshot publish latency: counter-read weight pass + thresholding
-    /// + index build + epoch swap. Its count is the number of snapshots
+    /// Snapshot publish latency: counter-read weight pass, thresholding,
+    /// index build and epoch swap. Its count is the number of snapshots
     /// published.
     pub snapshots: LatencyHistogram,
     /// Per-flush edge-weight counter maintenance latency (retiring
@@ -328,15 +328,18 @@ pub struct ServeStats {
     pub exchange_rounds: AtomicU64,
     /// Envelopes that crossed a shard boundary.
     pub boundary_msgs: AtomicU64,
-    /// Boundary envelopes the mesh ports sent over peer channels, one
-    /// hop each. Tallied port-side, independently of the route-side
-    /// `boundary_msgs`, so equality of the two cross-checks delivery.
+    /// Boundary envelopes the mesh ports wrote into their peers' mailbox
+    /// cells, one hop each. Tallied port-side, independently of the
+    /// route-side `boundary_msgs`, so equality of the two cross-checks
+    /// delivery.
     pub envelope_hops: AtomicU64,
-    /// Inbox depth per delivering mesh round (envelopes drained by one
-    /// shard in one round; empty under the single writer).
+    /// Inbox depth per delivering mesh round (envelopes one shard read
+    /// from its mailbox cells in one round; empty under the single
+    /// writer).
     pub mailbox_depth: LatencyHistogram,
-    /// Wall time workers spent parked on the mesh round barrier, per
-    /// shard per flush (empty under the single writer).
+    /// Wall time workers spent parked on the mesh round barrier: one
+    /// sample per shard per flush, since every shard joins every flush's
+    /// exchange (empty under the single writer).
     pub barrier_wait: LatencyHistogram,
     /// Gauge: edges whose endpoints live on different shards.
     pub cut_edges: AtomicU64,

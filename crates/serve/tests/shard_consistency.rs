@@ -99,9 +99,9 @@ fn replay_active(graph: AdjacencyGraph, script: &[EditBatch], shards: usize) -> 
         );
         // Single-hop delivery, cross-checked through independent
         // counters: `boundary_msgs` is staged route-side by the repair
-        // states, `envelope_hops` is tallied port-side at the peer
-        // channels — equality means every staged envelope was sent
-        // exactly once and nothing else was.
+        // states, `envelope_hops` is tallied port-side at the mailbox
+        // cells — equality means every staged envelope was sent exactly
+        // once and nothing else was.
         assert!(report.boundary_msgs > 0, "no boundary traffic: {report:?}");
         assert_eq!(
             report.envelope_hops, report.boundary_msgs,
@@ -174,6 +174,70 @@ fn eight_shard_mesh_is_deadlock_free_on_one_core() {
     let script = edit_script(&graph, 4, 60);
     let [single, meshed] = replay_active(graph, &script, 8);
     assert_eq!(single, meshed, "8-shard mesh diverged from single writer");
+}
+
+/// Every count of a stats report that is not a duration, per shard in
+/// shard order. The mesh delivers in supersteps (round r applies exactly
+/// the batches sent in round r), so each is a function of the script and
+/// the shard count alone, whatever the thread schedule.
+fn schedule_free_counts(r: &StatsReport) -> Vec<(&'static str, u64)> {
+    let mut counts = vec![
+        ("snapshots_published", r.snapshots_published),
+        ("edits_enqueued", r.edits_enqueued),
+        ("edits_applied", r.edits_applied),
+        ("edits_rejected", r.edits_rejected),
+        ("batches_flushed", r.batches_flushed),
+        ("slots_repaired", r.slots_repaired),
+        ("slot_deltas_net", r.slot_deltas_net),
+        ("barriers", r.barriers),
+        ("exchange_rounds", r.exchange_rounds),
+        ("boundary_msgs", r.boundary_msgs),
+        ("envelope_hops", r.envelope_hops),
+        ("mailbox_depth.count", r.mailbox_depth.count),
+        ("mailbox_depth.max", r.mailbox_depth.max_ns),
+        ("barrier_wait.count", r.barrier_wait.count),
+        ("flushes.count", r.flushes.count),
+        ("counters.count", r.counters.count),
+        ("cut_edges", r.cut_edges),
+        ("boundary_vertices", r.boundary_vertices),
+        ("repartitions", r.repartitions),
+        ("vertices_migrated", r.vertices_migrated),
+        ("hub_pulls", r.hub_pulls),
+        ("damped_deferrals", r.damped_deferrals),
+        ("max_degree_delta", r.max_degree_delta),
+        ("mem_live_bytes", r.mem_live_bytes),
+        ("mem_capacity_bytes", r.mem_capacity_bytes),
+        ("mem_vertices", r.mem_vertices),
+        ("dirty_vertices", r.dirty_vertices),
+        ("dirty_span", r.dirty_span),
+    ];
+    for shard in &r.shards {
+        counts.push(("shard.edits_routed", shard.edits_routed));
+        counts.push(("shard.slots_repaired", shard.slots_repaired));
+    }
+    counts
+}
+
+#[test]
+fn mesh_counters_are_identical_across_repeated_runs() {
+    // Twenty replays of one script per shard count must agree on every
+    // work counter, not only on rosters: exchange rounds, envelopes,
+    // deferrals and the dirty region included.
+    let graph = seed_graph();
+    let script = edit_script(&graph, 6, 40);
+    for shards in [2usize, 4, 8] {
+        let (_, first) = replay(graph.clone(), &script, shards);
+        let want = schedule_free_counts(&first);
+        assert!(first.exchange_rounds > 0, "no exchange at {shards} shards");
+        for repeat in 1..20 {
+            let (_, again) = replay(graph.clone(), &script, shards);
+            assert_eq!(
+                schedule_free_counts(&again),
+                want,
+                "{shards} shards: repeat {repeat} diverged from the first run"
+            );
+        }
+    }
 }
 
 #[test]

@@ -58,9 +58,9 @@
 //! | `dirty_vertices` | Σ over non-empty flushes of distinct vertices whose stored labels changed (the dirty region) |
 //! | `dirty_span` | Σ over the same flushes of the vertex count at flush time; `dirty_fraction` = `dirty_vertices`/`dirty_span` (mean per-flush dirty fraction — near 1.0 means incremental repair costs as much as full recompute) |
 //! | `quality_per_window` | array of `{epoch, onmi, f1, omega}` objects recorded by a quality harness (`repro churn`) scoring each published roster against a tracked ground-truth cover; empty when the run is unscored |
-//! | `envelope_hops` | boundary envelopes the mesh ports sent over peer channels, one hop each — counted port-side, independently of the route-side `boundary_msgs`, which it equals |
-//! | `mailbox_depth` | object: `count`/`p50`/`p99`/`max` of envelopes one shard drained per mesh round |
-//! | `barrier_wait_us` | object: `count`/`mean`/`p50`/`p99` of per-flush mesh barrier wait, microseconds |
+//! | `envelope_hops` | boundary envelopes the mesh ports wrote into their peers' mailbox cells, one hop each — counted port-side, independently of the route-side `boundary_msgs`, which it equals |
+//! | `mailbox_depth` | object: `count`/`p50`/`p99`/`max` of envelopes one shard read from its mailbox cells per mesh round |
+//! | `barrier_wait_us` | object: `count`/`mean`/`p50`/`p99` of mesh barrier wait, one sample per shard per flush, microseconds |
 //! | `cut_edges` | gauge: edges whose endpoints live on different shards |
 //! | `boundary_vertices` | gauge: vertices with an off-shard neighbor |
 //! | `repartitions` | publish-time ownership re-plans performed |
