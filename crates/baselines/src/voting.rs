@@ -141,7 +141,7 @@ mod tests {
         // voter 3 perturbs *every* label's probability, including label 2
         // which no one edited. (The paper's prose says P(2) "drops"; under
         // the uniform tie-breaking its own Fig. 1 specifies, P(2) in fact
-        // rises from 1/4 to 1/3 — see EXPERIMENTS.md for the note.)
+        // rises from 1/4 to 1/3.)
         let a = plurality_win_distribution(&[vec![1, 2], vec![1, 2], vec![1, 1]]);
         let b = plurality_win_distribution(&[vec![1, 2], vec![1, 2], vec![1, 3]]);
         assert!((get(&b, 1) - 7.0 / 12.0).abs() < 1e-12);

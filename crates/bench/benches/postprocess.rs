@@ -26,12 +26,12 @@ fn bench_postprocess(c: &mut Criterion) {
             |b, weights| {
                 b.iter(|| {
                     let tau2 = select_tau2(n, weights);
-                    select_tau1(n, weights, tau2, None)
+                    select_tau1(n, weights, tau2)
                 });
             },
         );
         group.bench_with_input(BenchmarkId::new("full_pipeline", n), &g, |b, g| {
-            b.iter(|| postprocess(g, &state, None));
+            b.iter(|| postprocess(g, &state));
         });
         let slpa = run_slpa(
             &g,

@@ -180,7 +180,7 @@ pub fn profile(scale: &Scale) {
     let state = run_propagation(&instance.graph, t_max, 1);
     let prop = start.elapsed();
     let start = Instant::now();
-    let result = postprocess(&instance.graph, &state, None);
+    let result = postprocess(&instance.graph, &state);
     let post = start.elapsed();
     let mut table = Table::new(
         format!(

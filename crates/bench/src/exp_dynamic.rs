@@ -227,7 +227,7 @@ pub fn abl_dyn(scale: &Scale) {
     let rslpa_inc = overlapping_nmi(&detector.detect().result.cover, truth, n);
     let scratch_state = run_propagation(detector.graph(), t_max, 999);
     let rslpa_scr = overlapping_nmi(
-        &postprocess(detector.graph(), &scratch_state, None).cover,
+        &postprocess(detector.graph(), &scratch_state).cover,
         truth,
         n,
     );

@@ -13,7 +13,7 @@ pub fn rslpa_nmi(params: &LfrParams, t_max: usize, seed: u64) -> f64 {
     let instance = params.generate().expect("LFR generation");
     let n = instance.graph.num_vertices();
     let state = run_propagation(&instance.graph, t_max, seed);
-    let cover = postprocess(&instance.graph, &state, None).cover;
+    let cover = postprocess(&instance.graph, &state).cover;
     overlapping_nmi(&cover, &instance.ground_truth, n)
 }
 

@@ -11,7 +11,8 @@ use rslpa_graph::{AdjacencyGraph, CsrGraph, GraphStats, HashPartitioner};
 use crate::report::{f3, Table};
 use crate::scale::Scale;
 
-/// The web graph standing in for `eu-2015-tpd` (see DESIGN.md §3).
+/// The web graph standing in for `eu-2015-tpd` (see [`rslpa_gen::webgraph`]
+/// for the substitution argument).
 pub fn web_graph(scale: &Scale) -> AdjacencyGraph {
     rmat(&RmatParams::web(scale.web_scale, 2015))
 }

@@ -1,8 +1,8 @@
 //! Experiment harness: regenerates every table and figure of the paper.
 //!
-//! The `repro` binary dispatches to one module per experiment family; see
-//! DESIGN.md §4 for the experiment index and EXPERIMENTS.md for recorded
-//! outputs. All experiments run at a laptop-friendly default scale that
+//! The `repro` binary dispatches to one module per experiment family; its
+//! `EXPERIMENTS` list is the experiment index (`repro` with no arguments
+//! prints it). All experiments run at a laptop-friendly default scale that
 //! preserves the paper's *shapes* (who wins, by what factor, where curves
 //! bend); `--paper-scale` restores the original sizes where feasible.
 

@@ -39,16 +39,6 @@ pub struct RslpaConfig {
     pub iterations: usize,
     /// Run-level RNG seed; every random pick is a pure function of this.
     pub seed: u64,
-    /// Cascade semantics. `false` = the paper's Algorithm 2, which
-    /// forwards a corrected label to all recorded receivers even when its
-    /// value happens to be unchanged (this is what §IV-D's η counts).
-    /// `true` = prune the cascade at value-identical updates — a correct
-    /// optimization the paper doesn't apply, measured as an ablation.
-    pub value_pruned_cascade: bool,
-    /// Grid used by the τ1 entropy scan when evaluating *between* edge
-    /// weight breakpoints is requested; `None` (default) evaluates exactly
-    /// at the breakpoints, which dominates the paper's 0.001 grid.
-    pub tau1_grid: Option<f64>,
     /// Degree-capped cascade damping. `None` (the default) keeps the
     /// paper's unbounded cascade; the serve path turns it on (see
     /// `ServeConfig` in `rslpa-serve`).
@@ -60,8 +50,6 @@ impl Default for RslpaConfig {
         Self {
             iterations: 200,
             seed: 42,
-            value_pruned_cascade: false,
-            tau1_grid: None,
             damping: None,
         }
     }
@@ -94,7 +82,6 @@ mod tests {
     fn defaults_match_paper() {
         let c = RslpaConfig::default();
         assert_eq!(c.iterations, 200);
-        assert!(!c.value_pruned_cascade);
     }
 
     #[test]

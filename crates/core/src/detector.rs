@@ -117,7 +117,7 @@ impl RslpaDetector {
             &mut self.state,
             self.graph.graph(),
             &applied,
-            self.config.value_pruned_cascade,
+            false, // the paper's unconditional forwarding (§IV-D's η)
             self.damper.as_mut(),
             slot_deltas,
         );
@@ -128,7 +128,7 @@ impl RslpaDetector {
     /// Extract communities from the current label state (post-processing).
     pub fn detect(&self) -> DetectionResult {
         DetectionResult {
-            result: postprocess(self.graph.graph(), &self.state, self.config.tau1_grid),
+            result: postprocess(self.graph.graph(), &self.state),
         }
     }
 

@@ -701,7 +701,7 @@ mod tests {
         g: &AdjacencyGraph,
         threads: usize,
     ) -> PostprocessResult {
-        result_from_weights(g.num_vertices(), counters.refresh_weights(g, threads), None)
+        result_from_weights(g.num_vertices(), counters.refresh_weights(g, threads))
     }
 
     fn assert_results_equal(a: &PostprocessResult, b: &PostprocessResult) {
@@ -753,7 +753,7 @@ mod tests {
         let g = clique_chain();
         let det = RslpaDetector::new(g.clone(), RslpaConfig::quick(30, 7));
         let mut counters = EdgeCounters::new(det.state());
-        let full = postprocess(&g, det.state(), None);
+        let full = postprocess(&g, det.state());
         assert_results_equal(&publish(&mut counters, &g, 1), &full);
         // A second refresh with nothing dirty is identical again.
         assert_results_equal(&publish(&mut counters, &g, 1), &full);
@@ -774,7 +774,7 @@ mod tests {
                 }
                 assert_results_equal(
                     &publish(&mut counters, det.graph(), 1),
-                    &postprocess(det.graph(), det.state(), None),
+                    &postprocess(det.graph(), det.state()),
                 );
             }
         }
@@ -797,7 +797,7 @@ mod tests {
             flush(&mut det, &mut counters, batch);
             assert_results_equal(
                 &publish(&mut counters, det.graph(), 1),
-                &postprocess(det.graph(), det.state(), None),
+                &postprocess(det.graph(), det.state()),
             );
         }
     }
@@ -813,7 +813,7 @@ mod tests {
         flush(&mut det, &mut counters, &batch);
         assert_results_equal(
             &publish(&mut counters, det.graph(), 1),
-            &postprocess(det.graph(), det.state(), None),
+            &postprocess(det.graph(), det.state()),
         );
     }
 
@@ -840,7 +840,7 @@ mod tests {
             let mut det = RslpaDetector::new(g, RslpaConfig::quick(20, 17));
             let mut serial = EdgeCounters::new(det.state());
             let mut threaded = EdgeCounters::new(det.state());
-            let full = postprocess(det.graph(), det.state(), None);
+            let full = postprocess(det.graph(), det.state());
             assert_results_equal(&publish(&mut serial, det.graph(), 1), &full);
             assert_results_equal(&publish(&mut threaded, det.graph(), 4), &full);
             let mut rng = DetRng::new(99);
@@ -854,7 +854,7 @@ mod tests {
                     }
                     store.apply_slot_deltas(det.graph(), &deltas);
                 }
-                let full = postprocess(det.graph(), det.state(), None);
+                let full = postprocess(det.graph(), det.state());
                 assert_results_equal(&publish(&mut serial, det.graph(), 1), &full);
                 assert_results_equal(&publish(&mut threaded, det.graph(), 4), &full);
             }
@@ -876,18 +876,6 @@ mod tests {
         assert_eq!(
             edge_balanced_ranges(&g, 4),
             vec![0..1, 1..2, 2..4, 4..n as usize]
-        );
-    }
-
-    #[test]
-    fn grid_configuration_is_respected() {
-        let g = clique_chain();
-        let det = RslpaDetector::new(g.clone(), RslpaConfig::quick(30, 13));
-        let mut counters = EdgeCounters::new(det.state());
-        let weights = counters.refresh_weights(&g, 1);
-        assert_results_equal(
-            &result_from_weights(g.num_vertices(), weights, Some(0.001)),
-            &postprocess(&g, det.state(), Some(0.001)),
         );
     }
 

@@ -166,12 +166,7 @@ fn group_descending(weights: &[(VertexId, VertexId, f64)]) -> WeightGroups {
 /// candidates come off a counting sort over the distinct weights, linear
 /// in `|E|`; its stable tie order fixes the union order and so the
 /// entropy's floating-point sum.
-pub fn select_tau1(
-    n: usize,
-    weights: &[(VertexId, VertexId, f64)],
-    tau2: f64,
-    grid: Option<f64>,
-) -> (f64, f64) {
+pub fn select_tau1(n: usize, weights: &[(VertexId, VertexId, f64)], tau2: f64) -> (f64, f64) {
     let (groups, edges) = group_descending(weights);
     let nf = n as f64;
     // `-p ln p` of a community of `size` vertices, memoized: unions keep
@@ -191,33 +186,24 @@ pub fn select_tau1(
     let mut uf = UnionFind::new(n);
     let mut entropy = 0.0;
     let mut best = (f64::INFINITY, f64::NEG_INFINITY); // (tau1, entropy)
-    let (mut g, mut start) = (0, 0);
-    while g < groups.len() {
-        let w = groups[g].0;
+    let mut start = 0;
+    // Each group is one candidate: adding it admits every edge of weight
+    // ≥ its own.
+    for &(w, end) in &groups {
         if w < tau2 {
             break; // paper scans only [τ2, max w]
         }
-        // Snap to the requested grid (paper default 0.001) when asked; the
-        // group boundary stays the exact weight otherwise.
-        let threshold = match grid {
-            Some(step) => (w / step).floor() * step,
-            None => w,
-        };
-        // Add all edges with weight >= current group boundary.
-        while g < groups.len() && groups[g].0 >= threshold && groups[g].0 >= tau2 {
-            let end = groups[g].1;
-            for &(u, v) in &edges[start..end] {
-                let (ru, rv) = (uf.find(u), uf.find(v));
-                if ru != rv {
-                    let (su, sv) = (uf.set_size(ru), uf.set_size(rv));
-                    entropy += term(su + sv) - term(su) - term(sv);
-                    uf.union(ru, rv);
-                }
+        for &(u, v) in &edges[start..end] {
+            let (ru, rv) = (uf.find(u), uf.find(v));
+            if ru != rv {
+                let (su, sv) = (uf.set_size(ru), uf.set_size(rv));
+                entropy += term(su + sv) - term(su) - term(sv);
+                uf.union(ru, rv);
             }
-            (g, start) = (g + 1, end);
         }
+        start = end;
         if entropy > best.1 + 1e-15 {
-            best = (threshold, entropy);
+            best = (w, entropy);
         }
     }
     if best.1 == f64::NEG_INFINITY {
@@ -284,13 +270,9 @@ pub fn extract_communities(
 /// come from a fresh merge ([`postprocess`]), the streaming
 /// [`EdgeCounters`](crate::edge_counters::EdgeCounters), or the
 /// partitioned stores of a mesh.
-pub fn result_from_weights(
-    n: usize,
-    weights: Vec<(VertexId, VertexId, f64)>,
-    grid: Option<f64>,
-) -> PostprocessResult {
+pub fn result_from_weights(n: usize, weights: Vec<(VertexId, VertexId, f64)>) -> PostprocessResult {
     let tau2 = select_tau2(n, &weights);
-    let (tau1, entropy) = select_tau1(n, &weights, tau2, grid);
+    let (tau1, entropy) = select_tau1(n, &weights, tau2);
     let cover = extract_communities(n, &weights, tau1, tau2);
     PostprocessResult {
         cover,
@@ -302,12 +284,8 @@ pub fn result_from_weights(
 }
 
 /// Full post-processing pipeline (centralized).
-pub fn postprocess(
-    graph: &AdjacencyGraph,
-    state: &LabelState,
-    grid: Option<f64>,
-) -> PostprocessResult {
-    result_from_weights(graph.num_vertices(), edge_weights(graph, state), grid)
+pub fn postprocess(graph: &AdjacencyGraph, state: &LabelState) -> PostprocessResult {
+    result_from_weights(graph.num_vertices(), edge_weights(graph, state))
 }
 
 #[cfg(test)]
@@ -318,12 +296,7 @@ mod reference {
     use rslpa_graph::{Cover, UnionFind, VertexId};
 
     /// [`super::select_tau1`] with a comparison sort.
-    pub fn select_tau1(
-        n: usize,
-        weights: &[(VertexId, VertexId, f64)],
-        tau2: f64,
-        grid: Option<f64>,
-    ) -> (f64, f64) {
+    pub fn select_tau1(n: usize, weights: &[(VertexId, VertexId, f64)], tau2: f64) -> (f64, f64) {
         let mut sorted: Vec<(f64, VertexId, VertexId)> =
             weights.iter().map(|&(u, v, w)| (w, u, v)).collect();
         sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("weights are finite"));
@@ -344,14 +317,8 @@ mod reference {
             if w < tau2 {
                 break; // paper scans only [τ2, max w]
             }
-            // Snap to the requested grid (paper default 0.001) when asked; the
-            // group boundary stays the exact weight otherwise.
-            let threshold = match grid {
-                Some(g) => (w / g).floor() * g,
-                None => w,
-            };
-            // Add all edges with weight >= current group boundary.
-            while i < sorted.len() && sorted[i].0 >= threshold && sorted[i].0 >= tau2 {
+            // Add all edges with weight >= w (the tie group).
+            while i < sorted.len() && sorted[i].0 >= w {
                 let (_, u, v) = sorted[i];
                 let (ru, rv) = (uf.find(u), uf.find(v));
                 if ru != rv {
@@ -362,7 +329,7 @@ mod reference {
                 i += 1;
             }
             if entropy > best.1 + 1e-15 {
-                best = (threshold, entropy);
+                best = (w, entropy);
             }
         }
         if best.1 == f64::NEG_INFINITY {
@@ -471,7 +438,7 @@ mod tests {
         ];
         let tau2 = select_tau2(6, &w);
         assert!((tau2 - 0.9).abs() < 1e-12);
-        let (tau1, entropy) = select_tau1(6, &w, tau2, None);
+        let (tau1, entropy) = select_tau1(6, &w, tau2);
         assert!(
             tau1 > 0.3,
             "strong threshold must exclude the bridge, got {tau1}"
@@ -496,7 +463,7 @@ mod tests {
         ];
         let tau2 = select_tau2(6, &w);
         assert!((tau2 - 0.45).abs() < 1e-12);
-        let (tau1, _) = select_tau1(6, &w, tau2, None);
+        let (tau1, _) = select_tau1(6, &w, tau2);
         assert!((tau1 - 0.9).abs() < 1e-12, "got {tau1}");
         let cover = extract_communities(6, &w, tau1, tau2);
         assert_eq!(cover.sizes(), vec![3, 3]);
@@ -523,16 +490,6 @@ mod tests {
     }
 
     #[test]
-    fn grid_snapping_quantizes_tau1() {
-        let w = vec![(0, 1, 0.923), (2, 3, 0.511), (1, 2, 0.1)];
-        let (tau1, _) = select_tau1(4, &w, 0.1, Some(0.001));
-        assert!(
-            (tau1 * 1000.0).fract().abs() < 1e-9,
-            "τ1 {tau1} not on 0.001 grid"
-        );
-    }
-
-    #[test]
     fn full_pipeline_on_two_cliques() {
         let mut g = AdjacencyGraph::new(8);
         for base in [0u32, 4] {
@@ -544,7 +501,7 @@ mod tests {
         }
         g.insert_edge(3, 4);
         let state = run_propagation(&g, 60, 5);
-        let result = postprocess(&g, &state, None);
+        let result = postprocess(&g, &state);
         assert!(result.tau2 <= result.tau1 + 1e-12);
         assert!(
             result.cover.len() >= 2,
@@ -589,7 +546,7 @@ mod tests {
     fn empty_graph_pipeline_degenerates_gracefully() {
         let g = AdjacencyGraph::new(3);
         let state = run_propagation(&g, 5, 1);
-        let r = postprocess(&g, &state, None);
+        let r = postprocess(&g, &state);
         assert!(r.cover.is_empty());
         assert_eq!(r.weights.len(), 0);
     }
@@ -618,15 +575,13 @@ mod tests {
             n in 0usize..16,
             raw in proptest::collection::vec((0u32..16, 0u32..16, 0u64..1 << 21), 0..80),
             den_pick in 0usize..3,
-            grid_pick in 0usize..2,
             cut in 0u64..=8,
         ) {
             let den = [4u64, 2601, 1 << 20][den_pick];
-            let grid = [None, Some(0.001)][grid_pick];
             let w = weight_list(n, &raw, den);
             let tau2 = select_tau2(n, &w);
-            let got = select_tau1(n, &w, tau2, grid);
-            let want = reference::select_tau1(n, &w, tau2, grid);
+            let got = select_tau1(n, &w, tau2);
+            let want = reference::select_tau1(n, &w, tau2);
             prop_assert_eq!(
                 (got.0.to_bits(), got.1.to_bits()),
                 (want.0.to_bits(), want.1.to_bits())
@@ -638,8 +593,8 @@ mod tests {
             // Thresholds the sweep would not pick, including a τ2 above
             // τ1 and the degenerate no-edge-reaches-τ2 case.
             let (tau1, tau2) = (cut as f64 / 8.0, (8 - cut) as f64 / 8.0);
-            let got = select_tau1(n, &w, tau2, grid);
-            let want = reference::select_tau1(n, &w, tau2, grid);
+            let got = select_tau1(n, &w, tau2);
+            let want = reference::select_tau1(n, &w, tau2);
             prop_assert_eq!(
                 (got.0.to_bits(), got.1.to_bits()),
                 (want.0.to_bits(), want.1.to_bits())
@@ -662,8 +617,8 @@ mod tests {
         ];
         for w in &lists {
             for tau2 in [0.0, -0.0] {
-                let got = select_tau1(5, w, tau2, None);
-                let want = reference::select_tau1(5, w, tau2, None);
+                let got = select_tau1(5, w, tau2);
+                let want = reference::select_tau1(5, w, tau2);
                 assert_eq!(
                     (got.0.to_bits(), got.1.to_bits()),
                     (want.0.to_bits(), want.1.to_bits())

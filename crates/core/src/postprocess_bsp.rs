@@ -272,7 +272,7 @@ mod tests {
         let g = two_cliques();
         let csr = CsrGraph::from_adjacency(&g);
         let state = run_propagation(&g, 40, 7);
-        let central = postprocess(&g, &state, None);
+        let central = postprocess(&g, &state);
         let (bsp, _) = postprocess_bsp_with_candidates(
             &csr,
             &state,

@@ -141,46 +141,29 @@ impl ShardFlushReport {
     }
 }
 
-/// A vertex's full provenance rows in transit between shards
-/// (repartitioning moves whole rows; nothing else ever crosses outside
-/// the message protocol).
+/// The full provenance rows of one vertex, held by its owner shard.
+/// Repartitioning moves them whole between shards; nothing else ever
+/// crosses outside the message protocol.
 #[derive(Clone, Debug)]
 pub struct VertexRowData {
-    /// `T + 1` labels.
+    /// `T + 1` labels (`labels[0]` is the immutable initial label).
     pub labels: Vec<Label>,
-    /// `(src, pos)` per pick slot.
+    /// `(src, pos)` per pick slot, index `t - 1`.
     pub picks: Vec<(VertexId, u32)>,
-    /// Repick epoch per slot.
+    /// Repick epoch per slot, index `t - 1`.
     pub epochs: Vec<u32>,
-    /// Receiver records.
+    /// Receiver records of this vertex (who picked my slots).
     pub records: Vec<Record>,
-    /// Sorted neighbor list.
+    /// Sorted neighbor list (the shard-owned adjacency row).
     pub neighbors: Vec<VertexId>,
-    /// Damping: sorted slots whose receivers may be out of date and
-    /// await an unmute release (empty without damping).
+    /// Damping: sorted slots whose receivers may be out of date —
+    /// changed while this vertex was muted, or picked by a listener the
+    /// muted fetch never answered — awaiting a budgeted unmute release
+    /// (empty without damping).
     pub pending: Vec<u32>,
 }
 
-/// The full provenance rows of one owned vertex.
-#[derive(Clone, Debug)]
-struct VertexRow {
-    /// `T + 1` labels (`labels[0]` is the immutable initial label).
-    labels: Vec<Label>,
-    /// `(src, pos)` per pick slot, index `t - 1`.
-    picks: Vec<(VertexId, u32)>,
-    /// Repick epoch per slot, index `t - 1`.
-    epochs: Vec<u32>,
-    /// Receiver records of this vertex (who picked my slots).
-    records: Vec<Record>,
-    /// Sorted neighbor list (the shard-owned adjacency row).
-    neighbors: Vec<VertexId>,
-    /// Damping: sorted slots whose receivers may be out of date —
-    /// changed while this vertex was muted, or picked by a listener the
-    /// muted fetch never answered — awaiting a budgeted unmute release.
-    pending: Vec<u32>,
-}
-
-impl VertexRow {
+impl VertexRowData {
     /// A fresh, isolated vertex: every slot repeats the own label.
     fn fresh(v: VertexId, t_max: usize) -> Self {
         Self {
@@ -221,7 +204,7 @@ pub struct ShardRepairState {
     /// correction immediately, like the paper's Algorithm 2.
     damping: Option<DampingConfig>,
     partitioner: Arc<dyn Partitioner>,
-    rows: FxHashMap<VertexId, VertexRow>,
+    rows: FxHashMap<VertexId, VertexRowData>,
     /// Label-slot value changes since the last
     /// [`take_slot_deltas`](Self::take_slot_deltas), in application order
     /// — the stream a central
@@ -256,7 +239,7 @@ impl ShardRepairState {
             }
             rows.insert(
                 v,
-                VertexRow {
+                VertexRowData {
                     labels: state.label_sequence(v).to_vec(),
                     picks: (1..=t_max as u32).map(|t| state.pick(v, t)).collect(),
                     epochs: (1..=t_max as u32).map(|t| state.epoch(v, t)).collect(),
@@ -440,17 +423,7 @@ impl ShardRepairState {
             .map(|&v| {
                 let row = self.rows.remove(&v).expect("extracting a row we own");
                 self.pending_set.remove(&v);
-                (
-                    v,
-                    VertexRowData {
-                        labels: row.labels,
-                        picks: row.picks,
-                        epochs: row.epochs,
-                        records: row.records,
-                        neighbors: row.neighbors,
-                        pending: row.pending,
-                    },
-                )
+                (v, row)
             })
             .collect()
     }
@@ -461,22 +434,12 @@ impl ShardRepairState {
             self.slot_deltas.is_empty(),
             "slot deltas must be drained before rows migrate"
         );
-        for (v, data) in rows {
+        for (v, row) in rows {
             debug_assert!(self.owns(v), "adopting a row we do not own");
-            if !data.pending.is_empty() {
+            if !row.pending.is_empty() {
                 self.pending_set.insert(v);
             }
-            let prev = self.rows.insert(
-                v,
-                VertexRow {
-                    labels: data.labels,
-                    picks: data.picks,
-                    epochs: data.epochs,
-                    records: data.records,
-                    neighbors: data.neighbors,
-                    pending: data.pending,
-                },
-            );
+            let prev = self.rows.insert(v, row);
             debug_assert!(prev.is_none(), "adopted row collides with a live one");
         }
     }
@@ -523,7 +486,7 @@ impl ShardRepairState {
         let row = self
             .rows
             .entry(v)
-            .or_insert_with(|| VertexRow::fresh(v, t_max));
+            .or_insert_with(|| VertexRowData::fresh(v, t_max));
         for &gone in &delta.removed {
             if let Ok(i) = row.neighbors.binary_search(&gone) {
                 row.neighbors.remove(i);
@@ -830,7 +793,7 @@ fn stage_repick(
     old_pos: u32,
     src: VertexId,
     pos: u32,
-    row: &mut VertexRow,
+    row: &mut VertexRowData,
     staged: &mut Vec<Envelope>,
     report: &mut ShardFlushReport,
 ) {

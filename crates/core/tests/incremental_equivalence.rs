@@ -196,7 +196,7 @@ fn nmi_after_incremental_matches_scratch_on_lfr() {
         nmi_inc += overlapping_nmi(&inc_cover, &instance.ground_truth, n);
         // Scratch on the same post-batch graph with fresh randomness.
         let scratch = run_propagation(detector.graph(), t_max, seed + 5_000);
-        let scr_cover = postprocess(detector.graph(), &scratch, None).cover;
+        let scr_cover = postprocess(detector.graph(), &scratch).cover;
         nmi_scr += overlapping_nmi(&scr_cover, &instance.ground_truth, n);
     }
     nmi_inc /= runs as f64;

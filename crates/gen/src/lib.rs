@@ -4,8 +4,8 @@
 //!   (Lancichinetti & Fortunato, Phys. Rev. E 80, 2009 — the paper's \[19\]),
 //!   used for every synthetic-accuracy experiment (Figs. 7a–7f, Table I).
 //! * [`webgraph`] — R-MAT and Barabási–Albert generators standing in for
-//!   the `eu-2015-tpd` crawl (Table II, Figs. 8–9); see DESIGN.md for the
-//!   substitution argument.
+//!   the `eu-2015-tpd` crawl (Table II, Figs. 8–9); its module docs give
+//!   the substitution argument.
 //! * [`gn`] — the planted-partition GN benchmark (Girvan & Newman 2002),
 //!   cheap known-truth graphs for tests.
 //! * [`er`] — Erdős–Rényi `G(n, m)` graphs for null-model tests and the

@@ -48,9 +48,9 @@
 //!   any epoch indefinitely.
 //! * [`query`] — vertex membership, community roster, vertex overlap, and
 //!   epoch-to-epoch membership diffs, all latency-accounted.
-//! * [`stats`] — wait-free histograms + counters (global, per-shard, and
-//!   boundary-exchange); p50/p99 summaries resolved to log₂-bucket
-//!   geometric means.
+//! * [`stats`] — wait-free latency histograms, plus one locked record of
+//!   every counter (global, per-shard, and boundary-exchange); p50/p99
+//!   summaries resolved to log₂-bucket geometric means.
 //!
 //! The facade is [`CommunityService`]; see its docs for a runnable
 //! example.
@@ -69,10 +69,6 @@ pub use policy::{BarrierOnly, BySize, FlushPolicy};
 pub use query::QueryEngine;
 pub use queue::EditOp;
 pub use service::{CommunityService, IngestHandle, ServeConfig, ServiceClosed, TraceOptions};
-
-// Re-exported so callers can tune serve-path damping without a direct
-// `rslpa_core` dependency.
-pub use rslpa_core::DampingConfig;
 pub use snapshot::{
     fingerprint_weights, membership_diff, CommunitySnapshot, MembershipDiff, SnapshotReader,
     SnapshotStore,

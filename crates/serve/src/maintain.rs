@@ -181,7 +181,7 @@ impl MaintenanceLoop {
                         self.flush(&mut pending);
                         oldest_at = None;
                         self.publish_snapshot();
-                        self.stats.note_barrier();
+                        self.stats.update(|r| r.barriers += 1);
                         drop(opener); // open with the freshly published epoch
                     }
                     Command::Shutdown => {
@@ -227,20 +227,25 @@ impl MaintenanceLoop {
             }
         }
         let applied = batch.len() as u64;
-        let (eta, dirty) = if batch.is_empty() {
-            (0, 0)
+        // An empty batch repairs nothing and spans no dirty region.
+        let (eta, dirty, dirty_span) = if batch.is_empty() {
+            (0, 0, 0)
         } else {
             let _span = self.trace.span_with(names::REPAIR, applied);
-            self.engine.apply(&batch, &self.stats)
+            let (eta, dirty) = self.engine.apply(&batch, &self.stats);
+            (eta, dirty, self.engine.graph().num_vertices() as u64)
         };
-        self.stats
-            .note_flush(applied, rejected, eta, started.elapsed());
-        if !batch.is_empty() {
-            self.stats
-                .note_dirty_region(dirty, self.engine.graph().num_vertices() as u64);
-        }
-        // Upkeep runs after `note_flush`, so flush latency excludes it;
-        // the engine records its own timing.
+        self.stats.flushes.record(started.elapsed());
+        self.stats.update(|r| {
+            r.batches_flushed += 1;
+            r.edits_applied += applied;
+            r.edits_rejected += rejected;
+            r.slots_repaired += eta;
+            r.dirty_vertices += dirty;
+            r.dirty_span += dirty_span;
+        });
+        // Upkeep runs after the flush is timed, so flush latency excludes
+        // it; the engine records its own timing.
         if !batch.is_empty() {
             self.hubs.note_batch(&batch);
             self.engine.upkeep(&batch, &self.stats, &self.trace);
@@ -278,35 +283,38 @@ impl MaintenanceLoop {
         drop(roster_span);
         // The snapshot histogram covers post-processing + build + swap
         // only, so close it before repartitioning.
-        self.stats.note_snapshot(started.elapsed());
-        // Refresh the coordinator-resident memory gauges while the state
+        self.stats.snapshots.record(started.elapsed());
+        // Sample the coordinator-resident memory gauges while the state
         // is quiescent; readers see them via the stats JSON.
         let mem = self.engine.mem_footprint();
-        self.stats.set_mem_gauges(
-            mem.live_bytes as u64,
-            mem.capacity_bytes as u64,
-            self.engine.graph().num_vertices() as u64,
-        );
+        let vertices = self.engine.graph().num_vertices() as u64;
         // Re-shard around the communities just published: the ownership
         // map tracks the structure it serves, so cascade locality does
         // not decay as the graph drifts from the genesis partition.
         // Forming hubs (top degree gainers since the last repartition)
         // are pulled — spokes and all — onto single shards first.
-        {
+        let max_degree_delta = self.hubs.max_degree_delta().max(0) as u64;
+        let pulls = {
             let _span = self.trace.span(names::PUBLISH_MIGRATE);
-            self.stats
-                .set_max_degree_delta(self.hubs.max_degree_delta().max(0) as u64);
             let pulls = self.hubs.take_hubs(self.engine.graph());
-            self.stats.note_hub_pulls(pulls.len() as u64);
             self.engine
                 .repartition(&detection.result.cover, &pulls, &self.stats);
-        }
+            pulls.len() as u64
+        };
         drop(publish_span);
         // Publish is the natural low-rate point to fold the recorder's
         // overwrite loss into the stats report.
-        if self.trace.enabled() {
-            self.stats.set_trace_dropped(self.trace.dropped_records());
-        }
+        let dropped = self.trace.enabled().then(|| self.trace.dropped_records());
+        self.stats.update(|r| {
+            r.mem_live_bytes = mem.live_bytes as u64;
+            r.mem_capacity_bytes = mem.capacity_bytes as u64;
+            r.mem_vertices = vertices;
+            r.max_degree_delta = max_degree_delta;
+            r.hub_pulls += pulls;
+            if let Some(dropped) = dropped {
+                r.trace_dropped_records = dropped;
+            }
+        });
     }
 }
 

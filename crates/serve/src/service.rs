@@ -16,6 +16,9 @@ use crate::shards::RepairEngine;
 use crate::snapshot::{CommunitySnapshot, SnapshotReader, SnapshotStore};
 use crate::stats::{ServeStats, StatsReport};
 
+/// How many recent epochs stay addressable for diff queries.
+const HISTORY: usize = 64;
+
 /// Flight-recorder configuration (see [`ServeConfig::with_trace`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct TraceOptions {
@@ -36,7 +39,7 @@ impl Default for TraceOptions {
 
 /// Service configuration.
 pub struct ServeConfig {
-    /// Detector parameters (iterations, seed, cascade mode).
+    /// Detector parameters (iterations, seed, cascade damping).
     pub detector: RslpaConfig,
     /// Micro-batching policy for the ingestion queue.
     pub policy: Box<dyn FlushPolicy>,
@@ -44,8 +47,6 @@ pub struct ServeConfig {
     /// shutdown always publish. Post-processing dominates flush cost, so
     /// raising this trades snapshot freshness for ingest throughput.
     pub snapshot_every: usize,
-    /// How many recent epochs stay addressable for diff queries.
-    pub history: usize,
     /// Maintenance shards. `1` (the default) keeps the single-writer
     /// path; `> 1` partitions the vertex space and repairs flushes on
     /// that many worker threads with boundary exchange. Rosters are
@@ -81,7 +82,6 @@ impl Default for ServeConfig {
             },
             policy: Box::new(BySize::default()),
             snapshot_every: 1,
-            history: 64,
             shards: 1,
             trace: None,
         }
@@ -99,21 +99,6 @@ impl ServeConfig {
             },
             ..Self::default()
         }
-    }
-
-    /// Override the degree-capped cascade damping (builder style). The
-    /// serve default is `DampingConfig::default()` (cap 64, budget 64).
-    pub fn with_damping(mut self, damping: DampingConfig) -> Self {
-        self.detector.damping = Some(damping);
-        self
-    }
-
-    /// Disable cascade damping (builder style): restores the paper's
-    /// unbounded Algorithm 2 cascade on the serve path, reproducing the
-    /// pre-damping behavior bit-for-bit.
-    pub fn without_damping(mut self) -> Self {
-        self.detector.damping = None;
-        self
     }
 
     /// Replace the flush policy (builder style).
@@ -223,7 +208,7 @@ impl IngestHandle {
     /// Enqueue one edit operation.
     pub fn submit(&self, op: EditOp) -> Result<(), ServiceClosed> {
         if self.queue.push(Command::Edit(op)) {
-            self.stats.note_enqueued();
+            self.stats.update(|r| r.edits_enqueued += 1);
             Ok(())
         } else {
             Err(ServiceClosed)
@@ -309,7 +294,7 @@ impl CommunityService {
             result: bootstrap.genesis,
         };
         let genesis = CommunitySnapshot::build(0, bootstrap.engine.graph(), &detection, 0);
-        let store = Arc::new(SnapshotStore::new(genesis, config.history));
+        let store = Arc::new(SnapshotStore::new(genesis, HISTORY));
         let queue = EditQueue::new();
         let worker = MaintenanceLoop {
             engine: bootstrap.engine,

@@ -47,7 +47,7 @@ use rslpa_graph::{
 };
 use rslpa_trace::{names, TraceWriter, Tracer};
 
-use crate::stats::ServeStats;
+use crate::stats::{nanos, ServeStats};
 
 /// How long the coordinator waits for a worker reply before concluding the
 /// worker died (a worker panic would otherwise deadlock the loop).
@@ -118,7 +118,8 @@ fn mesh_worker_loop(
         let wait_t0 = trace.enabled().then(|| trace.now_ns());
         let waited = Instant::now();
         let Ok(cmd) = cmds.recv() else { break };
-        stats.note_shard_mailbox_wait(idx, waited.elapsed());
+        let wait = nanos(waited.elapsed());
+        stats.update(|r| r.shards[idx].mailbox_wait_ns += wait);
         if let Some(t0) = wait_t0 {
             trace.record_span(
                 names::MAILBOX_WAIT,
@@ -145,7 +146,10 @@ fn mesh_worker_loop(
                     let _span = trace.span(names::EXCHANGE);
                     port.exchange_to_quiescence(&mut state, out, &mut report)
                 };
-                stats.note_mesh(&mesh.inbox_depths, mesh.barrier_wait);
+                for &depth in &mesh.inbox_depths {
+                    stats.mailbox_depth.record_value(depth);
+                }
+                stats.barrier_wait.record(mesh.barrier_wait);
                 barrier_arrive = mesh.barrier_arrive;
                 barrier_depart = mesh.barrier_depart;
                 MeshReply::Flushed {
@@ -173,16 +177,22 @@ fn mesh_worker_loop(
         if replies.send(reply).is_err() {
             break;
         }
-        stats.note_shard_cmd(
-            idx,
+        let work = nanos(
             work_started
                 .elapsed()
                 .saturating_sub(barrier_arrive + barrier_depart),
-            barrier_arrive,
-            barrier_depart,
         );
+        let (arrive, depart) = (nanos(barrier_arrive), nanos(barrier_depart));
+        stats.update(|r| {
+            let s = &mut r.shards[idx];
+            s.work_ns += work;
+            s.barrier_wait_ns += arrive + depart;
+            s.barrier_arrive_ns += arrive;
+            s.barrier_depart_ns += depart;
+        });
     }
-    stats.set_shard_wall(idx, wall_started.elapsed());
+    let wall = nanos(wall_started.elapsed());
+    stats.update(|r| r.shards[idx].wall_ns = wall);
 }
 
 /// Decentralized engine: coordinator state for the peer-to-peer mailbox
@@ -233,8 +243,6 @@ pub(crate) struct RepairEngine {
     /// The last flush's label-slot changes, drained into `counters` by
     /// [`upkeep`](Self::upkeep). Capacity is retained across flushes.
     slot_deltas: Vec<SlotDelta>,
-    /// τ1 grid threaded into publish-time threshold selection.
-    grid: Option<f64>,
 }
 
 /// What `start` hands the service: the engine and the genesis detection
@@ -256,7 +264,6 @@ impl RepairEngine {
         tracer: &Arc<Tracer>,
     ) -> Bootstrap {
         let n = graph.num_vertices();
-        let grid = config.tau1_grid;
         if shards <= 1 {
             let detector = RslpaDetector::new(graph, *config);
             let mut counters = EdgeCounters::new(detector.state());
@@ -266,9 +273,8 @@ impl RepairEngine {
                     repair: Repair::Single(Box::new(detector)),
                     counters,
                     slot_deltas: Vec::new(),
-                    grid,
                 },
-                genesis: result_from_weights(n, weights, grid),
+                genesis: result_from_weights(n, weights),
             };
         }
         let state = rslpa_core::run_propagation(&graph, config.iterations, config.seed);
@@ -279,7 +285,7 @@ impl RepairEngine {
         // switches).
         let hw = std::thread::available_parallelism().map_or(1, usize::from);
         let weights = counters.refresh_weights(&graph, shards.min(hw));
-        let genesis = result_from_weights(n, weights, grid);
+        let genesis = result_from_weights(n, weights);
         // Shard along the communities the genesis detection just found:
         // correction cascades follow edges, and community-aligned shards
         // keep most edges — hence most cascade hops — shard-local. (BFS
@@ -291,10 +297,8 @@ impl RepairEngine {
             shards,
         ));
         let boundary = BoundaryTracker::new(&graph, partitioner.as_ref());
-        stats.set_boundary_gauges(
-            boundary.cut_edges() as u64,
-            boundary.boundary_vertices() as u64,
-        );
+        let (cut, frontier) = boundary_gauges(&boundary);
+        stats.update(|r| (r.cut_edges, r.boundary_vertices) = (cut, frontier));
         let (reply_tx, replies) = std::sync::mpsc::channel();
         let mut workers = Vec::with_capacity(shards);
         let mut handles = Vec::with_capacity(shards);
@@ -303,7 +307,6 @@ impl RepairEngine {
         for (s, mut port) in ports.into_iter().enumerate() {
             let mut shard =
                 ShardRepairState::from_state(&state, &graph, s, Arc::clone(&partitioner));
-            shard.set_value_pruned(config.value_pruned_cascade);
             shard.set_damping(config.damping);
             let (cmd_tx, cmd_rx) = std::sync::mpsc::channel();
             let reply_tx = reply_tx.clone();
@@ -335,7 +338,6 @@ impl RepairEngine {
                 })),
                 counters,
                 slot_deltas: Vec::new(),
-                grid,
             },
             genesis,
         }
@@ -392,8 +394,11 @@ impl RepairEngine {
                 let report = d
                     .apply_batch_streaming(batch, &mut self.slot_deltas)
                     .expect("net-resolved batch validates by construction");
-                stats.note_shard_flush(0, report.affected_vertices as u64, report.eta as u64);
-                stats.note_damped_deferrals(report.damped_deferrals as u64);
+                stats.update(|r| {
+                    r.shards[0].edits_routed += report.affected_vertices as u64;
+                    r.shards[0].slots_repaired += report.eta as u64;
+                    r.damped_deferrals += report.damped_deferrals as u64;
+                });
                 (report.eta as u64, report.dirty_vertices as u64)
             }
             Repair::Mailbox(e) => e.apply(batch, stats, &mut self.slot_deltas),
@@ -413,8 +418,9 @@ impl RepairEngine {
         }
         let net = self
             .counters
-            .apply_slot_deltas(self.repair.graph(), &self.slot_deltas);
-        stats.note_counters(net as u64, started.elapsed());
+            .apply_slot_deltas(self.repair.graph(), &self.slot_deltas) as u64;
+        stats.counters.record(started.elapsed());
+        stats.update(|r| r.slot_deltas_net += net);
     }
 
     /// Produce the publish-time detection result: threshold selection and
@@ -423,7 +429,7 @@ impl RepairEngine {
         let _span = trace.span(names::PUBLISH_WEIGHTS);
         let graph = self.repair.graph();
         let weights = self.counters.refresh_weights(graph, 1);
-        result_from_weights(graph.num_vertices(), weights, self.grid)
+        result_from_weights(graph.num_vertices(), weights)
     }
 
     /// Re-plan the ownership map around the just-published cover —
@@ -458,10 +464,6 @@ impl MailboxEngine {
             .apply_into(batch, &mut self.applied)
             .expect("net-resolved batch validates by construction");
         self.boundary.apply(batch, self.partitioner.as_ref());
-        stats.set_boundary_gauges(
-            self.boundary.cut_edges() as u64,
-            self.boundary.boundary_vertices() as u64,
-        );
         let per_shard = split_deltas(&self.applied, self.partitioner.as_ref());
         let routed: Vec<u64> = per_shard.iter().map(|d| d.len() as u64).collect();
         for (worker, deltas) in self.workers.iter().zip(per_shard) {
@@ -489,29 +491,33 @@ impl MailboxEngine {
                 _ => unreachable!("only flush replies in flight"),
             }
         }
-        let mut eta = 0u64;
-        let mut dirty = 0u64;
-        let mut deferred = 0u64;
-        let mut envelopes = 0u64;
-        for (s, report) in reports.iter().enumerate() {
-            stats.note_shard_flush(s, routed[s], report.eta as u64);
-            eta += report.eta as u64;
-            dirty += report.dirty_vertices as u64;
-            deferred += report.damped_deferrals as u64;
-            envelopes += report.boundary_msgs as u64;
+        let mut total = ShardFlushReport::default();
+        for report in &reports {
+            total.absorb(report);
         }
+        let envelopes = total.boundary_msgs as u64;
         // Route-side staging and port-side delivery count the same
         // envelopes through independent code paths.
         debug_assert_eq!(envelopes, delivered, "mesh lost or invented envelopes");
-        stats.note_damped_deferrals(deferred);
-        stats.note_exchange(rounds, envelopes);
-        // Mesh delivery is direct: one cell hop per envelope. Counted
-        // from the ports' own send tallies — independent of the
-        // route-side `boundary_msgs` above, so the two stats cross-check
-        // each other (the shard-consistency tests assert equality).
-        stats.note_envelope_hops(delivered);
+        let (cut, frontier) = boundary_gauges(&self.boundary);
+        stats.update(|r| {
+            for ((s, report), routed) in r.shards.iter_mut().zip(&reports).zip(routed) {
+                s.edits_routed += routed;
+                s.slots_repaired += report.eta as u64;
+            }
+            r.damped_deferrals += total.damped_deferrals as u64;
+            r.exchange_rounds += rounds;
+            r.boundary_msgs += envelopes;
+            // Mesh delivery is direct: one cell hop per envelope. Counted
+            // from the ports' own send tallies — independent of the
+            // route-side `boundary_msgs` above, so the two stats
+            // cross-check each other (the shard-consistency tests assert
+            // equality).
+            r.envelope_hops += delivered;
+            (r.cut_edges, r.boundary_vertices) = (cut, frontier);
+        });
         self.batches_applied += 1;
-        (eta, dirty)
+        (total.eta as u64, total.dirty_vertices as u64)
     }
 
     /// Re-plan ownership stickily around `cover` and migrate rows. Runs
@@ -571,12 +577,21 @@ impl MailboxEngine {
         }
         self.partitioner = next;
         self.boundary = BoundaryTracker::new(self.graph.graph(), self.partitioner.as_ref());
-        stats.note_repartition(moved);
-        stats.set_boundary_gauges(
-            self.boundary.cut_edges() as u64,
-            self.boundary.boundary_vertices() as u64,
-        );
+        let (cut, frontier) = boundary_gauges(&self.boundary);
+        stats.update(|r| {
+            r.repartitions += 1;
+            r.vertices_migrated += moved;
+            (r.cut_edges, r.boundary_vertices) = (cut, frontier);
+        });
     }
+}
+
+/// `(cut_edges, boundary_vertices)` for the stats gauges.
+fn boundary_gauges(boundary: &BoundaryTracker) -> (u64, u64) {
+    (
+        boundary.cut_edges() as u64,
+        boundary.boundary_vertices() as u64,
+    )
 }
 
 impl Drop for MailboxEngine {

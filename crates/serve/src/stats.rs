@@ -1,14 +1,20 @@
 //! Per-operation latency/throughput accounting for the serve loop.
 //!
-//! Queries and flushes record into log₂-bucketed histograms of atomic
-//! counters, so recording from many reader threads is wait-free and a
-//! percentile read never stops the world. Percentiles are resolved to the
-//! *geometric mean* of the containing bucket's bounds — the unbiased
-//! representative of a log₂ bucket (the upper bound would overstate
-//! latencies by up to 2×).
+//! Latencies (and mesh inbox depths) record into log₂-bucketed histograms
+//! of atomic counters, so recording from many reader threads is wait-free
+//! and a percentile read never stops the world. Percentiles are resolved
+//! to the *geometric mean* of the containing bucket's bounds — the
+//! unbiased representative of a log₂ bucket (the upper bound would
+//! overstate latencies by up to 2×).
+//!
+//! Every counter and gauge is declared once, as a field of
+//! [`StatsReport`], and lives in one such record behind one lock. Writers
+//! compute their values first and take the lock only to add them in, and
+//! [`ServeStats::report`] clones the record, so a report is one
+//! point-in-time read.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
 
 /// Number of log₂ buckets: bucket `i` holds samples in `[2^(i-1), 2^i)` ns
@@ -26,6 +32,11 @@ fn bucket_representative(i: usize) -> u64 {
     let lo = (1u64 << (i - 1)) as f64;
     let hi = (1u64 << i) as f64;
     (lo * hi).sqrt().round() as u64
+}
+
+/// `d` in whole nanoseconds, saturating at `u64::MAX` (≈ 584 years).
+pub(crate) fn nanos(d: Duration) -> u64 {
+    d.as_nanos().min(u128::from(u64::MAX)) as u64
 }
 
 /// A wait-free latency histogram over nanosecond samples.
@@ -58,8 +69,7 @@ impl LatencyHistogram {
 
     /// Record one sample.
     pub fn record(&self, elapsed: Duration) {
-        let ns = elapsed.as_nanos().min(u128::from(u64::MAX)) as u64;
-        self.record_value(ns);
+        self.record_value(nanos(elapsed));
     }
 
     /// Record one dimensionless sample (the histogram is just log₂
@@ -226,54 +236,33 @@ impl std::fmt::Display for LatencySummary {
     }
 }
 
-/// Per-shard monotone counters (sharded maintenance only; a single-writer
+/// One shard's counters (sharded maintenance only; a single-writer
 /// service has exactly one entry).
-#[derive(Debug, Default)]
-pub struct ShardStats {
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct ShardCounts {
     /// Per-vertex edit deltas routed to this shard.
-    pub edits_routed: AtomicU64,
+    pub edits_routed: u64,
     /// Label slots this shard repaired (Σ per-shard η).
-    pub slots_repaired: AtomicU64,
+    pub slots_repaired: u64,
     /// Wall nanoseconds this shard's worker spent actively processing
     /// commands (flush waves, exchange stepping, migration), *excluding*
     /// barrier parks.
-    pub work_ns: AtomicU64,
+    pub work_ns: u64,
     /// Wall nanoseconds the worker spent blocked on its command sub-queue
     /// waiting for the coordinator (the "mailbox wait").
-    pub mailbox_wait_ns: AtomicU64,
+    pub mailbox_wait_ns: u64,
     /// Wall nanoseconds the worker spent parked at mesh round barriers.
-    pub barrier_wait_ns: AtomicU64,
+    pub barrier_wait_ns: u64,
     /// Of `barrier_wait_ns`, the arrive phase: parked until the round's
     /// last participant arrived (straggler / load-imbalance cost).
-    pub barrier_arrive_ns: AtomicU64,
+    pub barrier_arrive_ns: u64,
     /// Of `barrier_wait_ns`, the depart phase: between the leader's
     /// release and this worker resuming (wakeup/scheduling latency —
     /// dominates when workers outnumber cores).
-    pub barrier_depart_ns: AtomicU64,
+    pub barrier_depart_ns: u64,
     /// Gauge: total wall nanoseconds of the worker's command loop, set
     /// once at shutdown. `work + mailbox_wait + barrier_wait` should
     /// account for ≥ 90% of it — the rest is loop bookkeeping.
-    pub wall_ns: AtomicU64,
-}
-
-/// Plain point-in-time view of one shard's counters.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardCounts {
-    /// See [`ShardStats::edits_routed`].
-    pub edits_routed: u64,
-    /// See [`ShardStats::slots_repaired`].
-    pub slots_repaired: u64,
-    /// See [`ShardStats::work_ns`].
-    pub work_ns: u64,
-    /// See [`ShardStats::mailbox_wait_ns`].
-    pub mailbox_wait_ns: u64,
-    /// See [`ShardStats::barrier_wait_ns`].
-    pub barrier_wait_ns: u64,
-    /// See [`ShardStats::barrier_arrive_ns`].
-    pub barrier_arrive_ns: u64,
-    /// See [`ShardStats::barrier_depart_ns`].
-    pub barrier_depart_ns: u64,
-    /// See [`ShardStats::wall_ns`].
     pub wall_ns: u64,
 }
 
@@ -289,9 +278,9 @@ impl ShardCounts {
     }
 }
 
-/// Shared counters for one service instance. All fields are monotone
-/// counters updated with relaxed atomics; a [`StatsReport`] is a consistent
-/// enough point-in-time read for reporting.
+/// Shared stats for one service instance: wait-free latency histograms,
+/// plus one [`StatsReport`] record under a lock that holds every counter
+/// and gauge.
 #[derive(Debug)]
 pub struct ServeStats {
     /// Query latency (all query kinds pooled).
@@ -308,31 +297,6 @@ pub struct ServeStats {
     /// into the common-label counters on the maintenance thread), at
     /// every shard count.
     pub counters: LatencyHistogram,
-    /// Edit operations accepted into the queue.
-    pub edits_enqueued: AtomicU64,
-    /// Edit operations applied to the graph.
-    pub edits_applied: AtomicU64,
-    /// Edit operations dropped as no-ops (inserting a present edge,
-    /// deleting an absent one, self-loops).
-    pub edits_rejected: AtomicU64,
-    /// Micro-batches flushed into the maintenance engine.
-    pub batches_flushed: AtomicU64,
-    /// Label slots repaired across all flushes (Σ η).
-    pub slots_repaired: AtomicU64,
-    /// Net slot deltas folded into the edge-weight counters (after
-    /// intra-flush compaction; ≤ `slots_repaired`).
-    pub slot_deltas_net: AtomicU64,
-    /// Barriers honored.
-    pub barriers: AtomicU64,
-    /// Mesh boundary-exchange rounds (0 under a single writer).
-    pub exchange_rounds: AtomicU64,
-    /// Envelopes that crossed a shard boundary.
-    pub boundary_msgs: AtomicU64,
-    /// Boundary envelopes the mesh ports wrote into their peers' mailbox
-    /// cells, one hop each. Tallied port-side, independently of the
-    /// route-side `boundary_msgs`, so equality of the two cross-checks
-    /// delivery.
-    pub envelope_hops: AtomicU64,
     /// Inbox depth per delivering mesh round (envelopes one shard read
     /// from its mailbox cells in one round; empty under the single
     /// writer).
@@ -341,45 +305,10 @@ pub struct ServeStats {
     /// sample per shard per flush, since every shard joins every flush's
     /// exchange (empty under the single writer).
     pub barrier_wait: LatencyHistogram,
-    /// Gauge: edges whose endpoints live on different shards.
-    pub cut_edges: AtomicU64,
-    /// Gauge: vertices with at least one off-shard neighbor.
-    pub boundary_vertices: AtomicU64,
-    /// Publish-time repartitions performed.
-    pub repartitions: AtomicU64,
-    /// Vertex rows migrated between shards by repartitions.
-    pub vertices_migrated: AtomicU64,
-    /// Forming hubs pulled (with their spoke frontiers) onto single
-    /// shards by hub-aware repartitions.
-    pub hub_pulls: AtomicU64,
-    /// Cascade re-sprays deferred at over-cap vertices by degree-capped
-    /// damping (0 with damping off).
-    pub damped_deferrals: AtomicU64,
-    /// Gauge: largest net per-vertex degree gain observed in the window
-    /// ending at the last publish (the hub-detector's input signal).
-    pub max_degree_delta: AtomicU64,
-    /// Gauge: coordinator-resident live bytes (graph + label rows +
-    /// counters, per the engine's ownership split) at the last publish.
-    pub mem_live_bytes: AtomicU64,
-    /// Gauge: coordinator-resident reserved bytes at the last publish.
-    pub mem_capacity_bytes: AtomicU64,
-    /// Gauge: vertex count the memory gauges were sampled at.
-    pub mem_vertices: AtomicU64,
-    /// Gauge: flight-recorder records lost to ring overwrite (refreshed at
-    /// each publish while tracing is enabled; 0 when tracing is off).
-    pub trace_dropped_records: AtomicU64,
-    /// Distinct vertices whose stored labels changed, summed over all
-    /// non-empty flushes (the dirty-region numerator).
-    pub dirty_vertices: AtomicU64,
-    /// Σ over the same flushes of the vertex count at flush time (the
-    /// dirty-region denominator; `dirty_vertices / dirty_span` is the
-    /// mean per-flush dirty fraction).
-    pub dirty_span: AtomicU64,
-    /// Roster-quality scores recorded by an external harness (one entry
-    /// per scored publish window; empty unless a driver scores the run).
-    pub quality_windows: Mutex<Vec<QualityWindow>>,
-    /// Per-shard counters (length = shard count).
-    pub shards: Vec<ShardStats>,
+    /// Every counter and gauge. The histogram summaries,
+    /// `snapshots_published` and `saturated_samples` stay at their
+    /// defaults here; [`report`](Self::report) fills them in.
+    record: Mutex<StatsReport>,
 }
 
 /// One externally-scored publish window: the published roster compared
@@ -404,193 +333,53 @@ impl Default for ServeStats {
     }
 }
 
-macro_rules! bump {
-    ($field:expr) => {
-        $field.fetch_add(1, Ordering::Relaxed)
-    };
-    ($field:expr, $n:expr) => {
-        $field.fetch_add($n, Ordering::Relaxed)
-    };
-}
-
 impl ServeStats {
-    /// Counters for a service with `shards` maintenance shards (≥ 1).
+    /// Stats for a service with `shards` maintenance shards (≥ 1).
     pub fn with_shards(shards: usize) -> Self {
         Self {
             queries: LatencyHistogram::new(),
             flushes: LatencyHistogram::new(),
             snapshots: LatencyHistogram::new(),
             counters: LatencyHistogram::new(),
-            edits_enqueued: AtomicU64::new(0),
-            edits_applied: AtomicU64::new(0),
-            edits_rejected: AtomicU64::new(0),
-            batches_flushed: AtomicU64::new(0),
-            slots_repaired: AtomicU64::new(0),
-            slot_deltas_net: AtomicU64::new(0),
-            barriers: AtomicU64::new(0),
-            exchange_rounds: AtomicU64::new(0),
-            boundary_msgs: AtomicU64::new(0),
-            envelope_hops: AtomicU64::new(0),
             mailbox_depth: LatencyHistogram::new(),
             barrier_wait: LatencyHistogram::new(),
-            cut_edges: AtomicU64::new(0),
-            boundary_vertices: AtomicU64::new(0),
-            repartitions: AtomicU64::new(0),
-            vertices_migrated: AtomicU64::new(0),
-            hub_pulls: AtomicU64::new(0),
-            damped_deferrals: AtomicU64::new(0),
-            max_degree_delta: AtomicU64::new(0),
-            mem_live_bytes: AtomicU64::new(0),
-            mem_capacity_bytes: AtomicU64::new(0),
-            mem_vertices: AtomicU64::new(0),
-            trace_dropped_records: AtomicU64::new(0),
-            dirty_vertices: AtomicU64::new(0),
-            dirty_span: AtomicU64::new(0),
-            quality_windows: Mutex::new(Vec::new()),
-            shards: (0..shards.max(1)).map(|_| ShardStats::default()).collect(),
+            record: Mutex::new(StatsReport {
+                shards: vec![ShardCounts::default(); shards.max(1)],
+                ..StatsReport::default()
+            }),
         }
     }
 
-    pub(crate) fn note_enqueued(&self) {
-        bump!(self.edits_enqueued);
+    /// Add to the counter record under its lock. Callers compute their
+    /// values before the call, so the lock covers only the additions.
+    pub(crate) fn update(&self, f: impl FnOnce(&mut StatsReport)) {
+        f(&mut self.record());
     }
 
-    pub(crate) fn note_shard_flush(&self, shard: usize, edits_routed: u64, slots_repaired: u64) {
-        let s = &self.shards[shard];
-        bump!(s.edits_routed, edits_routed);
-        bump!(s.slots_repaired, slots_repaired);
-    }
-
-    pub(crate) fn note_exchange(&self, rounds: u64, boundary_msgs: u64) {
-        bump!(self.exchange_rounds, rounds);
-        bump!(self.boundary_msgs, boundary_msgs);
-    }
-
-    pub(crate) fn note_envelope_hops(&self, hops: u64) {
-        bump!(self.envelope_hops, hops);
-    }
-
-    /// Fold one worker's per-flush mesh accounting into the histograms.
-    pub(crate) fn note_mesh(&self, depths: &[u64], barrier_wait: Duration) {
-        for &d in depths {
-            self.mailbox_depth.record_value(d);
-        }
-        self.barrier_wait.record(barrier_wait);
-    }
-
-    /// One worker command's active-processing and barrier-park time, the
-    /// park split into its arrive (waiting for stragglers) and depart
-    /// (release-to-resume wakeup latency) phases. The `barrier_wait_ns`
-    /// total stays their sum so attribution coverage is unchanged.
-    pub(crate) fn note_shard_cmd(
-        &self,
-        shard: usize,
-        work: Duration,
-        barrier_arrive: Duration,
-        barrier_depart: Duration,
-    ) {
-        let ns = |d: Duration| d.as_nanos().min(u128::from(u64::MAX)) as u64;
-        let s = &self.shards[shard];
-        bump!(s.work_ns, ns(work));
-        bump!(s.barrier_wait_ns, ns(barrier_arrive) + ns(barrier_depart));
-        bump!(s.barrier_arrive_ns, ns(barrier_arrive));
-        bump!(s.barrier_depart_ns, ns(barrier_depart));
-    }
-
-    /// Time one worker spent blocked on its command sub-queue.
-    pub(crate) fn note_shard_mailbox_wait(&self, shard: usize, wait: Duration) {
-        bump!(
-            self.shards[shard].mailbox_wait_ns,
-            wait.as_nanos().min(u128::from(u64::MAX)) as u64
-        );
-    }
-
-    /// Total wall time of a worker's command loop, set once at shutdown.
-    pub(crate) fn set_shard_wall(&self, shard: usize, wall: Duration) {
-        self.shards[shard].wall_ns.store(
-            wall.as_nanos().min(u128::from(u64::MAX)) as u64,
-            Ordering::Relaxed,
-        );
-    }
-
-    pub(crate) fn set_trace_dropped(&self, dropped: u64) {
-        self.trace_dropped_records.store(dropped, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_mem_gauges(&self, live_bytes: u64, capacity_bytes: u64, vertices: u64) {
-        self.mem_live_bytes.store(live_bytes, Ordering::Relaxed);
-        self.mem_capacity_bytes
-            .store(capacity_bytes, Ordering::Relaxed);
-        self.mem_vertices.store(vertices, Ordering::Relaxed);
-    }
-
-    pub(crate) fn set_boundary_gauges(&self, cut_edges: u64, boundary_vertices: u64) {
-        self.cut_edges.store(cut_edges, Ordering::Relaxed);
-        self.boundary_vertices
-            .store(boundary_vertices, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_repartition(&self, moved: u64) {
-        bump!(self.repartitions);
-        bump!(self.vertices_migrated, moved);
-    }
-
-    /// Hubs nominated for this publish's repartition (0 most windows).
-    pub(crate) fn note_hub_pulls(&self, pulls: u64) {
-        bump!(self.hub_pulls, pulls);
-    }
-
-    /// Cascade deliveries deferred by degree-capped damping in one flush.
-    pub(crate) fn note_damped_deferrals(&self, deferred: u64) {
-        bump!(self.damped_deferrals, deferred);
-    }
-
-    /// Gauge: the hub-detector's max net degree delta for the window
-    /// ending at this publish.
-    pub(crate) fn set_max_degree_delta(&self, delta: u64) {
-        self.max_degree_delta.store(delta, Ordering::Relaxed);
-    }
-
-    pub(crate) fn note_flush(&self, applied: u64, rejected: u64, eta: u64, took: Duration) {
-        bump!(self.batches_flushed);
-        bump!(self.edits_applied, applied);
-        bump!(self.edits_rejected, rejected);
-        bump!(self.slots_repaired, eta);
-        self.flushes.record(took);
-    }
-
-    pub(crate) fn note_snapshot(&self, took: Duration) {
-        self.snapshots.record(took);
-    }
-
-    pub(crate) fn note_counters(&self, net_deltas: u64, took: Duration) {
-        bump!(self.slot_deltas_net, net_deltas);
-        self.counters.record(took);
-    }
-
-    pub(crate) fn note_barrier(&self) {
-        bump!(self.barriers);
-    }
-
-    /// One non-empty flush's dirty region: `dirty` distinct value-changed
-    /// vertices out of `span` vertices present at flush time.
-    pub(crate) fn note_dirty_region(&self, dirty: u64, span: u64) {
-        bump!(self.dirty_vertices, dirty);
-        bump!(self.dirty_span, span);
+    /// The record stays readable after a panicking update: it holds plain
+    /// integers, each addition whole, so no update can leave it invalid.
+    fn record(&self) -> MutexGuard<'_, StatsReport> {
+        self.record.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Record one externally-scored publish window (roster vs tracked
     /// ground-truth cover). Called by bench/CLI harnesses, not by the
     /// serve loop itself.
     pub fn note_quality_window(&self, window: QualityWindow) {
-        self.quality_windows
-            .lock()
-            .expect("quality window lock poisoned")
-            .push(window);
+        self.update(|r| r.quality_per_window.push(window));
     }
 
-    /// Point-in-time report.
+    /// Point-in-time report: the counter record, read under its lock,
+    /// plus the histogram summaries.
     pub fn report(&self) -> StatsReport {
+        let histograms = [
+            &self.queries,
+            &self.flushes,
+            &self.snapshots,
+            &self.counters,
+            &self.mailbox_depth,
+            &self.barrier_wait,
+        ];
         let snapshots = self.snapshots.summarize();
         StatsReport {
             queries: self.queries.summarize(),
@@ -598,69 +387,17 @@ impl ServeStats {
             counters: self.counters.summarize(),
             snapshots_published: snapshots.count,
             snapshots,
-            edits_enqueued: self.edits_enqueued.load(Ordering::Relaxed),
-            edits_applied: self.edits_applied.load(Ordering::Relaxed),
-            edits_rejected: self.edits_rejected.load(Ordering::Relaxed),
-            batches_flushed: self.batches_flushed.load(Ordering::Relaxed),
-            slots_repaired: self.slots_repaired.load(Ordering::Relaxed),
-            slot_deltas_net: self.slot_deltas_net.load(Ordering::Relaxed),
-            barriers: self.barriers.load(Ordering::Relaxed),
-            exchange_rounds: self.exchange_rounds.load(Ordering::Relaxed),
-            boundary_msgs: self.boundary_msgs.load(Ordering::Relaxed),
-            boundary_hists_shipped: 0,
-            collect_bytes: 0,
-            publish_failures: 0,
-            envelope_hops: self.envelope_hops.load(Ordering::Relaxed),
             mailbox_depth: self.mailbox_depth.summarize(),
             barrier_wait: self.barrier_wait.summarize(),
-            cut_edges: self.cut_edges.load(Ordering::Relaxed),
-            boundary_vertices: self.boundary_vertices.load(Ordering::Relaxed),
-            repartitions: self.repartitions.load(Ordering::Relaxed),
-            vertices_migrated: self.vertices_migrated.load(Ordering::Relaxed),
-            hub_pulls: self.hub_pulls.load(Ordering::Relaxed),
-            damped_deferrals: self.damped_deferrals.load(Ordering::Relaxed),
-            max_degree_delta: self.max_degree_delta.load(Ordering::Relaxed),
-            mem_live_bytes: self.mem_live_bytes.load(Ordering::Relaxed),
-            mem_capacity_bytes: self.mem_capacity_bytes.load(Ordering::Relaxed),
-            mem_vertices: self.mem_vertices.load(Ordering::Relaxed),
-            trace_dropped_records: self.trace_dropped_records.load(Ordering::Relaxed),
-            dirty_vertices: self.dirty_vertices.load(Ordering::Relaxed),
-            dirty_span: self.dirty_span.load(Ordering::Relaxed),
-            quality_per_window: self
-                .quality_windows
-                .lock()
-                .expect("quality window lock poisoned")
-                .clone(),
-            saturated_samples: [
-                &self.queries,
-                &self.flushes,
-                &self.snapshots,
-                &self.counters,
-                &self.mailbox_depth,
-                &self.barrier_wait,
-            ]
-            .iter()
-            .map(|h| h.saturated_samples())
-            .sum(),
-            shards: self
-                .shards
-                .iter()
-                .map(|s| ShardCounts {
-                    edits_routed: s.edits_routed.load(Ordering::Relaxed),
-                    slots_repaired: s.slots_repaired.load(Ordering::Relaxed),
-                    work_ns: s.work_ns.load(Ordering::Relaxed),
-                    mailbox_wait_ns: s.mailbox_wait_ns.load(Ordering::Relaxed),
-                    barrier_wait_ns: s.barrier_wait_ns.load(Ordering::Relaxed),
-                    barrier_arrive_ns: s.barrier_arrive_ns.load(Ordering::Relaxed),
-                    barrier_depart_ns: s.barrier_depart_ns.load(Ordering::Relaxed),
-                    wall_ns: s.wall_ns.load(Ordering::Relaxed),
-                })
-                .collect(),
+            saturated_samples: histograms.iter().map(|h| h.saturated_samples()).sum(),
+            ..self.record().clone()
         }
     }
 }
 
-/// Plain point-in-time view of [`ServeStats`].
+/// Plain point-in-time view of [`ServeStats`]. Its counters and gauges
+/// are declared here and nowhere else: the service keeps them in one
+/// record of this type.
 #[derive(Clone, Debug, Default)]
 pub struct StatsReport {
     /// Query latency summary.
@@ -674,23 +411,25 @@ pub struct StatsReport {
     pub snapshots: LatencySummary,
     /// Snapshots published (== `snapshots.count`, kept for readability).
     pub snapshots_published: u64,
-    /// See [`ServeStats::edits_enqueued`].
+    /// Edit operations accepted into the queue.
     pub edits_enqueued: u64,
-    /// See [`ServeStats::edits_applied`].
+    /// Edit operations applied to the graph.
     pub edits_applied: u64,
-    /// See [`ServeStats::edits_rejected`].
+    /// Edit operations dropped as no-ops (inserting a present edge,
+    /// deleting an absent one, self-loops).
     pub edits_rejected: u64,
-    /// See [`ServeStats::batches_flushed`].
+    /// Micro-batches flushed into the maintenance engine.
     pub batches_flushed: u64,
-    /// See [`ServeStats::slots_repaired`].
+    /// Label slots repaired across all flushes (Σ η).
     pub slots_repaired: u64,
-    /// See [`ServeStats::slot_deltas_net`].
+    /// Net slot deltas folded into the edge-weight counters (after
+    /// intra-flush compaction; ≤ `slots_repaired`).
     pub slot_deltas_net: u64,
-    /// See [`ServeStats::barriers`].
+    /// Barriers honored.
     pub barriers: u64,
-    /// See [`ServeStats::exchange_rounds`].
+    /// Mesh boundary-exchange rounds (0 under a single writer).
     pub exchange_rounds: u64,
-    /// See [`ServeStats::boundary_msgs`].
+    /// Envelopes that crossed a shard boundary.
     pub boundary_msgs: u64,
     /// Always 0: publish ships no boundary histogram. Kept, like
     /// `collect_bytes` and `publish_failures`, only because `servebench`
@@ -701,37 +440,48 @@ pub struct StatsReport {
     /// Always 0: publish no longer talks to the workers, so it cannot
     /// fail; a dead worker surfaces at the next flush or repartition.
     pub publish_failures: u64,
-    /// See [`ServeStats::envelope_hops`].
+    /// Boundary envelopes the mesh ports wrote into their peers' mailbox
+    /// cells, one hop each. Tallied port-side, independently of the
+    /// route-side `boundary_msgs`, so equality of the two cross-checks
+    /// delivery.
     pub envelope_hops: u64,
     /// Mesh inbox depth distribution (raw counts, not nanoseconds).
     pub mailbox_depth: LatencySummary,
     /// Mesh round-barrier wait distribution.
     pub barrier_wait: LatencySummary,
-    /// See [`ServeStats::cut_edges`].
+    /// Gauge: edges whose endpoints live on different shards.
     pub cut_edges: u64,
-    /// See [`ServeStats::boundary_vertices`].
+    /// Gauge: vertices with at least one off-shard neighbor.
     pub boundary_vertices: u64,
-    /// See [`ServeStats::repartitions`].
+    /// Publish-time repartitions performed.
     pub repartitions: u64,
-    /// See [`ServeStats::vertices_migrated`].
+    /// Vertex rows migrated between shards by repartitions.
     pub vertices_migrated: u64,
-    /// See [`ServeStats::hub_pulls`].
+    /// Forming hubs pulled (with their spoke frontiers) onto single
+    /// shards by hub-aware repartitions.
     pub hub_pulls: u64,
-    /// See [`ServeStats::damped_deferrals`].
+    /// Cascade re-sprays deferred at over-cap vertices by degree-capped
+    /// damping (0 with damping off).
     pub damped_deferrals: u64,
-    /// See [`ServeStats::max_degree_delta`].
+    /// Gauge: largest net per-vertex degree gain observed in the window
+    /// ending at the last publish (the hub-detector's input signal).
     pub max_degree_delta: u64,
-    /// See [`ServeStats::mem_live_bytes`].
+    /// Gauge: coordinator-resident live bytes (graph + label rows +
+    /// counters, per the engine's ownership split) at the last publish.
     pub mem_live_bytes: u64,
-    /// See [`ServeStats::mem_capacity_bytes`].
+    /// Gauge: coordinator-resident reserved bytes at the last publish.
     pub mem_capacity_bytes: u64,
-    /// See [`ServeStats::mem_vertices`].
+    /// Gauge: vertex count the memory gauges were sampled at.
     pub mem_vertices: u64,
-    /// See [`ServeStats::trace_dropped_records`].
+    /// Gauge: flight-recorder records lost to ring overwrite (refreshed at
+    /// each publish while tracing is enabled; 0 when tracing is off).
     pub trace_dropped_records: u64,
-    /// See [`ServeStats::dirty_vertices`].
+    /// Distinct vertices whose stored labels changed, summed over all
+    /// non-empty flushes (the dirty-region numerator).
     pub dirty_vertices: u64,
-    /// See [`ServeStats::dirty_span`].
+    /// Σ over the same flushes of the vertex count at flush time (the
+    /// dirty-region denominator; `dirty_vertices / dirty_span` is the
+    /// mean per-flush dirty fraction).
     pub dirty_span: u64,
     /// Externally-scored publish windows, in recording order (empty
     /// unless a quality harness scored the run).
@@ -739,7 +489,8 @@ pub struct StatsReport {
     /// Histogram samples (summed over every histogram in the report) that
     /// clamped into the top bucket instead of landing in a real one.
     pub saturated_samples: u64,
-    /// Per-shard routed-edit, repair, and work/wait attribution counts.
+    /// Per-shard routed-edit, repair, and work/wait attribution counts
+    /// (length = shard count).
     pub shards: Vec<ShardCounts>,
 }
 
@@ -1035,18 +786,19 @@ mod tests {
     #[test]
     fn per_shard_counters_roll_up_into_the_report() {
         let stats = ServeStats::with_shards(3);
-        stats.note_shard_flush(0, 5, 40);
-        stats.note_shard_flush(2, 7, 11);
-        stats.note_shard_flush(2, 1, 2);
-        stats.note_exchange(4, 9);
-        stats.set_boundary_gauges(17, 6);
+        for (shard, routed, repaired) in [(0, 5, 40), (2, 7, 11), (2, 1, 2)] {
+            stats.update(|r| {
+                r.shards[shard].edits_routed += routed;
+                r.shards[shard].slots_repaired += repaired;
+            });
+        }
+        stats.update(|r| {
+            r.exchange_rounds += 4;
+            r.boundary_msgs += 9;
+        });
         let r = stats.report();
         assert_eq!(r.shards.len(), 3);
-        assert_eq!(r.shards[0].edits_routed, 5);
         assert_eq!(r.shards[1], ShardCounts::default());
-        assert_eq!(r.shards[2].slots_repaired, 13);
-        assert_eq!((r.exchange_rounds, r.boundary_msgs), (4, 9));
-        assert_eq!((r.cut_edges, r.boundary_vertices), (17, 6));
         let json = r.to_json();
         assert!(json.contains("\"shards\":3"));
         assert!(json.contains("\"shard_edits_routed\":[5,0,8]"));
@@ -1066,8 +818,13 @@ mod tests {
     #[test]
     fn report_json_is_wellformed_enough() {
         let stats = ServeStats::default();
-        stats.note_enqueued();
-        stats.note_flush(1, 0, 5, Duration::from_micros(3));
+        stats.flushes.record(Duration::from_micros(3));
+        stats.update(|r| {
+            r.edits_enqueued += 1;
+            r.batches_flushed += 1;
+            r.edits_applied += 1;
+            r.slots_repaired += 5;
+        });
         let json = stats.report().to_json();
         assert!(json.starts_with('{') && json.ends_with('}'));
         assert!(json.contains("\"edits_applied\":1"));
@@ -1143,23 +900,19 @@ mod tests {
     #[test]
     fn attribution_rolls_into_json_and_coverage() {
         let stats = ServeStats::with_shards(2);
-        stats.note_shard_cmd(
-            0,
-            Duration::from_micros(600),
-            Duration::from_micros(100),
-            Duration::from_micros(50),
-        );
-        stats.note_shard_mailbox_wait(0, Duration::from_micros(200));
-        stats.set_shard_wall(0, Duration::from_micros(1_000));
+        stats.update(|r| {
+            r.shards[0] = ShardCounts {
+                work_ns: 600_000,
+                barrier_wait_ns: 150_000,
+                barrier_arrive_ns: 100_000,
+                barrier_depart_ns: 50_000,
+                mailbox_wait_ns: 200_000,
+                wall_ns: 1_000_000,
+                ..ShardCounts::default()
+            }
+        });
         let r = stats.report();
-        let s0 = &r.shards[0];
-        assert_eq!(s0.work_ns, 600_000);
-        assert_eq!(s0.barrier_wait_ns, 150_000);
-        assert_eq!(s0.barrier_arrive_ns, 100_000);
-        assert_eq!(s0.barrier_depart_ns, 50_000);
-        assert_eq!(s0.mailbox_wait_ns, 200_000);
-        assert_eq!(s0.wall_ns, 1_000_000);
-        assert!((s0.attribution_coverage() - 0.95).abs() < 1e-9);
+        assert!((r.shards[0].attribution_coverage() - 0.95).abs() < 1e-9);
         assert_eq!(r.shards[1].attribution_coverage(), 0.0);
         let json = r.to_json();
         assert!(json.starts_with("{\"schema_version\":7,"));
@@ -1176,17 +929,14 @@ mod tests {
     #[test]
     fn hub_and_damping_counters_roll_into_json() {
         let stats = ServeStats::with_shards(2);
-        stats.note_hub_pulls(3);
-        stats.note_damped_deferrals(40);
-        stats.note_damped_deferrals(2);
-        stats.set_max_degree_delta(97);
-        stats.set_max_degree_delta(12); // gauge: last write wins
-        stats.note_repartition(7);
-        let r = stats.report();
-        assert_eq!(r.hub_pulls, 3);
-        assert_eq!(r.damped_deferrals, 42);
-        assert_eq!(r.max_degree_delta, 12);
-        let json = r.to_json();
+        stats.update(|r| {
+            r.hub_pulls += 3;
+            r.damped_deferrals += 42;
+            r.max_degree_delta = 12;
+            r.repartitions += 1;
+            r.vertices_migrated += 7;
+        });
+        let json = stats.report().to_json();
         assert!(json.contains("\"hub_pulls\":3"));
         assert!(json.contains("\"damped_deferrals\":42"));
         assert!(json.contains("\"max_degree_delta\":12"));
@@ -1209,7 +959,12 @@ mod tests {
         // Same guarantee through the full report path: untouched query
         // and snapshot histograms on an otherwise-active service.
         let stats = ServeStats::default();
-        stats.note_flush(4, 0, 9, Duration::from_micros(2));
+        stats.flushes.record(Duration::from_micros(2));
+        stats.update(|r| {
+            r.batches_flushed += 1;
+            r.edits_applied += 4;
+            r.slots_repaired += 9;
+        });
         let r = stats.report();
         assert_eq!(r.queries, LatencySummary::default());
         assert_eq!(r.snapshots, LatencySummary::default());
@@ -1223,11 +978,13 @@ mod tests {
     #[test]
     fn dirty_region_counters_roll_into_json() {
         let stats = ServeStats::default();
-        stats.note_dirty_region(25, 1_000);
-        stats.note_dirty_region(75, 1_000);
+        for dirty in [25, 75] {
+            stats.update(|r| {
+                r.dirty_vertices += dirty;
+                r.dirty_span += 1_000;
+            });
+        }
         let r = stats.report();
-        assert_eq!(r.dirty_vertices, 100);
-        assert_eq!(r.dirty_span, 2_000);
         assert!((r.dirty_fraction() - 0.05).abs() < 1e-12);
         let json = r.to_json();
         assert!(json.contains("\"dirty_vertices\":100"));
@@ -1283,5 +1040,141 @@ mod tests {
         });
         assert_eq!(h.count(), 4000);
         assert_eq!(h.summarize().count, 4000);
+    }
+
+    /// Every counter, gauge and histogram the report carries, driven to a
+    /// distinct nonzero value and pinned byte for byte in both renderings.
+    #[test]
+    fn report_json_and_display_are_pinned() {
+        let us = Duration::from_micros;
+        let stats = ServeStats::with_shards(2);
+        stats.queries.record(Duration::from_nanos(700));
+        stats.queries.record(us(3));
+        stats.flushes.record(us(250));
+        stats.flushes.record(us(400));
+        stats.counters.record(us(40));
+        for ms in [2, 5, 1] {
+            stats.snapshots.record(Duration::from_millis(ms));
+        }
+        for depth in [3, 12, u64::MAX] {
+            stats.mailbox_depth.record_value(depth);
+        }
+        stats.barrier_wait.record(us(80));
+        stats.barrier_wait.record(us(120));
+        stats.update(|r| {
+            r.edits_enqueued = 321;
+            (r.edits_applied, r.edits_rejected, r.batches_flushed) = (300, 21, 2);
+            (r.slots_repaired, r.slot_deltas_net, r.barriers) = (4_200, 3_900, 4);
+            r.shards[0] = ShardCounts {
+                edits_routed: 190,
+                slots_repaired: 2_600,
+                work_ns: 600_000,
+                mailbox_wait_ns: 200_000,
+                barrier_wait_ns: 150_000,
+                barrier_arrive_ns: 100_000,
+                barrier_depart_ns: 50_000,
+                wall_ns: 1_000_000,
+            };
+            (r.shards[1].edits_routed, r.shards[1].slots_repaired) = (110, 1_600);
+            (r.exchange_rounds, r.boundary_msgs, r.envelope_hops) = (6, 450, 451);
+            r.trace_dropped_records = 9;
+            (r.dirty_vertices, r.dirty_span) = (75, 1_000);
+            (r.cut_edges, r.boundary_vertices) = (17, 5);
+            (r.repartitions, r.vertices_migrated, r.hub_pulls) = (5, 40, 13);
+            (r.damped_deferrals, r.max_degree_delta) = (42, 97);
+            (r.mem_live_bytes, r.mem_capacity_bytes, r.mem_vertices) = (1 << 20, 2 << 20, 1_024);
+        });
+        stats.note_quality_window(QualityWindow {
+            epoch: 1,
+            onmi: 0.97,
+            f1: 0.99,
+            omega: 0.9,
+        });
+        stats.note_quality_window(QualityWindow {
+            epoch: 2,
+            onmi: 0.5,
+            f1: 0.625,
+            omega: 0.25,
+        });
+        let r = stats.report();
+        assert_eq!(
+            r.to_json(),
+            "{\"schema_version\":7,\"edits_enqueued\":321,\"edits_applied\":300,\
+            \"edits_rejected\":21,\"batches_flushed\":2,\"snapshots_published\":3,\
+            \"slots_repaired\":4200,\"slot_deltas_net\":3900,\"barriers\":4,\
+            \"shards\":2,\"shard_edits_routed\":[190,110],\
+            \"shard_slots_repaired\":[2600,1600],\
+            \"attribution_per_shard\":{\"work_us\":[600.0,0.0],\
+            \"barrier_wait_us\":[150.0,0.0],\"barrier_arrive_us\":[100.0,0.0],\
+            \"barrier_depart_us\":[50.0,0.0],\"mailbox_wait_us\":[200.0,0.0],\
+            \"wall_us\":[1000.0,0.0],\"coverage\":[0.950,0.000]},\
+            \"trace_dropped_records\":9,\"saturated_samples\":1,\
+            \"exchange_rounds\":6,\"boundary_msgs\":450,\"dirty_vertices\":75,\
+            \"dirty_span\":1000,\"dirty_fraction\":0.075000,\
+            \"quality_per_window\":[{\"epoch\":1,\"onmi\":0.970000,\
+            \"f1\":0.990000,\"omega\":0.900000},{\"epoch\":2,\"onmi\":0.500000,\
+            \"f1\":0.625000,\"omega\":0.250000}],\"envelope_hops\":451,\
+            \"mailbox_depth\":{\"count\":3,\"p50\":11,\"p99\":6521908912666391552,\
+            \"max\":18446744073709551615},\"barrier_wait_us\":{\"count\":2,\
+            \"mean\":100.000,\"p50\":92.682,\"p99\":92.682},\"cut_edges\":17,\
+            \"boundary_vertices\":5,\"repartitions\":5,\"vertices_migrated\":40,\
+            \"repartition_vertices_moved\":40,\"hub_pulls\":13,\
+            \"damped_deferrals\":42,\"max_degree_delta\":97,\
+            \"mem_live_bytes\":1048576,\"mem_capacity_bytes\":2097152,\
+            \"mem_vertices\":1024,\"bytes_per_vertex\":2048.00,\"query_count\":2,\
+            \"query_mean_ns\":1850,\"query_p50_ns\":724,\"query_p90_ns\":2896,\
+            \"query_p99_ns\":2896,\"query_max_ns\":3000,\"flush_count\":2,\
+            \"flush_mean_ns\":325000,\"flush_p50_ns\":185364,\
+            \"flush_p99_ns\":370728,\"counter_mean_ns\":40000,\
+            \"counter_p50_ns\":46341,\"counter_p99_ns\":46341,\
+            \"snapshot_mean_ns\":2666666,\"snapshot_p50_ns\":1482910,\
+            \"snapshot_p99_ns\":5931642}"
+        );
+        assert_eq!(
+            format!("{r}"),
+            "edits: 300 applied, 21 rejected of 321 enqueued in 2 flushes\n\
+            snapshots: 3 published, 4 barriers, 4200 slots repaired (3900 net counter deltas)\n\
+            shards: 2 (6 exchange rounds, 450 boundary msgs, 17 cut edges, 5 boundary vertices, 40 migrated over 5 repartitions)\n\
+            coordination: 451 envelope hops; mailbox depth p50/p99 11/6521908912666391552; barrier wait p99 92.7us\n  \
+            shard 0: 190 edits routed, 2600 slots repaired\n    \
+            attribution: work 0.60ms, barrier 0.15ms (arrive 0.10 / depart 0.05), mailbox 0.20ms of 1.00ms wall (95.0% accounted)\n  \
+            shard 1: 110 edits routed, 1600 slots repaired\n\
+            memory: 1.0 MiB live / 2.0 MiB reserved over 1024 vertices (2048.0 bytes/vertex)\n\
+            queries: n=2 mean=1.9us p50=0.7us p99=2.9us max=3.0us\n\
+            flushes: n=2 mean=325.0us p50=185.4us p99=370.7us max=400.0us\n\
+            counter upkeep: n=1 mean=40.0us p50=46.3us p99=46.3us max=40.0us\n\
+            publishes: n=3 mean=2666.7us p50=1482.9us p99=5931.6us max=5000.0us"
+        );
+    }
+
+    #[test]
+    fn concurrent_updates_sum_exactly() {
+        let stats = ServeStats::default();
+        let writers_done = AtomicU64::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    for _ in 0..10_000 {
+                        stats.update(|r| r.edits_enqueued += 1);
+                    }
+                    writers_done.fetch_add(1, Ordering::Release);
+                });
+            }
+            s.spawn(|| {
+                let mut last = 0;
+                loop {
+                    // Read the flag first, so the last report comes after
+                    // every writer finished.
+                    let finished = writers_done.load(Ordering::Acquire) == 4;
+                    let now = stats.report().edits_enqueued;
+                    assert!(now >= last, "report went back from {last} to {now}");
+                    last = now;
+                    if finished {
+                        break;
+                    }
+                }
+            });
+        });
+        assert_eq!(stats.report().edits_enqueued, 40_000);
     }
 }

@@ -126,7 +126,7 @@ fn replay_reference(graph: AdjacencyGraph, script: &[EditBatch], config: RslpaCo
                 }
             }
             detector.apply_batch(batch).expect("valid batch");
-            let result = postprocess(detector.graph(), detector.state(), None);
+            let result = postprocess(detector.graph(), detector.state());
             let fp = fingerprint_weights(&result.weights);
             (result.cover, fp)
         })

@@ -30,7 +30,7 @@ fn main() {
         let runs = 3;
         for seed in 0..runs {
             let state = run_propagation(&instance.graph, t_max, seed);
-            let cover = postprocess(&instance.graph, &state, None).cover;
+            let cover = postprocess(&instance.graph, &state).cover;
             nmi += overlapping_nmi(&cover, truth, n);
         }
         println!("  {t_max:<4} {:.3}", nmi / runs as f64);

@@ -15,10 +15,11 @@ use rslpa::metrics::modularity;
 use rslpa::prelude::*;
 
 fn main() {
-    // 1. "Crawl": an R-MAT graph with web-like corner weights (see
-    //    DESIGN.md for the substitution argument), then the paper's own
-    //    preparation pipeline — rmat() already symmetrizes, dedupes and
-    //    drops self-loops through GraphBuilder.
+    // 1. "Crawl": an R-MAT graph with web-like corner weights (the
+    //    `rslpa_gen::webgraph` module docs give the substitution
+    //    argument), then the paper's own preparation pipeline — rmat()
+    //    already symmetrizes, dedupes and drops self-loops through
+    //    GraphBuilder.
     let scale = 13; // 8192 pages; raise to taste
     let raw = rslpa::gen::webgraph::rmat(&rslpa::gen::webgraph::RmatParams::web(scale, 2015));
     println!(

@@ -89,7 +89,7 @@ fn omega_and_nmi_rank_detections_consistently() {
     let n = instance.graph.num_vertices();
     let truth = &instance.ground_truth;
     let state = run_propagation(&instance.graph, 80, 1);
-    let good = postprocess(&instance.graph, &state, None).cover;
+    let good = postprocess(&instance.graph, &state).cover;
     // A deliberately bad cover: one giant community.
     let bad = Cover::new(vec![(0..n as u32).collect::<Vec<_>>()]);
     assert!(omega_index(&good, truth, n) > omega_index(&bad, truth, n));

@@ -17,7 +17,7 @@ fn lfr_to_nmi_pipeline() {
     let instance = params.generate().expect("generation");
     let n = instance.graph.num_vertices();
     let state = run_propagation(&instance.graph, 80, 1);
-    let cover = postprocess(&instance.graph, &state, None).cover;
+    let cover = postprocess(&instance.graph, &state).cover;
     let nmi = overlapping_nmi(&cover, &instance.ground_truth, n);
     assert!(
         nmi > 0.6,
@@ -43,7 +43,7 @@ fn both_algorithms_crack_gn_benchmark() {
     assert!(slpa_nmi > 0.6, "SLPA NMI = {slpa_nmi}");
 
     let state = run_propagation(&graph, 120, 2);
-    let cover = postprocess(&graph, &state, None).cover;
+    let cover = postprocess(&graph, &state).cover;
     let rslpa_nmi = overlapping_nmi(&cover, &truth, n);
     assert!(rslpa_nmi > 0.6, "rSLPA NMI = {rslpa_nmi}");
 }
@@ -86,7 +86,7 @@ fn distributed_pipeline_matches_centralized() {
     let t_max = 40;
 
     let central_state = run_propagation(&graph, t_max, 9);
-    let central = postprocess(&graph, &central_state, None);
+    let central = postprocess(&graph, &central_state);
 
     let (bsp_state, _) = run_propagation_bsp(&csr, t_max, 9, &partitioner, Executor::Parallel);
     // Exhaustive candidate budget: the sweep evaluates every distinct
