@@ -233,11 +233,14 @@ impl SenseBarrier {
             std::thread::park();
         }
         *sense = next;
-        let total = entered.elapsed();
         // Split: depart = now - leader's release stamp (clamped to total;
         // clock reads are monotone but the stamp and `entered` come from
-        // different threads' `elapsed()` calls).
-        let now_ns = self.base.elapsed().as_nanos() as u64;
+        // different threads' clock reads). One read of `now` serves both
+        // sides, so a preemption here cannot move time from arrive to
+        // depart.
+        let now = Instant::now();
+        let total = now - entered;
+        let now_ns = (now - self.base).as_nanos() as u64;
         let release_ns = self.release_stamp.load(Ordering::Relaxed);
         let depart = Duration::from_nanos(now_ns.saturating_sub(release_ns)).min(total);
         WaitReport {
@@ -409,8 +412,11 @@ mod tests {
                 let mut sense = false;
                 b.wait(&mut sense)
             });
-            // Make the spawned thread the straggler-waiter: arrive late so
-            // it (usually) parks, then we lead.
+            // Make the spawned thread the waiter whatever the schedule:
+            // arrive only once it has, and late enough that it parks.
+            while barrier.arrived.load(Ordering::Acquire) != 1 {
+                std::thread::yield_now();
+            }
             std::thread::sleep(Duration::from_millis(10));
             let mut sense = false;
             let lead = barrier.wait(&mut sense);

@@ -19,11 +19,15 @@
 //! upper adjacency (the neighbors above it).
 //!
 //! * A label-slot change `(v, slot, a → b)` moves every incident counter
-//!   by `f_w(b) − f_w(a)`: `v`'s own row is walked for its upper edges,
-//!   and `v` is binary-searched in each lower neighbor's row — `O(deg(v))`
-//!   and no merge. Slot changes arrive as [`SlotDelta`]s from the repair
-//!   engines (Correction Propagation already knows exactly which slots it
-//!   rewrote).
+//!   by `f_w(b) − f_w(a)` — `O(deg(v))` and no merge. Slot changes arrive
+//!   as [`SlotDelta`]s from the repair engines (Correction Propagation
+//!   already knows exactly which slots it rewrote), and upkeep folds a
+//!   whole flush in one sweep grouped by the histogram it reads: every
+//!   visit of a changed `v` to a neighbor `w` is bucketed under `w`, so
+//!   each neighbor histogram is read once per flush, however many changed
+//!   vertices it borders. A visit to an upper neighbor carries its
+//!   counter's position in `v`'s own row; the visits to a lower neighbor
+//!   `w` find theirs in one ascending walk of `w`'s row.
 //! * An edge insertion costs one histogram merge — **once**, lazily at
 //!   the next [`refresh_weights`](EdgeCounters::refresh_weights), with
 //!   whatever the endpoint histograms are then (exact by definition).
@@ -72,9 +76,9 @@ type VertexDiff = (VertexId, Vec<(Label, i64)>);
 
 /// Compact a slot-delta stream and aggregate it to one sparse histogram
 /// diff per vertex (`Σ` of `-1` at each net `old`, `+1` at each net
-/// `new`), so every dirty vertex costs one neighbor sweep no matter how
+/// `new`), so every dirty vertex visits each neighbor once no matter how
 /// many of its slots moved. Returns the net slot-change count alongside
-/// the per-vertex diffs.
+/// the per-vertex diffs, in ascending vertex order.
 ///
 /// The net changes are taken in `(v, slot)` order, so each diff lists
 /// its labels in an order fixed by the net change set alone: the order
@@ -110,32 +114,114 @@ fn aggregate_vertex_diffs(deltas: &[SlotDelta]) -> (usize, Vec<VertexDiff>) {
     (count, out)
 }
 
-/// Upkeep half of the row kernel: push vertex `v`'s histogram diff
-/// through every counter incident to it. `v`'s own row holds its upper
-/// edges; each lower neighbor's row holds `v`.
-fn push_diff(
+/// The row position carried by a visit from above: its neighbor `y` lies
+/// below the dirty vertex, so the counter sits in `y`'s own row.
+const FROM_ABOVE: u32 = u32::MAX;
+
+/// Upkeep half of the row kernel: add every dirty vertex's histogram diff
+/// to the counters of its edges, reading each neighbor's histogram once.
+///
+/// `diffs` holds the dirty vertices in ascending order, `hists` the
+/// pre-flush histograms `f`. A counting sort buckets every visit of a
+/// dirty `x` to a neighbor `y` under `y`. `x`'s upper neighbors come from
+/// its own counter row (an edge without a counter yet is merged at the
+/// next refresh), its lower neighbors from the graph. The buckets are
+/// swept in ascending `y`. Each scatters `f_y` once into a label-indexed
+/// scratch, then every visit adds `d_x·f_y` to counter `{x, y}`, plus
+/// `d_x·d_y` when `y` is dirty too and `x < y`. So an edge `lo < hi` with
+/// two dirty endpoints gains `d_hi·f_lo + d_lo·f_hi + d_lo·d_hi`, the
+/// change of `f_lo·f_hi`. The two rules — ascending buckets, cross term
+/// in the higher endpoint's bucket — make every write an exact numerator
+/// of real histograms (bucket `lo` leaves `f_lo·f'_hi`, bucket `hi` leaves
+/// `f'_lo·f'_hi`), so each write can check its range.
+fn sweep_diffs(
     hists: &HistRows,
     counters: &mut [CounterRow],
     graph: &AdjacencyGraph,
-    v: VertexId,
-    diff: &[(Label, i64)],
+    diffs: &[VertexDiff],
 ) {
-    let moved = |c: &mut u32, w: VertexId| {
-        let fw = hists.row(w);
-        let delta: i64 = diff
-            .iter()
-            .map(|&(l, dl)| dl * i64::from(fw.count_of(l)))
-            .sum();
+    // A visit is the dirty vertex's index in `diffs` and, when the
+    // neighbor lies above it, the neighbor's position in the dirty
+    // vertex's counter row.
+    let visits_of = |place: &mut dyn FnMut(VertexId, (u32, u32))| {
+        for (k, (x, diff)) in (0..).zip(diffs) {
+            if diff.is_empty() {
+                continue;
+            }
+            for &y in split_neighbors(graph, *x).0 {
+                place(y, (k, FROM_ABOVE));
+            }
+            for (i, &(y, _)) in (0..).zip(&counters[*x as usize]) {
+                place(y, (k, i));
+            }
+        }
+    };
+    let n = counters.len();
+    let mut starts = vec![0usize; n + 1];
+    visits_of(&mut |y, _| starts[y as usize + 1] += 1);
+    for y in 0..n {
+        starts[y + 1] += starts[y];
+    }
+    let mut next = starts.clone();
+    let mut visits = vec![(0, 0); starts[n]];
+    visits_of(&mut |y, visit| {
+        visits[next[y as usize]] = visit;
+        next[y as usize] += 1;
+    });
+
+    // Labels are vertex ids, so the scratch spans at most the id space.
+    let labels = diffs.iter().flat_map(|(_, diff)| diff.iter().map(|e| e.0));
+    let mut scratch = vec![0i64; labels.max().map_or(0, |l| l as usize + 1)];
+    let shift = |scratch: &mut [i64], diff: &[(Label, i64)], sign: i64| {
+        for &(l, dl) in diff {
+            scratch[l as usize] += sign * dl;
+        }
+    };
+    let moved = |c: &mut u32, diff: &[(Label, i64)], scratch: &[i64]| {
+        let delta: i64 = diff.iter().map(|&(l, dl)| dl * scratch[l as usize]).sum();
         *c = u32::try_from(i64::from(*c) + delta)
             .expect("exact maintenance keeps counters within 0..=m²");
     };
-    for (w, c) in counters[v as usize].iter_mut() {
-        moved(c, *w);
-    }
-    for &w in split_neighbors(graph, v).0 {
-        let row = &mut counters[w as usize];
-        if let Ok(i) = row.binary_search_by_key(&v, |e| e.0) {
-            moved(&mut row[i].1, w);
+    for y in 0..n as VertexId {
+        let bucket = &visits[starts[y as usize]..starts[y as usize + 1]];
+        if bucket.is_empty() {
+            continue;
+        }
+        let dy = match diffs.binary_search_by_key(&y, |d| d.0) {
+            Ok(k) => diffs[k].1.as_slice(),
+            Err(_) => &[],
+        };
+        // Only the labels some diff names can contribute.
+        let fy = hists.row(y);
+        let fy_labels = &fy.labels[..fy.labels.partition_point(|&l| (l as usize) < scratch.len())];
+        for (&l, &c) in fy_labels.iter().zip(fy.counts) {
+            scratch[l as usize] = i64::from(c);
+        }
+        // Visits from below come first (ascending `x`) and read `f'_y`;
+        // their counters sit in the visitors' rows.
+        let split = bucket.partition_point(|&(_, i)| i != FROM_ABOVE);
+        shift(&mut scratch, dy, 1);
+        for &(k, i) in &bucket[..split] {
+            let (x, dx) = &diffs[k as usize];
+            moved(&mut counters[*x as usize][i as usize].1, dx, &scratch);
+        }
+        shift(&mut scratch, dy, -1);
+        // Visits from above read `f_y`; their counters sit in `y`'s row,
+        // in the same ascending order.
+        let row = &mut counters[y as usize];
+        let mut from = 0;
+        for &(k, _) in &bucket[split..] {
+            let (x, dx) = &diffs[k as usize];
+            match row[from..].binary_search_by_key(x, |e| e.0) {
+                Ok(i) => {
+                    moved(&mut row[from + i].1, dx, &scratch);
+                    from += i + 1;
+                }
+                Err(i) => from += i,
+            }
+        }
+        for &l in fy_labels {
+            scratch[l as usize] = 0;
         }
     }
 }
@@ -319,23 +405,23 @@ impl EdgeCounters {
     /// Fold a repair's slot-delta stream into the counters: the stream is
     /// [compacted](rslpa_graph::compact_slot_deltas), grouped by vertex,
     /// and aggregated to one sparse histogram diff per vertex, so each
-    /// dirty vertex costs **one** neighbor sweep no matter how many of
-    /// its slots moved. Deltas for one `(v, slot)` must arrive in
-    /// application order; anything else may interleave freely, without
-    /// changing a counter, a histogram or the store's page layout. `graph`
-    /// must be the post-repair topology, with every deleted edge already
-    /// retired through [`delete_edge`](Self::delete_edge). Returns the
-    /// number of net slot changes folded in.
+    /// dirty vertex visits each neighbor once no matter how many of its
+    /// slots moved. The visits then run as **one neighbor sweep** grouped
+    /// by the histogram they read, so each neighbor histogram is read once
+    /// per call; the diffs fold into the histograms afterwards, in vertex
+    /// order. Deltas for one `(v, slot)` must arrive in application order;
+    /// anything else may interleave freely, without changing a counter, a
+    /// histogram or the store's page layout. `graph` must be the
+    /// post-repair topology, with every deleted edge already retired
+    /// through [`delete_edge`](Self::delete_edge). Returns the number of
+    /// net slot changes folded in.
     pub fn apply_slot_deltas(&mut self, graph: &AdjacencyGraph, deltas: &[SlotDelta]) -> usize {
         let (count, diffs) = aggregate_vertex_diffs(deltas);
         if let Some(max) = diffs.iter().map(|&(v, _)| v).max() {
             self.ensure_vertices(max as usize + 1);
         }
+        sweep_diffs(&self.hists, &mut self.counters, graph, &diffs);
         for (v, diff) in &diffs {
-            if diff.is_empty() {
-                continue;
-            }
-            push_diff(&self.hists, &mut self.counters, graph, *v, diff);
             self.hists.fold_diff(*v, diff);
         }
         count
@@ -472,26 +558,48 @@ mod tests {
 
     #[test]
     fn slot_deltas_track_a_fresh_merge() {
-        let g = ring_graph(6);
-        let mut state = run_propagation(&g, 8, 5);
-        let mut counters = EdgeCounters::new(&state);
-        counters.refresh_weights(&g, 1);
-        // Hand-apply a few slot rewrites to both the state and the
-        // counters; weights must stay bit-identical to a fresh merge.
-        for (v, t, new) in [(0u32, 3u32, 4u32), (1, 1, 4), (0, 5, 1), (4, 2, 0)] {
-            let old = state.label(v, t);
-            state.set_label(v, t, new);
-            counters.apply_slot_deltas(
-                &g,
-                &[SlotDelta {
-                    v,
-                    slot: t,
-                    old,
-                    new,
-                }],
-            );
+        // Hand-apply flushes of slot rewrites `(v, slot, new)` to both the
+        // state and the counters; weights must stay bit-identical to a
+        // fresh merge. The ring flushes one rewrite at a time. K6 flushes
+        // one rewrite of every vertex at once, all to a label no vertex
+        // holds yet, so each of its edges has two dirty endpoints whose
+        // diffs overlap: the sweep lands on the merge only if it adds the
+        // cross term d_lo·d_hi exactly once per edge.
+        let mut k6 = AdjacencyGraph::new(6);
+        for u in 0..6 {
+            for v in u + 1..6 {
+                k6.insert_edge(u, v);
+            }
         }
-        assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
+        let cases = [
+            (
+                ring_graph(6),
+                vec![
+                    vec![(0u32, 3u32, 4u32)],
+                    vec![(1, 1, 4)],
+                    vec![(0, 5, 1)],
+                    vec![(4, 2, 0)],
+                ],
+            ),
+            (k6, vec![(0..6).map(|v| (v, 1 + v, 6)).collect()]),
+        ];
+        for (g, flushes) in cases {
+            let mut state = run_propagation(&g, 8, 5);
+            let mut counters = EdgeCounters::new(&state);
+            counters.refresh_weights(&g, 1);
+            for rewrites in flushes {
+                let deltas: Vec<SlotDelta> = rewrites
+                    .into_iter()
+                    .map(|(v, slot, new)| {
+                        let old = state.label(v, slot);
+                        state.set_label(v, slot, new);
+                        SlotDelta { v, slot, old, new }
+                    })
+                    .collect();
+                counters.apply_slot_deltas(&g, &deltas);
+                assert_weights_equal(&counters.refresh_weights(&g, 1), &edge_weights(&g, &state));
+            }
+        }
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! counts provably fit `u16` because `m ≤ 65535` is asserted) managed
 //! with the same size-class page / free-list rules as
 //! [`rslpa_graph::slab`]. Counter upkeep — the per-flush neighbor sweep
-//! of `EdgeCounters`' row kernel — then reads cache-contiguous rows
-//! instead of chasing one pointer per vertex.
+//! of `EdgeCounters`' row kernel, which reads each neighbor's row once, in
+//! ascending vertex order — then reads cache-contiguous rows instead of
+//! chasing one pointer per vertex.
 //!
 //! Rows are addressed by a `u32` handle, allocated in order and never
 //! released; the counter store allocates one per vertex in vertex order,
@@ -49,15 +50,6 @@ impl HistRow<'_> {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.labels.is_empty()
-    }
-
-    /// Count of `l` (0 if absent).
-    #[inline]
-    pub fn count_of(&self, l: Label) -> u32 {
-        match self.labels.binary_search(&l) {
-            Ok(i) => u32::from(self.counts[i]),
-            Err(_) => 0,
-        }
     }
 
     /// Materialize the legacy `(label, count)` representation
@@ -141,12 +133,6 @@ impl HistRows {
             labels: &self.labels[a..b],
             counts: &self.counts[a..b],
         }
-    }
-
-    /// Count of `l` in row `slot` (0 if absent).
-    #[inline]
-    pub fn count_of(&self, slot: u32, l: Label) -> u32 {
-        self.row(slot).count_of(l)
     }
 
     /// Exact common-label numerator of two rows.
@@ -326,8 +312,6 @@ mod tests {
         let b = rows.alloc_default(3);
         assert_eq!(rows.row(a).to_vec(), vec![(1, 4), (7, 6)]);
         assert_eq!(rows.row(b).to_vec(), vec![(3, 10)]);
-        assert_eq!(rows.count_of(a, 7), 6);
-        assert_eq!(rows.count_of(a, 2), 0);
     }
 
     #[test]

@@ -78,6 +78,8 @@ impl BarrierGate {
 struct Inner {
     queue: VecDeque<Command>,
     closed: bool,
+    /// Edits accepted so far, counted under the lock that accepts them.
+    edits_accepted: u64,
 }
 
 /// The shared MPSC command queue.
@@ -99,8 +101,10 @@ impl EditQueue {
         if inner.closed {
             return false;
         }
-        if matches!(cmd, Command::Shutdown) {
-            inner.closed = true;
+        match cmd {
+            Command::Edit(_) => inner.edits_accepted += 1,
+            Command::Shutdown => inner.closed = true,
+            Command::Barrier(_) => {}
         }
         inner.queue.push_back(cmd);
         drop(inner);
@@ -171,6 +175,15 @@ impl EditQueue {
     /// Commands currently waiting.
     pub(crate) fn len(&self) -> usize {
         self.inner.lock().unwrap().queue.len()
+    }
+
+    /// Edit commands accepted by [`push`](Self::push) so far.
+    pub(crate) fn edits_accepted(&self) -> u64 {
+        let inner = self
+            .inner
+            .lock()
+            .expect("no queue operation panics holding the lock");
+        inner.edits_accepted
     }
 
     /// True once a shutdown command has been enqueued.
@@ -256,6 +269,19 @@ mod tests {
             Some(Command::Edit(EditOp::Insert(0, 1)))
         ));
         assert!(q.pop_wait(Some(Duration::ZERO)).is_none());
+    }
+
+    #[test]
+    fn only_accepted_edits_are_counted() {
+        let q = EditQueue::new();
+        assert!(q.push(Command::Edit(EditOp::Insert(0, 1))));
+        assert!(q.push(Command::Barrier(BarrierGate::new())));
+        assert!(q.push(Command::Edit(EditOp::Delete(0, 1))));
+        q.pop_chunk(Some(Duration::ZERO));
+        assert_eq!(q.edits_accepted(), 2, "draining keeps the count");
+        assert!(q.push(Command::Shutdown));
+        assert!(!q.push(Command::Edit(EditOp::Insert(2, 3))));
+        assert_eq!(q.edits_accepted(), 2);
     }
 
     #[test]

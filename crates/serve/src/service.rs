@@ -201,14 +201,12 @@ impl std::error::Error for ServiceClosed {}
 #[derive(Clone)]
 pub struct IngestHandle {
     queue: Arc<EditQueue>,
-    stats: Arc<ServeStats>,
 }
 
 impl IngestHandle {
     /// Enqueue one edit operation.
     pub fn submit(&self, op: EditOp) -> Result<(), ServiceClosed> {
         if self.queue.push(Command::Edit(op)) {
-            self.stats.update(|r| r.edits_enqueued += 1);
             Ok(())
         } else {
             Err(ServiceClosed)
@@ -334,7 +332,6 @@ impl CommunityService {
     pub fn ingest(&self) -> IngestHandle {
         IngestHandle {
             queue: Arc::clone(&self.queue),
-            stats: Arc::clone(&self.stats),
         }
     }
 
@@ -369,7 +366,7 @@ impl CommunityService {
 
     /// Point-in-time operation counters and latency summaries.
     pub fn stats(&self) -> StatsReport {
-        self.stats.report()
+        self.report()
     }
 
     /// Record one externally-scored publish window (the published roster
@@ -394,7 +391,16 @@ impl CommunityService {
     /// maintenance thread, and return the final stats.
     pub fn shutdown(mut self) -> StatsReport {
         self.shutdown_inner();
-        self.stats.report()
+        self.report()
+    }
+
+    /// The stats record, plus the edit count the queue keeps under its
+    /// own lock (so a submit takes one lock, not two).
+    fn report(&self) -> StatsReport {
+        StatsReport {
+            edits_enqueued: self.queue.edits_accepted(),
+            ..self.stats.report()
+        }
     }
 
     fn shutdown_inner(&mut self) {

@@ -407,7 +407,8 @@ impl RepairEngine {
 
     /// Counter upkeep for the batch [`apply`](Self::apply) just repaired:
     /// retire the deleted edges' counters, then fold the compacted
-    /// slot-delta stream in at `O(deg)` per net change. Inserted edges
+    /// slot-delta stream in with one neighbor sweep — `O(deg)` per dirty
+    /// vertex, each neighbor histogram read once per flush. Inserted edges
     /// need nothing here — they are merged lazily (and exactly) at the
     /// next publish. Timed into the `counters` histogram.
     pub(crate) fn upkeep(&mut self, batch: &EditBatch, stats: &ServeStats, trace: &TraceWriter) {

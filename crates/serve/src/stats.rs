@@ -11,7 +11,9 @@
 //! [`StatsReport`], and lives in one such record behind one lock. Writers
 //! compute their values first and take the lock only to add them in, and
 //! [`ServeStats::report`] clones the record, so a report is one
-//! point-in-time read.
+//! point-in-time read. The one exception is `edits_enqueued`: the
+//! ingestion queue counts accepted edits under the lock it takes anyway,
+//! and the service copies that count into each report it hands out.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
@@ -411,7 +413,10 @@ pub struct StatsReport {
     pub snapshots: LatencySummary,
     /// Snapshots published (== `snapshots.count`, kept for readability).
     pub snapshots_published: u64,
-    /// Edit operations accepted into the queue.
+    /// Edit operations accepted into the queue. The queue counts them
+    /// under its own lock; [`ServeStats::report`] leaves this field as
+    /// the record holds it, and `CommunityService::stats` and
+    /// `CommunityService::shutdown` fill it in.
     pub edits_enqueued: u64,
     /// Edit operations applied to the graph.
     pub edits_applied: u64,
