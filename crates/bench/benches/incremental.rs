@@ -1,5 +1,5 @@
 //! Criterion: Correction Propagation vs from-scratch recomputation across
-//! batch sizes (the Fig. 9 microbenchmark), plus the cascade ablation.
+//! batch sizes (the Fig. 9 microbenchmark).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rslpa_core::incremental::apply_correction;
@@ -30,19 +30,7 @@ fn bench_incremental(c: &mut Criterion) {
                     let mut dg = DynamicGraph::new(base.clone());
                     let mut state = state0.clone();
                     let applied = dg.apply(batch).expect("valid");
-                    apply_correction(&mut state, dg.graph(), &applied, false)
-                });
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("correction_pruned", batch_size),
-            &batch,
-            |b, batch| {
-                b.iter(|| {
-                    let mut dg = DynamicGraph::new(base.clone());
-                    let mut state = state0.clone();
-                    let applied = dg.apply(batch).expect("valid");
-                    apply_correction(&mut state, dg.graph(), &applied, true)
+                    apply_correction(&mut state, dg.graph(), &applied, None, &mut Vec::new())
                 });
             },
         );

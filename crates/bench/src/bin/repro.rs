@@ -9,10 +9,9 @@
 use rslpa_bench::exp_churn::ChurnWorkload;
 use rslpa_bench::exp_scale::ScaleWorkload;
 use rslpa_bench::exp_serve::ServeWorkload;
-use rslpa_bench::exp_weights::WeightsWorkload;
 use rslpa_bench::{
-    exp_ablations, exp_barrier, exp_churn, exp_dynamic, exp_scale, exp_serve, exp_synthetic,
-    exp_trace, exp_voting, exp_web, exp_weights, Scale,
+    exp_ablations, exp_churn, exp_dynamic, exp_scale, exp_serve, exp_synthetic, exp_trace,
+    exp_voting, exp_web, Scale,
 };
 
 const EXPERIMENTS: &[(&str, &str)] = &[
@@ -31,7 +30,6 @@ const EXPERIMENTS: &[(&str, &str)] = &[
     ("fig8", "static running time split (SLPA vs rSLPA)"),
     ("fig9", "incremental vs scratch across batch sizes"),
     ("eq8", "measured eta vs the Eq. 8 model and bounds"),
-    ("abl-prune", "unconditional vs value-pruned cascade"),
     ("abl-dyn", "incremental/scratch parity: rSLPA vs LabelRankT"),
     ("abl-msgs", "per-iteration traffic vs density"),
     ("abl-post", "hash-to-min rounds vs diameter"),
@@ -51,20 +49,12 @@ const EXPERIMENTS: &[(&str, &str)] = &[
         "mailbox-mesh exchange at 4 shards, three churn biases and two publish cadences (emits BENCH_serve.json)",
     ),
     (
-        "weights",
-        "publish-time weight pass: merge-on-publish vs streaming counters (emits BENCH_serve.json)",
-    ),
-    (
         "scale",
         "million-vertex storage bench: adjacency footprint and edits/s under R-MAT churn (emits BENCH_serve.json)",
     ),
     (
         "trace",
         "flight-recorded serve workload at 4 shards: Chrome trace + per-shard wall-time attribution (emits BENCH_trace.json + BENCH_serve.json)",
-    ),
-    (
-        "barrier",
-        "mesh round-barrier micro-bench: 2x std::Barrier vs 1x SenseBarrier per round (folds into BENCH_serve.json)",
     ),
     (
         "churn",
@@ -89,7 +79,6 @@ fn run(id: &str, scale: &Scale) -> bool {
         "fig8" => exp_web::fig8(scale),
         "fig9" => exp_dynamic::fig9(scale),
         "eq8" => exp_dynamic::eq8(scale),
-        "abl-prune" => exp_dynamic::abl_prune(scale),
         "abl-dyn" => exp_dynamic::abl_dyn(scale),
         "abl-msgs" => exp_ablations::abl_msgs(scale),
         "abl-post" => exp_ablations::abl_post(scale),
@@ -99,10 +88,8 @@ fn run(id: &str, scale: &Scale) -> bool {
         "serve" | "serve-smoke" | "serve-rmat" | "serve-sharded" | "serve-p2p" => {
             return run_serve(id, &ServeOpts::default(), false)
         }
-        "weights" => exp_weights::weights(&WeightsWorkload::full(), "BENCH_serve.json"),
         "scale" => exp_scale::scale(&ScaleWorkload::full(), "BENCH_serve.json"),
         "trace" => exp_trace::trace(false, "BENCH_serve.json", "BENCH_trace.json"),
-        "barrier" => exp_barrier::barrier("BENCH_serve.json"),
         "churn" => exp_churn::churn(&ChurnWorkload::full(), "BENCH_churn.json"),
         _ => return false,
     }
@@ -170,16 +157,13 @@ fn usage() {
     }
     eprintln!("  serve-smoke    CI-scale serve workload (not part of 'all')");
     eprintln!("  serve-rmat     full serve workload over an R-MAT web graph (not part of 'all')");
-    eprintln!("  weights-smoke  CI-scale weight-pass comparison (not part of 'all')");
     eprintln!("serve options: --shards N, --out FILE, --roster-out FILE");
-    eprintln!("weights options: --out FILE");
     eprintln!("scale options: --smoke (n=2^17 instead of 2^20), --out FILE");
     eprintln!("serve-p2p options: --smoke (CI-scale localized-churn sweep at 1/4/8 shards)");
     eprintln!(
         "churn options: --smoke (CI-scale scenario sweep), --scenario NAME (single-scenario \
          replay), --out FILE (default BENCH_churn.json)"
     );
-    eprintln!("barrier options: --out FILE (appends to an existing serve payload)");
     eprintln!("trace options: --smoke, --out FILE, --trace-out FILE (default BENCH_trace.json)");
 }
 
@@ -230,15 +214,11 @@ fn main() {
         serve_opts.shards != 1 || serve_opts.out.is_some() || serve_opts.roster_out.is_some();
     if serve_flags_given
         && !target.starts_with("serve")
-        && !target.starts_with("weights")
         && target != "scale"
         && target != "trace"
-        && target != "barrier"
         && target != "churn"
     {
-        eprintln!(
-            "--shards/--out/--roster-out only apply to serve/weights/scale/trace experiments"
-        );
+        eprintln!("--shards/--out/--roster-out only apply to serve/scale/trace/churn experiments");
         std::process::exit(2);
     }
     if smoke && target != "scale" && target != "trace" && target != "serve-p2p" && target != "churn"
@@ -306,41 +286,12 @@ fn main() {
             .clone()
             .unwrap_or_else(|| "BENCH_churn.json".to_string());
         exp_churn::churn(&w, &out);
-    } else if target == "barrier" {
-        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
-            eprintln!("barrier takes only --out");
-            std::process::exit(2);
-        }
-        let out = serve_opts
-            .out
-            .clone()
-            .unwrap_or_else(|| "BENCH_serve.json".to_string());
-        exp_barrier::barrier(&out);
     } else if target.starts_with("serve") {
         if !run_serve(target, &serve_opts, smoke) {
             eprintln!("unknown experiment: {target}\n");
             usage();
             std::process::exit(2);
         }
-    } else if target.starts_with("weights") {
-        if serve_opts.shards != 1 || serve_opts.roster_out.is_some() {
-            eprintln!("weights experiments take only --out");
-            std::process::exit(2);
-        }
-        let out = serve_opts
-            .out
-            .clone()
-            .unwrap_or_else(|| "BENCH_serve.json".to_string());
-        let workload = match target.as_str() {
-            "weights" => WeightsWorkload::full(),
-            "weights-smoke" => WeightsWorkload::smoke(),
-            _ => {
-                eprintln!("unknown experiment: {target}\n");
-                usage();
-                std::process::exit(2);
-            }
-        };
-        exp_weights::weights(&workload, &out);
     } else if !run(target, &scale) {
         eprintln!("unknown experiment: {target}\n");
         usage();

@@ -76,14 +76,19 @@ pub fn fig9(scale: &Scale) {
 
         let wall_start = Instant::now();
         let mut central_state = state0.clone();
-        let report = apply_correction(&mut central_state, dg.graph(), &applied, false);
+        let report = apply_correction(
+            &mut central_state,
+            dg.graph(),
+            &applied,
+            None,
+            &mut Vec::new(),
+        );
         let incr_wall = wall_start.elapsed().as_secs_f64();
 
         let (_, bsp_stats) = run_correction_bsp(
             &state0,
             &csr_after,
             &applied,
-            false,
             &partitioner,
             Executor::Parallel,
         );
@@ -133,7 +138,7 @@ pub fn eq8(scale: &Scale) {
             let mut state = run_propagation(dg.graph(), t_max, seed);
             let batch = uniform_batch(dg.graph(), batch_size, 31 + seed);
             let applied = dg.apply(&batch).expect("valid");
-            let report = apply_correction(&mut state, dg.graph(), &applied, false);
+            let report = apply_correction(&mut state, dg.graph(), &applied, None, &mut Vec::new());
             measured += report.eta as f64;
         }
         measured /= trials as f64;
@@ -148,49 +153,6 @@ pub fn eq8(scale: &Scale) {
     }
     table.print();
     println!("expected: measured within [lower, upper], tracking eta-hat.\n");
-}
-
-/// Ablation: the paper's unconditional cascade vs value-pruned forwarding.
-pub fn abl_prune(scale: &Scale) {
-    let n = 2_000usize;
-    let m = 12_000usize;
-    let t_max = scale.t_rslpa.min(100);
-    let mut table = Table::new(
-        "Ablation — Algorithm 2's unconditional cascade vs value-pruned",
-        &[
-            "batch",
-            "deliveries (paper)",
-            "deliveries (pruned)",
-            "saved",
-            "eta (paper)",
-            "eta (pruned)",
-        ],
-    );
-    for &batch_size in &[40usize, 200, 800] {
-        let g = erdos_renyi(n, m, 77);
-        let batch = uniform_batch(&g, batch_size, 5);
-        let run = |pruned: bool| {
-            let mut dg = DynamicGraph::new(g.clone());
-            let mut state = run_propagation(dg.graph(), t_max, 3);
-            let applied = dg.apply(&batch).expect("valid");
-            apply_correction(&mut state, dg.graph(), &applied, pruned)
-        };
-        let faithful = run(false);
-        let pruned = run(true);
-        let saved = 1.0 - pruned.deliveries as f64 / faithful.deliveries.max(1) as f64;
-        table.row(vec![
-            batch_size.to_string(),
-            faithful.deliveries.to_string(),
-            pruned.deliveries.to_string(),
-            format!("{:.0}%", 100.0 * saved),
-            faithful.eta.to_string(),
-            pruned.eta.to_string(),
-        ]);
-    }
-    table.print();
-    println!(
-        "pruning is value-transparent (final labels identical) but ships fewer corrections.\n"
-    );
 }
 
 /// §I's criticisms of the prior dynamic detectors, measured: LabelRankT's
@@ -290,15 +252,9 @@ mod tests {
         let applied = dg.apply(&batch).unwrap();
         let csr_after = CsrGraph::from_adjacency(dg.graph());
         let mut central = state0.clone();
-        let report = apply_correction(&mut central, dg.graph(), &applied, false);
-        let (_, bsp_stats) = run_correction_bsp(
-            &state0,
-            &csr_after,
-            &applied,
-            false,
-            &p,
-            Executor::Sequential,
-        );
+        let report = apply_correction(&mut central, dg.graph(), &applied, None, &mut Vec::new());
+        let (_, bsp_stats) =
+            run_correction_bsp(&state0, &csr_after, &applied, &p, Executor::Sequential);
         let adjusted = repair_cost(
             &bsp_stats,
             report.affected_vertices,

@@ -7,7 +7,6 @@
 //! bend); `--paper-scale` restores the original sizes where feasible.
 
 pub mod exp_ablations;
-pub mod exp_barrier;
 pub mod exp_churn;
 pub mod exp_dynamic;
 pub mod exp_scale;
@@ -16,7 +15,6 @@ pub mod exp_synthetic;
 pub mod exp_trace;
 pub mod exp_voting;
 pub mod exp_web;
-pub mod exp_weights;
 pub mod report;
 pub mod scale;
 
@@ -24,8 +22,8 @@ pub use report::Table;
 pub use scale::Scale;
 
 /// Cores available to this run, as recorded in every benchmark JSON's
-/// `config.cores` field — multi-core reruns of `repro serve*` /
-/// `repro weights` are self-describing (a 1-core sweep measures
+/// `config.cores` field — multi-core reruns of `repro serve*` are
+/// self-describing (a 1-core sweep measures
 /// coordination overhead + equivalence, not parallel speedup).
 pub fn host_cores() -> usize {
     std::thread::available_parallelism().map_or(1, usize::from)

@@ -25,7 +25,7 @@
 use rslpa_graph::{AdjacencyGraph, DynamicGraph, EditBatch, EditError, SlotDelta};
 
 use crate::config::RslpaConfig;
-use crate::incremental::{apply_correction_damped, CascadeDamper, UpdateReport};
+use crate::incremental::{apply_correction, CascadeDamper, UpdateReport};
 use crate::postprocess::{postprocess, PostprocessResult};
 use crate::propagation::run_propagation;
 use crate::state::LabelState;
@@ -113,11 +113,10 @@ impl RslpaDetector {
         slot_deltas: &mut Vec<SlotDelta>,
     ) -> Result<UpdateReport, EditError> {
         let applied = self.graph.apply(batch)?;
-        let report = apply_correction_damped(
+        let report = apply_correction(
             &mut self.state,
             self.graph.graph(),
             &applied,
-            false, // the paper's unconditional forwarding (§IV-D's η)
             self.damper.as_mut(),
             slot_deltas,
         );

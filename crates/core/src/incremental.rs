@@ -1,4 +1,5 @@
-//! Algorithm 2 — Correction Propagation (centralized semantics).
+//! Algorithm 2 — Correction Propagation, written once for the single
+//! writer and for every mesh shard.
 //!
 //! After an edit batch, every affected vertex re-examines its `T` picks
 //! (paper §IV-A):
@@ -15,15 +16,26 @@
 //!   on the new neighborhood).
 //!
 //! Then changes cascade (§IV-B): when `l_v^t` is updated, every receiver
-//! recorded in `R_v^t` updates its own slot and forwards in turn. The
-//! paper's Algorithm 2 forwards *unconditionally* (lines 18–22 carry no
-//! value comparison) — that unpruned cascade is what the §IV-D analysis
-//! counts, so it is the default here; `value_pruned` stops at
-//! value-identical updates as a measured ablation.
+//! recorded in `R_v^t` updates its own slot and forwards in turn. As in the
+//! paper's Algorithm 2 (lines 18–22 carry no value comparison), every
+//! delivery forwards, changed or not — the cascade §IV-D's η counts.
 //!
 //! Because every slot's receivers sit at strictly later iterations, one
 //! ascending sweep over iteration buckets delivers every correction
 //! exactly once.
+//!
+//! ## One kernel, two row layouts
+//!
+//! The kernel runs over a [`LabelState`] addressed by *local* row index,
+//! and a `Locality` that maps vertex ids to local rows. The single
+//! writer ([`apply_correction`]) holds every vertex at its own id; a
+//! [`ShardRepairState`](crate::shard::ShardRepairState) holds the vertices
+//! it owns at dense local indices. Where a pick source or a receiver has no
+//! local row, the kernel hands the step to its owner as an
+//! `Unrecord`/`Fetch`/`Value` [`Envelope`] instead; an inbound envelope is
+//! applied and scheduled into the same sweep. With every vertex local no
+//! envelope exists, so a one-shard mesh does exactly the single writer's
+//! work.
 //!
 //! ## Degree-capped cascade damping
 //!
@@ -35,17 +47,16 @@
 //!
 //! * forwarding out of it is suppressed for the rest of the flush, and
 //!   the changed slot is parked in the [`CascadeDamper`];
-//! * a re-pick that lands on one of its slots keeps the listener's own
-//!   previous value (the classic hub-resistance move — a thousand fresh
-//!   spokes must not all echo the hub), and the slot is parked so the
-//!   new record is re-delivered once the hub calms down;
-//! * fetch replies in the sharded engines are suppressed the same way,
-//!   so the requester keeps its value by silence.
+//! * a re-pick (or a fetch from another shard) that lands on one of its
+//!   slots keeps the listener's own previous value (the classic
+//!   hub-resistance move — a thousand fresh spokes must not all echo the
+//!   hub), and the slot is parked so the new record is re-delivered once
+//!   the hub calms down.
 //!
 //! Parked slots are released only once the vertex's degree is back at or
 //! under the cap, under a per-hub delivery budget in ascending (vertex,
-//! slot) order — a canonical schedule every engine reproduces — and the
-//! release cascades normally from there. The damped fixed point after
+//! slot) order — a canonical schedule every shard count reproduces — and
+//! the release cascades normally from there. The damped fixed point after
 //! each flush is therefore the same pure function of the batch sequence
 //! regardless of shard count or exchange transport, and once every
 //! parked vertex has dropped under the cap and drained, the state
@@ -53,24 +64,26 @@
 //! so only label values ever lag).
 
 use rslpa_graph::rng::{PickKey, Stream};
-use rslpa_graph::{AdjacencyGraph, AppliedBatch, FxHashSet, Label, SlotDelta, VertexId};
+use rslpa_graph::{
+    AdjacencyGraph, AppliedBatch, FxHashMap, FxHashSet, Label, SlotDelta, VertexDelta, VertexId,
+};
 
 use crate::config::DampingConfig;
 use crate::propagation::draw_pick;
+use crate::shard::{Envelope, ShardMsg};
 use crate::state::{LabelState, NO_SOURCE};
 
-/// Deferred-cascade state for the centralized engine: per muted hub
-/// vertex, the slots whose receivers may be out of date — because the
-/// slot changed while the hub was over the cap, or because a listener
-/// re-picked onto it and kept its own value instead. Owned by
-/// [`RslpaDetector`](crate::RslpaDetector) and threaded through
-/// [`apply_correction_damped`].
+/// Deferred-cascade state: per muted hub vertex, the slots whose receivers
+/// may be out of date — because the slot changed while the hub was over
+/// the cap, or because a listener picked it and kept its own value
+/// instead. Keyed by vertex id, so a shard's parked slots migrate with
+/// their rows.
 #[derive(Clone, Debug, Default)]
 pub struct CascadeDamper {
     config: DampingConfig,
     /// vertex → sorted slots needing re-delivery once the vertex drops
     /// back under the cap.
-    pending: rslpa_graph::FxHashMap<VertexId, Vec<u32>>,
+    pending: FxHashMap<VertexId, Vec<u32>>,
 }
 
 impl CascadeDamper {
@@ -99,8 +112,8 @@ impl CascadeDamper {
     }
 
     /// Mark `(v, t)` as needing re-delivery on unmute: either its value
-    /// changed while `v` was over the cap, or a listener re-picked onto
-    /// it and kept its own value.
+    /// changed while `v` was over the cap, or a listener picked it and
+    /// kept its own value.
     fn park(&mut self, v: VertexId, t: u32) {
         let slots = self.pending.entry(v).or_default();
         if let Err(i) = slots.binary_search(&t) {
@@ -122,6 +135,18 @@ impl CascadeDamper {
         }
     }
 
+    /// Remove and return `v`'s parked slots (a migrating row takes them).
+    pub(crate) fn take(&mut self, v: VertexId) -> Vec<u32> {
+        self.pending.remove(&v).unwrap_or_default()
+    }
+
+    /// Park `slots` of `v` again (a migrated row brings them along).
+    pub(crate) fn restore(&mut self, v: VertexId, slots: Vec<u32>) {
+        if !slots.is_empty() {
+            self.pending.insert(v, slots);
+        }
+    }
+
     /// Might a parked slot still hide a value from its receivers?
     /// (While true, the state may be inconsistent in the
     /// `check_consistency` sense; parked slots don't record the
@@ -133,7 +158,9 @@ impl CascadeDamper {
 }
 
 /// Work accounting for one incremental repair — the measured counterpart
-/// of §IV-D's η.
+/// of §IV-D's η. A shard reports each kernel call separately; the reports
+/// of one flush sum with [`absorb`](Self::absorb) (vertex ownership is
+/// disjoint, so per-shard distinct counts sum exactly).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct UpdateReport {
     /// Vertices whose neighborhood changed (Categories 2–3).
@@ -142,43 +169,41 @@ pub struct UpdateReport {
     pub repicks: usize,
     /// Category-3 keep/redraw coins flipped.
     pub coins: usize,
-    /// Corrections delivered through receiver records.
+    /// Corrections delivered through receiver records (stale ones
+    /// excluded).
     pub deliveries: usize,
     /// Distinct label slots updated (η: repicked or corrected).
     pub eta: usize,
     /// Deliveries whose value actually differed (≤ `deliveries`).
     pub value_changes: usize,
     /// Suppressions at over-cap vertices: receiver re-sprays deferred
-    /// plus re-pick reads that kept the listener's own value (damping
-    /// only; always 0 without a [`CascadeDamper`]).
+    /// plus picks of a muted slot that kept the listener's own value
+    /// (always 0 without a [`CascadeDamper`]).
     pub damped_deferrals: usize,
-    /// Distinct vertices whose stored labels changed (the dirty region,
-    /// counted like the sharded engine's
-    /// [`ShardFlushReport::dirty_vertices`](crate::shard::ShardFlushReport::dirty_vertices)).
+    /// Distinct vertices whose stored labels changed (the dirty region).
     pub dirty_vertices: usize,
+    /// Envelopes sent to another shard (always 0 for the single writer).
+    pub boundary_msgs: usize,
+}
+
+impl UpdateReport {
+    /// Accumulate another report into this one.
+    pub fn absorb(&mut self, other: &UpdateReport) {
+        self.affected_vertices += other.affected_vertices;
+        self.repicks += other.repicks;
+        self.coins += other.coins;
+        self.deliveries += other.deliveries;
+        self.eta += other.eta;
+        self.value_changes += other.value_changes;
+        self.damped_deferrals += other.damped_deferrals;
+        self.dirty_vertices += other.dirty_vertices;
+        self.boundary_msgs += other.boundary_msgs;
+    }
 }
 
 /// Apply Correction Propagation to `state` for a batch already applied to
 /// the graph (`graph_after` is the post-edit topology, `applied` the
-/// per-vertex deltas).
-pub fn apply_correction(
-    state: &mut LabelState,
-    graph_after: &AdjacencyGraph,
-    applied: &AppliedBatch,
-    value_pruned: bool,
-) -> UpdateReport {
-    apply_correction_damped(
-        state,
-        graph_after,
-        applied,
-        value_pruned,
-        None,
-        &mut Vec::new(),
-    )
-}
-
-/// [`apply_correction`] with optional degree-capped cascade damping,
-/// reporting what the repair changed.
+/// per-vertex deltas), with optional degree-capped cascade damping.
 ///
 /// One [`SlotDelta`] per label-slot *value* change is appended to
 /// `slot_deltas` in application order — the input stream for
@@ -189,7 +214,7 @@ pub fn apply_correction(
 /// nothing, so the stream is exactly the histogram movement of this
 /// repair, and its distinct vertices are the report's `dirty_vertices`.
 ///
-/// With `damper = None` this is bit-for-bit the undamped repair. With a
+/// With `damper = None` this is the paper's unbounded repair. With a
 /// damper, the flush runs in four steps:
 ///
 /// 1. **Release**: pending slots of vertices whose degree dropped back
@@ -198,8 +223,7 @@ pub fn apply_correction(
 ///    (always at least one slot, so pending work cannot starve).
 ///    Vertices still over the cap stay parked untouched. Deliveries are
 ///    staged here (pre-Phase-A receiver records) but applied after Phase
-///    A under a pick-staleness guard, mirroring the envelope timing of
-///    the sharded engines.
+///    A under a pick-staleness guard, as an envelope to another shard is.
 /// 2. **Phase A** as usual, except a re-pick that lands on an over-cap
 ///    source keeps the listener's previous value (the source slot is
 ///    parked so the unmute release catches the new record up), and any
@@ -209,320 +233,417 @@ pub fn apply_correction(
 ///    is suppressed (counted in `damped_deferrals`); a formerly-capped
 ///    vertex that dropped back under the cap forwards normally and its
 ///    parked entry is cleared.
-pub fn apply_correction_damped(
+pub fn apply_correction(
     state: &mut LabelState,
     graph_after: &AdjacencyGraph,
     applied: &AppliedBatch,
-    value_pruned: bool,
-    mut damper: Option<&mut CascadeDamper>,
+    damper: Option<&mut CascadeDamper>,
     slot_deltas: &mut Vec<SlotDelta>,
 ) -> UpdateReport {
-    let first_delta = slot_deltas.len();
-    let t_max = state.iterations() as u32;
-    let seed = state.seed();
-    let mut report = UpdateReport {
-        affected_vertices: applied.deltas.len(),
-        ..Default::default()
+    let mut report = UpdateReport::default();
+    let mut flush = Flush::new(state.iterations());
+    let mut out = Vec::new();
+    let mut kernel = Kernel {
+        rows: graph_after,
+        state,
+        damper,
+        flush: &mut flush,
+        report: &mut report,
+        slot_deltas,
+        out: &mut out,
     };
-    // Per-iteration buckets of slots to forward from, deduplicated.
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); t_max as usize + 1];
-    let mut scheduled: FxHashSet<(VertexId, u32)> = FxHashSet::default();
-    let mut touched: FxHashSet<(VertexId, u32)> = FxHashSet::default();
-
-    let schedule = |v: VertexId,
-                    t: u32,
-                    buckets: &mut Vec<Vec<VertexId>>,
-                    scheduled: &mut FxHashSet<(VertexId, u32)>| {
-        if scheduled.insert((v, t)) {
-            buckets[t as usize].push(v);
-        }
-    };
-
-    // --- Release: drain parked slots of unmuted vertices under the
-    // per-hub budget --- Canonical ascending (vertex, slot) order keeps
-    // this identical in every engine. A vertex still over the cap stays
-    // parked; deliveries are staged against the *pre-Phase-A* receiver
-    // records and applied after Phase A with a staleness guard, exactly
-    // like a routed envelope in the sharded engines.
-    let mut released: Vec<(VertexId, u32, VertexId, u32, Label)> = Vec::new();
-    if let Some(d) = damper.as_deref_mut() {
-        if !d.pending.is_empty() {
-            let budget = d.config.flush_budget.max(1);
-            let mut vids: Vec<VertexId> = d.pending.keys().copied().collect();
-            vids.sort_unstable();
-            for v in vids {
-                if d.over_cap(graph_after.neighbors(v).len()) {
-                    continue; // still muted: receivers keep waiting
-                }
-                let slots = d.pending.remove(&v).unwrap_or_default();
-                let mut kept: Vec<u32> = Vec::new();
-                let mut used = 0usize;
-                let mut released_any = false;
-                let mut stopped = false;
-                for t in slots {
-                    if stopped {
-                        kept.push(t);
-                        continue;
-                    }
-                    let receivers: Vec<(VertexId, u32)> = state.receivers_of(v, t).collect();
-                    if released_any && used + receivers.len() > budget {
-                        stopped = true;
-                        kept.push(t);
-                        continue;
-                    }
-                    used += receivers.len();
-                    released_any = true;
-                    let current = state.label(v, t);
-                    for (r, k) in receivers {
-                        released.push((v, t, r, k, current));
-                    }
-                }
-                if !kept.is_empty() {
-                    d.pending.insert(v, kept);
-                }
-            }
-        }
-    }
-
-    // --- Phase A: adjacent edge changes (Algorithm 2 lines 1–12) ---
-    for v in applied.affected_vertices() {
-        let delta = &applied.deltas[&v];
-        let nbrs = graph_after.neighbors(v);
-        for t in 1..=t_max {
-            let (old_src, old_pos) = state.pick(v, t);
-            if nbrs.is_empty() {
-                // Lost every neighbor: the slot reverts to the own label.
-                if old_src != NO_SOURCE {
-                    state.remove_record(old_src, old_pos, v, t);
-                    state.set_pick(v, t, NO_SOURCE, 0);
-                    let own = state.label(v, 0);
-                    let old = state.label(v, t);
-                    let changed = old != own;
-                    state.set_label(v, t, own);
-                    report.repicks += 1;
-                    touched.insert((v, t));
-                    if changed {
-                        slot_deltas.push(SlotDelta {
-                            v,
-                            slot: t,
-                            old,
-                            new: own,
-                        });
-                    }
-                    if !value_pruned || changed {
-                        schedule(v, t, &mut buckets, &mut scheduled);
-                    }
-                }
-                continue;
-            }
-            let needs_full_repick = if old_src == NO_SOURCE {
-                true // was isolated; every neighbor is effectively new
-            } else {
-                delta.removed_contains(old_src)
-            };
-            if needs_full_repick {
-                repick(
-                    state,
-                    graph_after,
-                    v,
-                    t,
-                    old_src,
-                    old_pos,
-                    nbrs,
-                    value_pruned,
-                    &mut damper,
-                    &mut report,
-                    &mut touched,
-                    slot_deltas,
-                    |v, t| schedule(v, t, &mut buckets, &mut scheduled),
-                );
-                continue;
-            }
-            if delta.added.is_empty() {
-                continue; // Category 2, source survived: keep (Theorem 4).
-            }
-            // Category 3, source survived: keep with probability n_u / deg.
-            let deg = nbrs.len();
-            let na = delta.added.len();
-            debug_assert!(na <= deg);
-            let epoch = state.bump_epoch(v, t);
-            let key = PickKey {
-                seed,
-                vertex: v,
-                iteration: t,
-                epoch,
-            };
-            report.coins += 1;
-            if key.unit_f64(Stream::Cat3Coin) < na as f64 / deg as f64 {
-                // Redraw from the *new* neighbors only (Theorem 5).
-                repick(
-                    state,
-                    graph_after,
-                    v,
-                    t,
-                    old_src,
-                    old_pos,
-                    &delta.added,
-                    value_pruned,
-                    &mut damper,
-                    &mut report,
-                    &mut touched,
-                    slot_deltas,
-                    |v, t| schedule(v, t, &mut buckets, &mut scheduled),
-                );
-            }
-        }
-    }
-
-    // --- Apply staged release deliveries (post-Phase-A, like routed
-    // envelopes). A pick that Phase A re-drew discards the delivery.
-    for (src, t, r, k, l) in released {
-        if state.pick(r, k) != (src, t) {
-            continue; // receiver re-picked away during Phase A
-        }
-        report.deliveries += 1;
-        let old = state.label(r, k);
-        let changed = old != l;
-        if changed {
-            state.set_label(r, k, l);
-            report.value_changes += 1;
-            slot_deltas.push(SlotDelta {
-                v: r,
-                slot: k,
-                old,
-                new: l,
-            });
-            if let Some(d) = damper.as_deref_mut() {
-                if d.over_cap(graph_after.neighbors(r).len()) {
-                    d.park(r, k);
-                }
-            }
-        }
-        touched.insert((r, k));
-        if !value_pruned || changed {
-            schedule(r, k, &mut buckets, &mut scheduled);
-        }
-    }
-
-    // --- Phase B: cascade through receiver records (lines 13–24) ---
-    for t in 1..=t_max {
-        let bucket = std::mem::take(&mut buckets[t as usize]);
-        for v in bucket {
-            if let Some(d) = damper.as_deref_mut() {
-                if d.over_cap(graph_after.neighbors(v).len()) {
-                    // Over the cap: the re-spray is deferred. Any value
-                    // change was already parked at its change site.
-                    report.damped_deferrals += 1;
-                    continue;
-                }
-                // Back under the cap: forward the current value normally
-                // — its receivers are up to date after this, so drop any
-                // parked entry.
-                d.clear(v, t);
-            }
-            let l = state.label(v, t);
-            // Collect receivers first: delivering mutates the state.
-            let receivers: Vec<(VertexId, u32)> = state.receivers_of(v, t).collect();
-            for (r, k) in receivers {
-                debug_assert!(k > t);
-                report.deliveries += 1;
-                let old = state.label(r, k);
-                let changed = old != l;
-                if changed {
-                    state.set_label(r, k, l);
-                    report.value_changes += 1;
-                    slot_deltas.push(SlotDelta {
-                        v: r,
-                        slot: k,
-                        old,
-                        new: l,
-                    });
-                    if let Some(d) = damper.as_deref_mut() {
-                        if d.over_cap(graph_after.neighbors(r).len()) {
-                            d.park(r, k);
-                        }
-                    }
-                }
-                touched.insert((r, k));
-                if !value_pruned || changed {
-                    schedule(r, k, &mut buckets, &mut scheduled);
-                }
-            }
-        }
-    }
-
-    report.eta = touched.len();
-    report.dirty_vertices = slot_deltas[first_delta..]
-        .iter()
-        .map(|d| d.v)
-        .collect::<FxHashSet<_>>()
-        .len();
+    let affected = applied.affected_vertices();
+    kernel.phase_a(affected.iter().map(|v| (*v, &applied.deltas[v])));
+    kernel.sweep();
     debug_assert!(
-        damper
+        kernel.out.is_empty(),
+        "every vertex is local to the single writer"
+    );
+    debug_assert!(
+        kernel
+            .damper
             .as_deref()
-            .is_some_and(|d| d.masks_inconsistency(state))
-            || crate::verify::check_consistency(state, graph_after).is_ok()
+            .is_some_and(|d| d.masks_inconsistency(kernel.state))
+            || crate::verify::check_consistency(kernel.state, graph_after).is_ok()
     );
     report
 }
 
-/// Re-draw the pick of `(v, t)` uniformly from `candidates`, maintain the
-/// reverse records, and schedule the slot for cascade forwarding.
-#[allow(clippy::too_many_arguments)]
-fn repick(
-    state: &mut LabelState,
-    graph_after: &AdjacencyGraph,
-    v: VertexId,
-    t: u32,
-    old_src: VertexId,
-    old_pos: u32,
-    candidates: &[VertexId],
-    value_pruned: bool,
-    damper: &mut Option<&mut CascadeDamper>,
-    report: &mut UpdateReport,
-    touched: &mut FxHashSet<(VertexId, u32)>,
-    slot_deltas: &mut Vec<SlotDelta>,
-    mut schedule: impl FnMut(VertexId, u32),
-) {
-    if old_src != NO_SOURCE {
-        state.remove_record(old_src, old_pos, v, t);
+/// Where the kernel finds a vertex's rows: the single writer holds every
+/// vertex at its own id (so [`AdjacencyGraph`] is its locality), a shard
+/// the vertices it owns at dense local indices.
+pub(crate) trait Locality {
+    /// Local row of `v`, or `None` when another shard owns it.
+    fn local(&self, v: VertexId) -> Option<u32>;
+    /// Vertex id of local row `i`.
+    fn global(&self, i: u32) -> VertexId;
+    /// Post-batch neighbors of local row `i`, sorted.
+    fn neighbors(&self, i: u32) -> &[VertexId];
+}
+
+impl Locality for AdjacencyGraph {
+    #[inline]
+    fn local(&self, v: VertexId) -> Option<u32> {
+        Some(v)
     }
-    let epoch = state.bump_epoch(v, t);
-    let (src, pos) = draw_pick(state.seed(), v, t, epoch, candidates);
-    state.set_pick(v, t, src, pos);
-    state.add_record(src, pos, v, t);
-    report.repicks += 1;
-    // A muted source (over the degree cap) serves nothing: the listener
-    // keeps its previous value, and the source slot is parked so the
-    // unmute release catches this record up. The sharded engines do the
-    // same by suppressing the fetch reply.
-    if let Some(d) = damper.as_deref_mut() {
-        if d.over_cap(graph_after.neighbors(src).len()) {
-            d.park(src, pos);
-            report.damped_deferrals += 1;
-            return;
+
+    #[inline]
+    fn global(&self, i: u32) -> VertexId {
+        i
+    }
+
+    #[inline]
+    fn neighbors(&self, i: u32) -> &[VertexId] {
+        AdjacencyGraph::neighbors(self, i)
+    }
+}
+
+/// One flush's working sets, by local row. A shard's flush spans several
+/// kernel calls (Phase A, then one per exchange round), so it keeps them
+/// in between.
+#[derive(Default)]
+pub(crate) struct Flush {
+    /// Rows to forward from, per iteration.
+    buckets: Vec<Vec<u32>>,
+    /// `(row, slot)` pairs waiting in `buckets`.
+    scheduled: FxHashSet<(u32, u32)>,
+    /// `(row, slot)` pairs written this flush (η).
+    touched: FxHashSet<(u32, u32)>,
+    /// Rows whose labels changed this flush.
+    dirty: FxHashSet<u32>,
+}
+
+impl Flush {
+    pub(crate) fn new(t_max: usize) -> Self {
+        let mut flush = Self::default();
+        flush.buckets.resize_with(t_max + 1, Vec::new);
+        flush
+    }
+
+    /// Start a new flush: forget what the last one wrote.
+    pub(crate) fn reset(&mut self) {
+        debug_assert!(self.scheduled.is_empty(), "a sweep left work behind");
+        self.touched.clear();
+        self.dirty.clear();
+    }
+}
+
+/// Algorithm 2 over one row store: Phase A, inbound envelopes, and the
+/// ascending iteration-bucket sweep, with the damping rules applied at
+/// every step.
+pub(crate) struct Kernel<'k, L: Locality> {
+    pub(crate) rows: &'k L,
+    pub(crate) state: &'k mut LabelState,
+    pub(crate) damper: Option<&'k mut CascadeDamper>,
+    pub(crate) flush: &'k mut Flush,
+    pub(crate) report: &'k mut UpdateReport,
+    pub(crate) slot_deltas: &'k mut Vec<SlotDelta>,
+    /// Envelopes for vertices other shards own.
+    pub(crate) out: &'k mut Vec<Envelope>,
+}
+
+impl<L: Locality> Kernel<'_, L> {
+    /// Damping releases, Phase A over the affected local vertices in the
+    /// given order (Algorithm 2 lines 1–12), then the staged release
+    /// deliveries. Every vertex of `deltas` must have a local row holding
+    /// its post-batch neighbors.
+    pub(crate) fn phase_a<'d>(
+        &mut self,
+        deltas: impl IntoIterator<Item = (VertexId, &'d VertexDelta)>,
+    ) {
+        let released = self.release_parked();
+        let rows = self.rows;
+        let t_max = self.state.iterations() as u32;
+        let seed = self.state.seed();
+        for (v, delta) in deltas {
+            self.report.affected_vertices += 1;
+            let i = rows.local(v).expect("a delta is routed to its owner");
+            let nbrs = rows.neighbors(i);
+            for t in 1..=t_max {
+                let (old_src, old_pos) = self.state.pick(i, t);
+                if nbrs.is_empty() {
+                    // Lost every neighbor: the slot reverts to the own label.
+                    if old_src != NO_SOURCE {
+                        self.unrecord(old_src, old_pos, v, t);
+                        self.state.set_pick(i, t, NO_SOURCE, 0);
+                        self.report.repicks += 1;
+                        let own = self.state.label(i, 0);
+                        self.store(i, t, own);
+                    }
+                    continue;
+                }
+                if old_src == NO_SOURCE || delta.removed_contains(old_src) {
+                    // Was isolated, or the source edge is gone: redraw.
+                    self.repick(i, v, t, (old_src, old_pos), nbrs);
+                    continue;
+                }
+                if delta.added.is_empty() {
+                    continue; // Category 2, source survived: keep (Theorem 4).
+                }
+                // Category 3, source survived: keep with probability n_u / deg.
+                let (deg, na) = (nbrs.len(), delta.added.len());
+                debug_assert!(na <= deg);
+                let key = PickKey {
+                    seed,
+                    vertex: v,
+                    iteration: t,
+                    epoch: self.state.bump_epoch(i, t),
+                };
+                self.report.coins += 1;
+                if key.unit_f64(Stream::Cat3Coin) < na as f64 / deg as f64 {
+                    // Redraw from the *new* neighbors only (Theorem 5).
+                    self.repick(i, v, t, (old_src, old_pos), &delta.added);
+                }
+            }
         }
-    }
-    let new_label = state.label(src, pos);
-    let old = state.label(v, t);
-    let changed = old != new_label;
-    state.set_label(v, t, new_label);
-    touched.insert((v, t));
-    if changed {
-        slot_deltas.push(SlotDelta {
-            v,
-            slot: t,
-            old,
-            new: new_label,
-        });
-        if let Some(d) = damper.as_deref_mut() {
-            if d.over_cap(graph_after.neighbors(v).len()) {
-                d.park(v, t);
+        // The staged releases apply after Phase A; a pick that Phase A
+        // re-drew discards its delivery.
+        for (src, t, r, k, l) in released {
+            match rows.local(r) {
+                Some(j) if self.state.pick(j, k) == (src, t) => self.deliver(j, k, l),
+                Some(_) => {}
+                None => self.send(
+                    r,
+                    src,
+                    ShardMsg::Value {
+                        t: k,
+                        origin_pos: t,
+                        label: l,
+                    },
+                ),
             }
         }
     }
-    if !value_pruned || changed {
-        schedule(v, t);
+
+    /// Damping release: for every parked vertex whose degree dropped back
+    /// to the cap or under, in ascending (vertex, slot) order, stage the
+    /// current value of each parked slot for its (pre-Phase-A) receivers
+    /// under the per-hub `flush_budget`. Returns `(source, slot,
+    /// receiver, k, label)` deliveries.
+    fn release_parked(&mut self) -> Vec<(VertexId, u32, VertexId, u32, Label)> {
+        let mut released = Vec::new();
+        let Some(d) = self.damper.as_deref_mut() else {
+            return released;
+        };
+        let budget = d.config.flush_budget.max(1);
+        let mut vids: Vec<VertexId> = d.pending.keys().copied().collect();
+        vids.sort_unstable();
+        for v in vids {
+            let i = self
+                .rows
+                .local(v)
+                .expect("parked slots live with their row");
+            if d.over_cap(self.rows.neighbors(i).len()) {
+                continue; // still muted: receivers keep waiting
+            }
+            // Once a slot stays parked, every later one does too.
+            let mut kept: Vec<u32> = Vec::new();
+            let (mut used, mut released_any) = (0usize, false);
+            for t in d.take(v) {
+                let fanout = self.state.receivers_of(i, t).count();
+                if !kept.is_empty() || (released_any && used + fanout > budget) {
+                    kept.push(t);
+                    continue;
+                }
+                used += fanout;
+                released_any = true;
+                let current = self.state.label(i, t);
+                for (r, k) in self.state.receivers_of(i, t) {
+                    released.push((v, t, r, k, current));
+                }
+            }
+            d.restore(v, kept);
+        }
+        released
+    }
+
+    /// Apply one exchange round's envelopes, all addressed to local rows:
+    /// unrecords, then values (staleness-guarded, scheduled into the next
+    /// sweep), then fetches. A fetch registers its record and is answered
+    /// with the slot's current value — unless the slot is muted, or is
+    /// already scheduled, whose forward will reach the new record.
+    pub(crate) fn receive(&mut self, inbox: &[Envelope]) {
+        let rows = self.rows;
+        let row = |v: VertexId| rows.local(v).expect("envelope routed to its owner");
+        for env in inbox {
+            if let ShardMsg::Unrecord { slot, k } = env.msg {
+                self.state.remove_record(row(env.to), slot, env.from, k);
+            }
+        }
+        for env in inbox {
+            if let ShardMsg::Value {
+                t,
+                origin_pos,
+                label,
+            } = env.msg
+            {
+                let i = row(env.to);
+                if self.state.pick(i, t) == (env.from, origin_pos) {
+                    self.deliver(i, t, label);
+                }
+            }
+        }
+        for env in inbox {
+            if let ShardMsg::Fetch { pos, k } = env.msg {
+                let j = row(env.to);
+                self.state.add_record(j, pos, env.from, k);
+                if self.mutes(j, pos) || self.flush.scheduled.contains(&(j, pos)) {
+                    continue;
+                }
+                let label = self.state.label(j, pos);
+                self.send(
+                    env.from,
+                    env.to,
+                    ShardMsg::Value {
+                        t: k,
+                        origin_pos: pos,
+                        label,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Phase B (Algorithm 2 lines 13–24): forward every scheduled slot to
+    /// its receivers in ascending iteration order. A local receiver is
+    /// written directly and scheduled in a later bucket of this same
+    /// sweep; a remote one gets a `Value` envelope.
+    pub(crate) fn sweep(&mut self) {
+        let rows = self.rows;
+        for t in 1..=self.state.iterations() as u32 {
+            let bucket = std::mem::take(&mut self.flush.buckets[t as usize]);
+            for i in bucket {
+                let v = rows.global(i);
+                if let Some(d) = self.damper.as_deref_mut() {
+                    if d.over_cap(rows.neighbors(i).len()) {
+                        // Over the cap: the re-spray is deferred. Any value
+                        // change was already parked at its change site.
+                        self.report.damped_deferrals += 1;
+                        continue;
+                    }
+                    // Back under the cap: forward the current value
+                    // normally — its receivers are up to date after this.
+                    d.clear(v, t);
+                }
+                let l = self.state.label(i, t);
+                // Collect receivers first: delivering mutates the state.
+                let receivers: Vec<(VertexId, u32)> = self.state.receivers_of(i, t).collect();
+                for (r, k) in receivers {
+                    debug_assert!(k > t);
+                    match rows.local(r) {
+                        Some(j) => self.deliver(j, k, l),
+                        None => self.send(
+                            r,
+                            v,
+                            ShardMsg::Value {
+                                t: k,
+                                origin_pos: t,
+                                label: l,
+                            },
+                        ),
+                    }
+                }
+            }
+        }
+        self.flush.scheduled.clear();
+    }
+
+    /// Re-draw the pick of `(v, t)` (local row `i`) uniformly from
+    /// `candidates`, move its receiver record, and read the new source's
+    /// label — directly if the source is local, by `Fetch` otherwise.
+    fn repick(
+        &mut self,
+        i: u32,
+        v: VertexId,
+        t: u32,
+        (old_src, old_pos): (VertexId, u32),
+        candidates: &[VertexId],
+    ) {
+        if old_src != NO_SOURCE {
+            self.unrecord(old_src, old_pos, v, t);
+        }
+        let epoch = self.state.bump_epoch(i, t);
+        let (src, pos) = draw_pick(self.state.seed(), v, t, epoch, candidates);
+        self.state.set_pick(i, t, src, pos);
+        self.report.repicks += 1;
+        let Some(j) = self.rows.local(src) else {
+            return self.send(src, v, ShardMsg::Fetch { pos, k: t });
+        };
+        self.state.add_record(j, pos, v, t);
+        if !self.mutes(j, pos) {
+            let l = self.state.label(j, pos);
+            self.store(i, t, l);
+        }
+    }
+
+    /// Drop the record `(src, pos) → (v, t)` at the source's owner.
+    fn unrecord(&mut self, src: VertexId, pos: u32, v: VertexId, t: u32) {
+        match self.rows.local(src) {
+            Some(j) => self.state.remove_record(j, pos, v, t),
+            None => self.send(src, v, ShardMsg::Unrecord { slot: pos, k: t }),
+        }
+    }
+
+    /// A muted source (over the degree cap) serves nothing: the listener
+    /// of its slot `pos` keeps its own previous value, and the slot is
+    /// parked so the unmute release catches the new record up.
+    fn mutes(&mut self, j: u32, pos: u32) -> bool {
+        let Some(d) = self.damper.as_deref_mut() else {
+            return false;
+        };
+        if !d.over_cap(self.rows.neighbors(j).len()) {
+            return false;
+        }
+        d.park(self.rows.global(j), pos);
+        self.report.damped_deferrals += 1;
+        true
+    }
+
+    /// A correction reaching local slot `(j, k)` through its receiver
+    /// record.
+    fn deliver(&mut self, j: u32, k: u32, l: Label) {
+        self.report.deliveries += 1;
+        if self.store(j, k, l) {
+            self.report.value_changes += 1;
+        }
+    }
+
+    /// Write `l` into local slot `(i, t)` and schedule its forward;
+    /// returns whether the value changed. A change is streamed as a
+    /// [`SlotDelta`], and parked if the vertex is over the cap.
+    fn store(&mut self, i: u32, t: u32, l: Label) -> bool {
+        let old = self.state.label(i, t);
+        let changed = old != l;
+        if changed {
+            let v = self.rows.global(i);
+            self.state.set_label(i, t, l);
+            self.slot_deltas.push(SlotDelta {
+                v,
+                slot: t,
+                old,
+                new: l,
+            });
+            if self.flush.dirty.insert(i) {
+                self.report.dirty_vertices += 1;
+            }
+            if let Some(d) = self.damper.as_deref_mut() {
+                if d.over_cap(self.rows.neighbors(i).len()) {
+                    d.park(v, t);
+                }
+            }
+        }
+        if self.flush.touched.insert((i, t)) {
+            self.report.eta += 1;
+        }
+        if self.flush.scheduled.insert((i, t)) {
+            self.flush.buckets[t as usize].push(i);
+        }
+        changed
+    }
+
+    fn send(&mut self, to: VertexId, from: VertexId, msg: ShardMsg) {
+        self.report.boundary_msgs += 1;
+        self.out.push(Envelope { to, from, msg });
     }
 }
 
@@ -534,14 +655,8 @@ mod tests {
     use rslpa_graph::{DynamicGraph, EditBatch};
 
     /// Run a batch through graph + state, returning the report.
-    fn step(
-        dg: &mut DynamicGraph,
-        state: &mut LabelState,
-        batch: EditBatch,
-        pruned: bool,
-    ) -> UpdateReport {
-        let applied = dg.apply(&batch).expect("valid batch");
-        apply_correction(state, dg.graph(), &applied, pruned)
+    fn step(dg: &mut DynamicGraph, state: &mut LabelState, batch: EditBatch) -> UpdateReport {
+        step_damped(dg, state, batch, None)
     }
 
     fn star_plus_ring() -> AdjacencyGraph {
@@ -567,12 +682,7 @@ mod tests {
             let g = star_plus_ring();
             let mut dg = DynamicGraph::new(g);
             let mut state = run_propagation(dg.graph(), 12, seed);
-            step(
-                &mut dg,
-                &mut state,
-                EditBatch::from_lists([], [(0, 3)]),
-                false,
-            );
+            step(&mut dg, &mut state, EditBatch::from_lists([], [(0, 3)]));
             check_consistency(&state, dg.graph()).unwrap();
         }
     }
@@ -583,42 +693,32 @@ mod tests {
             let g = star_plus_ring();
             let mut dg = DynamicGraph::new(g);
             let mut state = run_propagation(dg.graph(), 12, seed);
-            step(
-                &mut dg,
-                &mut state,
-                EditBatch::from_lists([(1, 3)], []),
-                false,
-            );
+            step(&mut dg, &mut state, EditBatch::from_lists([(1, 3)], []));
             check_consistency(&state, dg.graph()).unwrap();
         }
     }
 
     #[test]
     fn consistency_after_mixed_batches_both_modes() {
-        for pruned in [false, true] {
-            let g = star_plus_ring();
-            let mut dg = DynamicGraph::new(g);
-            let mut state = run_propagation(dg.graph(), 10, 7);
-            step(
-                &mut dg,
-                &mut state,
-                EditBatch::from_lists([(1, 3)], [(0, 2)]),
-                pruned,
-            );
-            step(
-                &mut dg,
-                &mut state,
-                EditBatch::from_lists([(2, 4)], [(1, 2), (3, 4)]),
-                pruned,
-            );
-            step(
-                &mut dg,
-                &mut state,
-                EditBatch::from_lists([(0, 2)], [(2, 4)]),
-                pruned,
-            );
-            check_consistency(&state, dg.graph()).unwrap();
-        }
+        let g = star_plus_ring();
+        let mut dg = DynamicGraph::new(g);
+        let mut state = run_propagation(dg.graph(), 10, 7);
+        step(
+            &mut dg,
+            &mut state,
+            EditBatch::from_lists([(1, 3)], [(0, 2)]),
+        );
+        step(
+            &mut dg,
+            &mut state,
+            EditBatch::from_lists([(2, 4)], [(1, 2), (3, 4)]),
+        );
+        step(
+            &mut dg,
+            &mut state,
+            EditBatch::from_lists([(0, 2)], [(2, 4)]),
+        );
+        check_consistency(&state, dg.graph()).unwrap();
     }
 
     /// Paper Fig. 4a: a pick through a *preserved* edge survives deletion
@@ -639,7 +739,6 @@ mod tests {
             &mut dg,
             &mut state,
             EditBatch::from_lists([], [(0, victim)]),
-            false,
         );
         assert_eq!(
             state.pick(0, slot),
@@ -658,12 +757,7 @@ mod tests {
         let slot = (1..=8u32)
             .find(|&t| state.pick(0, t).0 == 1)
             .expect("some pick from 1");
-        step(
-            &mut dg,
-            &mut state,
-            EditBatch::from_lists([], [(0, 1)]),
-            false,
-        );
+        step(&mut dg, &mut state, EditBatch::from_lists([], [(0, 1)]));
         let (new_src, _) = state.pick(0, slot);
         assert_ne!(new_src, 1, "deleted source must be replaced");
         assert!(dg.graph().neighbors(0).contains(&new_src));
@@ -682,12 +776,7 @@ mod tests {
             let mut dg = DynamicGraph::new(g);
             let mut state = run_propagation(dg.graph(), 1, seed as u64);
             let before = state.pick(0, 1);
-            step(
-                &mut dg,
-                &mut state,
-                EditBatch::from_lists([(0, 3)], []),
-                false,
-            );
+            step(&mut dg, &mut state, EditBatch::from_lists([(0, 3)], []));
             let after = state.pick(0, 1);
             if after == before {
                 kept += 1;
@@ -737,7 +826,7 @@ mod tests {
         // Delete edge (4,5) i.e. ids (3,4).
         let mut dg = DynamicGraph::new(g);
         let applied = dg.apply(&EditBatch::from_lists([], [(3, 4)])).unwrap();
-        let report = apply_correction(&mut state, dg.graph(), &applied, false);
+        let report = apply_correction(&mut state, dg.graph(), &applied, None, &mut Vec::new());
         check_consistency(&state, dg.graph()).unwrap();
         // Vertex 3's t=1 slot was repicked; the chain must have been
         // corrected all the way down (3 deliveries along the chain).
@@ -763,7 +852,7 @@ mod tests {
         let mut dg = DynamicGraph::new(g);
         let mut state = run_propagation(dg.graph(), 6, 1);
         let before: Vec<_> = (0..5).map(|v| state.label_sequence(v).to_vec()).collect();
-        let report = step(&mut dg, &mut state, EditBatch::new(), false);
+        let report = step(&mut dg, &mut state, EditBatch::new());
         assert_eq!(report, UpdateReport::default());
         let after: Vec<_> = (0..5).map(|v| state.label_sequence(v).to_vec()).collect();
         assert_eq!(before, after);
@@ -778,7 +867,6 @@ mod tests {
             &mut dg,
             &mut state,
             EditBatch::from_lists([], [(0, 1), (0, 2)]),
-            false,
         );
         assert!(state.label_sequence(0).iter().all(|&l| l == 0));
         check_consistency(&state, dg.graph()).unwrap();
@@ -792,45 +880,11 @@ mod tests {
         let mut dg = DynamicGraph::new(g);
         let mut state = run_propagation(dg.graph(), 6, 2);
         assert!(state.label_sequence(3).iter().all(|&l| l == 3));
-        step(
-            &mut dg,
-            &mut state,
-            EditBatch::from_lists([(3, 1)], []),
-            false,
-        );
+        step(&mut dg, &mut state, EditBatch::from_lists([(3, 1)], []));
         check_consistency(&state, dg.graph()).unwrap();
         // All picks of vertex 3 now come from its only neighbor 1.
         for t in 1..=6u32 {
             assert_eq!(state.pick(3, t).0, 1);
-        }
-    }
-
-    #[test]
-    fn pruned_mode_touches_no_more_than_faithful() {
-        for seed in 0..8u64 {
-            let make = || {
-                let g = star_plus_ring();
-                let dg = DynamicGraph::new(g);
-                let state = run_propagation(dg.graph(), 15, seed);
-                (dg, state)
-            };
-            let batch = EditBatch::from_lists([(1, 3)], [(0, 1)]);
-            let (mut dg_f, mut st_f) = make();
-            let rep_f = step(&mut dg_f, &mut st_f, batch.clone(), false);
-            let (mut dg_p, mut st_p) = make();
-            let rep_p = step(&mut dg_p, &mut st_p, batch, true);
-            assert!(
-                rep_p.deliveries <= rep_f.deliveries,
-                "{rep_p:?} vs {rep_f:?}"
-            );
-            assert_eq!(rep_p.repicks, rep_f.repicks, "phase A identical");
-            // Both end bit-identical: pruning only skips no-op deliveries.
-            for v in 0..5u32 {
-                assert_eq!(st_f.label_sequence(v), st_p.label_sequence(v));
-                for t in 1..=15u32 {
-                    assert_eq!(st_f.pick(v, t), st_p.pick(v, t));
-                }
-            }
         }
     }
 
@@ -848,8 +902,7 @@ mod tests {
                 .apply(&EditBatch::from_lists([(1, 3)], [(0, 1)]))
                 .unwrap();
             let mut deltas = Vec::new();
-            let report =
-                apply_correction_damped(&mut state, dg.graph(), &applied, false, None, &mut deltas);
+            let report = apply_correction(&mut state, dg.graph(), &applied, None, &mut deltas);
             let mut replayed = before.clone();
             for d in &deltas {
                 let slot = d.slot as usize;
@@ -892,7 +945,7 @@ mod tests {
         damper: Option<&mut CascadeDamper>,
     ) -> UpdateReport {
         let applied = dg.apply(&batch).expect("valid batch");
-        apply_correction_damped(state, dg.graph(), &applied, false, damper, &mut Vec::new())
+        apply_correction(state, dg.graph(), &applied, damper, &mut Vec::new())
     }
 
     #[test]
@@ -990,12 +1043,7 @@ mod tests {
         let g = star_plus_ring();
         let mut dg = DynamicGraph::new(g);
         let mut state = run_propagation(dg.graph(), 15, 4);
-        let report = step(
-            &mut dg,
-            &mut state,
-            EditBatch::from_lists([], [(0, 1)]),
-            false,
-        );
+        let report = step(&mut dg, &mut state, EditBatch::from_lists([], [(0, 1)]));
         assert!(report.eta <= report.repicks + report.deliveries);
         assert!(report.eta >= report.repicks);
         assert!(report.value_changes <= report.deliveries);

@@ -6,8 +6,7 @@
 //! to the new one. Subsequent supersteps (lines 13–24): sources serve
 //! fetches (registering the receiver), corrected labels travel as `Value`
 //! messages, and each applied `Value` forwards to the slot's recorded
-//! receivers — unconditionally in the paper's semantics, pruned at
-//! value-identical updates when `value_pruned` is set.
+//! receivers, changed or not, as in the paper.
 //!
 //! A `Value` carries its origin position and is applied only if the
 //! receiving slot still picks `(sender, origin_pos)` — the message-passing
@@ -15,9 +14,12 @@
 //! correction can race with a repick of the same slot).
 //!
 //! The decision sequence (epoch bumps, coins, draws) replicates
-//! [`crate::incremental::apply_correction`] exactly; the bit-equality of
-//! the two implementations is asserted by tests and is the backbone of the
-//! reproduction's correctness story.
+//! [`crate::incremental::apply_correction`] exactly. This program is
+//! written independently of that kernel, which the single writer and every
+//! mesh shard share, so the bit-equality of the two — asserted by the
+//! tests below — checks the kernel against something other than itself.
+//! It has no damping; the damped kernel is checked against its own
+//! undamped fixed point instead.
 
 use rslpa_distsim::{BspEngine, Ctx, Executor, RunStats, VertexProgram};
 use rslpa_graph::rng::{PickKey, Stream};
@@ -70,17 +72,12 @@ pub struct CorrState {
 pub struct CorrectionProgram<'a> {
     prev: &'a LabelState,
     applied: &'a AppliedBatch,
-    value_pruned: bool,
 }
 
 impl<'a> CorrectionProgram<'a> {
     /// New program over the previous state and an applied batch.
-    pub fn new(prev: &'a LabelState, applied: &'a AppliedBatch, value_pruned: bool) -> Self {
-        Self {
-            prev,
-            applied,
-            value_pruned,
-        }
+    pub fn new(prev: &'a LabelState, applied: &'a AppliedBatch) -> Self {
+        Self { prev, applied }
     }
 
     fn t_max(&self) -> u32 {
@@ -107,22 +104,19 @@ impl<'a> CorrectionProgram<'a> {
                     );
                     state.picks[ti] = (NO_SOURCE, 0);
                     let own = state.labels[0];
-                    let changed = state.labels[t as usize] != own;
                     state.labels[t as usize] = own;
                     // The reverted slot has no incoming Value to trigger
                     // forwarding (unlike repicks), so notify receivers now.
-                    if !self.value_pruned || changed {
-                        for r in &state.records {
-                            if r.slot == t {
-                                ctx.send(
-                                    r.receiver,
-                                    CorrMsg::Value {
-                                        t: r.k,
-                                        origin_pos: t,
-                                        label: own,
-                                    },
-                                );
-                            }
+                    for r in &state.records {
+                        if r.slot == t {
+                            ctx.send(
+                                r.receiver,
+                                CorrMsg::Value {
+                                    t: r.k,
+                                    origin_pos: t,
+                                    label: own,
+                                },
+                            );
                         }
                     }
                 }
@@ -186,11 +180,10 @@ impl VertexProgram for CorrectionProgram<'_> {
 
     fn init(&self, ctx: &mut Ctx<'_, CorrMsg>) -> CorrState {
         let v = ctx.vertex();
-        let t_max = self.t_max();
         let mut state = CorrState {
             labels: self.prev.label_sequence(v).to_vec(),
-            picks: (1..=t_max).map(|t| self.prev.pick(v, t)).collect(),
-            epochs: (1..=t_max).map(|t| self.prev.epoch(v, t)).collect(),
+            picks: self.prev.picks(v).collect(),
+            epochs: self.prev.epochs(v).to_vec(),
             records: self.prev.records(v).to_vec(),
         };
         if let Some(delta) = self.applied.deltas.get(&v) {
@@ -230,11 +223,8 @@ impl VertexProgram for CorrectionProgram<'_> {
                 if state.picks[ti] != (from, origin_pos) {
                     continue; // stale: the slot was repicked meanwhile
                 }
-                let changed = state.labels[t as usize] != label;
                 state.labels[t as usize] = label;
-                if !self.value_pruned || changed {
-                    changed_slots.push(t);
-                }
+                changed_slots.push(t);
             }
         }
         changed_slots.sort_unstable();
@@ -293,11 +283,10 @@ pub fn run_correction_bsp(
     prev: &LabelState,
     graph_after: &CsrGraph,
     applied: &AppliedBatch,
-    value_pruned: bool,
     partitioner: &dyn Partitioner,
     executor: Executor,
 ) -> (LabelState, RunStats) {
-    let program = CorrectionProgram::new(prev, applied, value_pruned);
+    let program = CorrectionProgram::new(prev, applied);
     let mut engine = BspEngine::new(graph_after, program, partitioner, executor);
     // Worst case: a correction travels one iteration per two supersteps.
     engine.run(2 * prev.iterations() + 4);
@@ -306,19 +295,14 @@ pub fn run_correction_bsp(
     let t_max = prev.iterations();
     let mut state = LabelState::new(n, t_max, prev.seed());
     for (v, cs) in engine.into_states().into_iter().enumerate() {
-        let v = v as VertexId;
-        for t in 1..=t_max as u32 {
-            state.set_label(v, t, cs.labels[t as usize]);
-            let (src, pos) = cs.picks[t as usize - 1];
-            state.set_pick(v, t, src, pos);
-            // Epoch continuity so later batches keep drawing fresh values.
-            while state.epoch(v, t) < cs.epochs[t as usize - 1] {
-                state.bump_epoch(v, t);
-            }
-        }
-        for r in cs.records {
-            state.add_record(v, r.slot, r.receiver, r.k);
-        }
+        // Epochs come along, so later batches keep drawing fresh values.
+        state.set_row(
+            v as VertexId,
+            &cs.labels,
+            cs.picks.iter().copied(),
+            &cs.epochs,
+            &cs.records,
+        );
     }
     (state, stats)
 }
@@ -346,7 +330,7 @@ mod tests {
         assert_eq!(a.total_records(), b.total_records());
     }
 
-    fn exercise(batch: EditBatch, seed: u64, pruned: bool) {
+    fn exercise(batch: EditBatch, seed: u64) {
         let g = AdjacencyGraph::from_edges(
             8,
             [
@@ -368,14 +352,13 @@ mod tests {
         let applied = dg.apply(&batch).unwrap();
         // Centralized repair.
         let mut central = state0.clone();
-        apply_correction(&mut central, dg.graph(), &applied, pruned);
+        apply_correction(&mut central, dg.graph(), &applied, None, &mut Vec::new());
         // Distributed repair.
         let csr = CsrGraph::from_adjacency(dg.graph());
         let (bsp, _) = run_correction_bsp(
             &state0,
             &csr,
             &applied,
-            pruned,
             &HashPartitioner::new(3),
             Executor::Sequential,
         );
@@ -386,14 +369,14 @@ mod tests {
     #[test]
     fn matches_centralized_on_deletion() {
         for seed in 0..6 {
-            exercise(EditBatch::from_lists([], [(0, 1)]), seed, false);
+            exercise(EditBatch::from_lists([], [(0, 1)]), seed);
         }
     }
 
     #[test]
     fn matches_centralized_on_insertion() {
         for seed in 0..6 {
-            exercise(EditBatch::from_lists([(1, 5)], []), seed, false);
+            exercise(EditBatch::from_lists([(1, 5)], []), seed);
         }
     }
 
@@ -403,15 +386,7 @@ mod tests {
             exercise(
                 EditBatch::from_lists([(1, 7), (3, 5)], [(0, 1), (5, 6)]),
                 seed,
-                false,
             );
-        }
-    }
-
-    #[test]
-    fn matches_centralized_pruned_mode() {
-        for seed in 0..6 {
-            exercise(EditBatch::from_lists([(1, 7)], [(2, 3)]), seed, true);
         }
     }
 
@@ -425,8 +400,8 @@ mod tests {
             .unwrap();
         let csr = CsrGraph::from_adjacency(dg.graph());
         let p = HashPartitioner::new(3);
-        let (a, _) = run_correction_bsp(&state0, &csr, &applied, false, &p, Executor::Sequential);
-        let (b, _) = run_correction_bsp(&state0, &csr, &applied, false, &p, Executor::Parallel);
+        let (a, _) = run_correction_bsp(&state0, &csr, &applied, &p, Executor::Sequential);
+        let (b, _) = run_correction_bsp(&state0, &csr, &applied, &p, Executor::Parallel);
         compare_states(&a, &b, 6, 8);
     }
 
@@ -446,7 +421,6 @@ mod tests {
             &state0,
             &csr,
             &applied,
-            false,
             &HashPartitioner::new(4),
             Executor::Sequential,
         );
@@ -473,14 +447,19 @@ mod tests {
         ] {
             let batch = EditBatch::from_lists(ins, del);
             let applied_c = dg_c.apply(&batch).unwrap();
-            apply_correction(&mut central, dg_c.graph(), &applied_c, false);
+            apply_correction(
+                &mut central,
+                dg_c.graph(),
+                &applied_c,
+                None,
+                &mut Vec::new(),
+            );
             let applied_b = dg_b.apply(&batch).unwrap();
             let csr = CsrGraph::from_adjacency(dg_b.graph());
             let (next, _) = run_correction_bsp(
                 &bsp_state,
                 &csr,
                 &applied_b,
-                false,
                 &HashPartitioner::new(2),
                 Executor::Sequential,
             );

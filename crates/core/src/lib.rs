@@ -16,8 +16,9 @@
 //!    vertices are classified per how their neighborhood changed
 //!    (Categories 1–3, Theorems 4–5), stale picks are re-drawn, and label
 //!    changes cascade through receiver records in iteration order.
-//!    [`incremental`] implements the centralized semantics,
-//!    [`incremental_bsp`] the paper's actual message-passing loop.
+//!    [`incremental`] holds the one repair kernel — the single writer and
+//!    every [`shard`] of the mesh run it — and [`incremental_bsp`] the
+//!    paper's message-passing loop as an independent vertex program.
 //! 4. **Post-processing** (§III-B): edge similarity `w_ij = P(l_i = l_j)`,
 //!    entropy-maximizing threshold `τ1` (Eq. 1), weak-attachment threshold
 //!    `τ2 = min_i max_j w_ij` (Eq. 2), communities as filtered connected
@@ -48,12 +49,12 @@ pub use barrier::{SenseBarrier, WaitReport};
 pub use config::{DampingConfig, RslpaConfig};
 pub use detector::{DetectionResult, RslpaDetector};
 pub use edge_counters::EdgeCounters;
-pub use incremental::{apply_correction, apply_correction_damped, CascadeDamper, UpdateReport};
+pub use incremental::{apply_correction, CascadeDamper, UpdateReport};
 pub use postprocess::{postprocess, result_from_weights, PostprocessResult};
 pub use propagation::run_propagation;
 pub use rows::{HistRow, HistRows};
 pub use shard::{
-    build_mesh, Envelope, MailboxPort, MeshExchangeReport, MeshPoisoner, ShardFlushReport,
-    ShardMsg, ShardRepairState, VertexRowData,
+    build_mesh, Envelope, MailboxPort, MeshExchangeReport, MeshPoisoner, ShardMsg,
+    ShardRepairState, VertexRowData,
 };
 pub use state::LabelState;

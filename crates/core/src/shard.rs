@@ -3,26 +3,28 @@
 //! the peer-to-peer mailbox mesh the shards exchange over.
 //!
 //! The serve subsystem partitions the vertex space with a
-//! [`Partitioner`]; each shard owns the
-//! adjacency rows, label sequences, pick provenance, and receiver records
-//! of *its* vertices. After an edit batch, every shard repairs its own
-//! affected vertices (Algorithm 2 Phase A) and drains the resulting
-//! cascade as far as it runs inside the shard. Corrections that cross a
-//! partition boundary become [`ShardMsg`]s addressed to the owner of the
-//! remote vertex. The serve subsystem delivers them over **the
-//! peer-to-peer mailbox mesh** ([`MailboxPort`]) in BSP supersteps: in
-//! round r every port writes its outbox into shared mailbox cells, one
-//! cell per (round parity, sender, receiver), and after the round's
-//! barrier each port reads its own column in sender order, so round r
-//! applies exactly the batches sent in round r (one hop per envelope).
-//! Rounds synchronize on a shared sense-reversing barrier
-//! ([`SenseBarrier`]) and terminate by a monotone sent-envelope counter:
-//! **one** barrier wait per round, with the last arriver (the leader)
-//! publishing the counter snapshot from inside the barrier's pre-release
-//! closure. Nobody can be sending while the leader reads (all ports have
-//! arrived), and nobody can read a stale snapshot (the release publishes
-//! it), so all ports agree — without any coordinator traffic or second
-//! barrier — on whether anything was sent and when to stop.
+//! [`Partitioner`]; each shard owns the adjacency rows, label sequences,
+//! pick provenance and receiver records of *its* vertices, in dense
+//! [`LabelState`] rows addressed by a local index. A shard repairs with the
+//! same Algorithm-2 kernel as the single writer
+//! ([`crate::incremental`]): Phase A over its affected vertices, then the
+//! ascending iteration-bucket sweep. Only a correction that crosses a
+//! partition boundary — a pick source or a receiver another shard owns —
+//! becomes a [`ShardMsg`] addressed to the owner of the remote vertex.
+//! The serve subsystem delivers them over **the peer-to-peer mailbox
+//! mesh** ([`MailboxPort`]) in BSP supersteps: in round r every port
+//! writes its outbox into shared mailbox cells, one cell per (round
+//! parity, sender, receiver), and after the round's barrier each port
+//! reads its own column in sender order, applies those envelopes, then
+//! sweeps — so round r applies exactly the batches sent in round r (one
+//! hop per envelope). Rounds synchronize on a shared sense-reversing
+//! barrier ([`SenseBarrier`]) and terminate by a monotone sent-envelope
+//! counter: **one** barrier wait per round, with the last arriver (the
+//! leader) publishing the counter snapshot from inside the barrier's
+//! pre-release closure. Nobody can be sending while the leader reads (all
+//! ports have arrived), and nobody can read a stale snapshot (the release
+//! publishes it), so all ports agree — without any coordinator traffic or
+//! second barrier — on whether anything was sent and when to stop.
 //!
 //! [`ShardRepairState::exchange`] also accepts an inbox directly, so the
 //! unit tests below can drive the shards round by round on one thread:
@@ -37,26 +39,25 @@
 //! deliveries are dropped. Because every pick is a pure function of
 //! `(seed, vertex, iteration, epoch)` and slot dependencies point strictly
 //! backwards in iteration time (`pos < t`), the repaired fixed point is
-//! unique — independent of shard count, message ordering, transport, and
-//! how eagerly a shard drains its local cascade. The tests below pin that
-//! claim against the centralized [`apply_correction`](crate::incremental)
-//! bit for bit, for both the sequential driver and the mesh. Superstep
-//! delivery makes the path there deterministic as well: the envelope,
-//! round, deferral and dirty-vertex counts of a flush are a function of
-//! the batch sequence alone, whatever the thread schedule.
+//! unique — independent of shard count, message ordering and transport.
+//! The tests below pin that claim against the single writer's
+//! [`apply_correction`](crate::incremental::apply_correction) bit for bit,
+//! for both the sequential driver and the mesh, and pin the work counts of
+//! a one-shard state (no envelope exists there) to the single writer's.
+//! Superstep delivery makes the path there deterministic as well: the
+//! envelope, round, deferral and dirty-vertex counts of a flush are a
+//! function of the batch sequence alone, whatever the thread schedule.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
 
-use rslpa_graph::{
-    AdjacencyGraph, FxHashMap, FxHashSet, Label, Partitioner, SlotDelta, VertexDelta, VertexId,
-};
+use rslpa_graph::{AdjacencyGraph, Label, Partitioner, SlotDelta, VertexDelta, VertexId};
 use rslpa_trace::{names, TraceWriter};
 
 use crate::barrier::SenseBarrier;
 use crate::config::DampingConfig;
-use crate::propagation::draw_pick;
+use crate::incremental::{CascadeDamper, Flush, Kernel, Locality, UpdateReport};
 use crate::state::{LabelState, Record, NO_SOURCE};
 
 /// A boundary-exchange message between shards (same protocol as the BSP
@@ -102,48 +103,9 @@ pub struct Envelope {
     pub msg: ShardMsg,
 }
 
-/// Work accounting for one shard over one flush (summable across shards
-/// and exchange rounds).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct ShardFlushReport {
-    /// Picks re-drawn in Phase A.
-    pub repicks: usize,
-    /// Category-3 keep/redraw coins flipped.
-    pub coins: usize,
-    /// `Value` messages applied (stale ones excluded).
-    pub deliveries: usize,
-    /// Applied deliveries that changed the stored label.
-    pub value_changes: usize,
-    /// Distinct label slots written this flush (the η analogue).
-    pub eta: usize,
-    /// Envelopes that crossed a shard boundary.
-    pub boundary_msgs: usize,
-    /// Distinct vertices whose stored labels changed this flush (the
-    /// dirty region; vertex ownership is disjoint so per-shard counts
-    /// sum exactly).
-    pub dirty_vertices: usize,
-    /// Re-sprays suppressed at over-cap vertices (damping only; always 0
-    /// without a [`DampingConfig`]).
-    pub damped_deferrals: usize,
-}
-
-impl ShardFlushReport {
-    /// Accumulate another report into this one.
-    pub fn absorb(&mut self, other: &ShardFlushReport) {
-        self.repicks += other.repicks;
-        self.coins += other.coins;
-        self.deliveries += other.deliveries;
-        self.value_changes += other.value_changes;
-        self.eta += other.eta;
-        self.boundary_msgs += other.boundary_msgs;
-        self.dirty_vertices += other.dirty_vertices;
-        self.damped_deferrals += other.damped_deferrals;
-    }
-}
-
-/// The full provenance rows of one vertex, held by its owner shard.
-/// Repartitioning moves them whole between shards; nothing else ever
-/// crosses outside the message protocol.
+/// The full provenance rows of one vertex: what repartitioning moves
+/// between shards. Nothing else ever crosses outside the message
+/// protocol.
 #[derive(Clone, Debug)]
 pub struct VertexRowData {
     /// `T + 1` labels (`labels[0]` is the immutable initial label).
@@ -156,10 +118,8 @@ pub struct VertexRowData {
     pub records: Vec<Record>,
     /// Sorted neighbor list (the shard-owned adjacency row).
     pub neighbors: Vec<VertexId>,
-    /// Damping: sorted slots whose receivers may be out of date —
-    /// changed while this vertex was muted, or picked by a listener the
-    /// muted fetch never answered — awaiting a budgeted unmute release
-    /// (empty without damping).
+    /// Damping: sorted slots whose receivers may be out of date, awaiting
+    /// a budgeted unmute release (empty without damping).
     pub pending: Vec<u32>,
 }
 
@@ -177,50 +137,58 @@ impl VertexRowData {
     }
 }
 
-/// Park slot `t` for an unmute release: its value changed while the
-/// vertex was muted, or a muted fetch left a listener holding its own
-/// stale value.
-fn pending_park(pending: &mut Vec<u32>, t: u32) {
-    if let Err(i) = pending.binary_search(&t) {
-        pending.insert(i, t);
-    }
+/// Marks a vertex id with no local row.
+const VACANT: u32 = u32::MAX;
+
+/// A shard's [`Locality`]: which local row holds which owned vertex, and
+/// the owned vertices' adjacency rows.
+struct ShardRows {
+    /// Vertex id per local row (`NO_SOURCE` for a vacated row).
+    ids: Vec<VertexId>,
+    /// Local row per vertex id (`VACANT` unless this shard holds it).
+    index: Vec<u32>,
+    /// Sorted neighbor list per local row.
+    adj: Vec<Vec<VertexId>>,
+    /// Rows vacated by migration, reused before the arrays grow.
+    free: Vec<u32>,
 }
 
-/// Forget a parked slot (its receivers are being brought up to date by a
-/// normal forward).
-fn pending_clear(pending: &mut Vec<u32>, t: u32) {
-    if let Ok(i) = pending.binary_search(&t) {
-        pending.remove(i);
+impl Locality for ShardRows {
+    #[inline]
+    fn local(&self, v: VertexId) -> Option<u32> {
+        self.index.get(v as usize).copied().filter(|&i| i != VACANT)
+    }
+
+    #[inline]
+    fn global(&self, i: u32) -> VertexId {
+        self.ids[i as usize]
+    }
+
+    #[inline]
+    fn neighbors(&self, i: u32) -> &[VertexId] {
+        &self.adj[i as usize]
     }
 }
 
 /// Repair state owned by one maintenance shard.
 pub struct ShardRepairState {
     shard: usize,
-    t_max: usize,
-    seed: u64,
-    value_pruned: bool,
+    partitioner: Arc<dyn Partitioner>,
+    /// Labels, picks, epochs and receiver records of the owned vertices,
+    /// one dense row each.
+    state: LabelState,
+    rows: ShardRows,
     /// Degree-capped cascade damping; `None` (default) forwards every
     /// correction immediately, like the paper's Algorithm 2.
-    damping: Option<DampingConfig>,
-    partitioner: Arc<dyn Partitioner>,
-    rows: FxHashMap<VertexId, VertexRowData>,
+    damper: Option<CascadeDamper>,
+    /// The running flush's working sets (its distinct-slot and
+    /// dirty-vertex counts span every exchange round).
+    flush: Flush,
     /// Label-slot value changes since the last
     /// [`take_slot_deltas`](Self::take_slot_deltas), in application order
     /// — the stream a central
     /// [`EdgeCounters`](crate::edge_counters::EdgeCounters) consumes.
     slot_deltas: Vec<SlotDelta>,
-    /// Slots written during the current flush (distinct-η accounting).
-    touched: FxHashSet<(VertexId, u32)>,
-    /// Vertices whose stored labels changed during the current flush
-    /// (distinct dirty-region accounting).
-    flush_dirty: FxHashSet<VertexId>,
-    /// Local delivery queue: envelopes addressed to this shard that have
-    /// not been applied yet.
-    local: Vec<Envelope>,
-    /// Owned vertices with a nonempty `pending` row (damping); an index
-    /// so release staging never scans the full row map.
-    pending_set: FxHashSet<VertexId>,
 }
 
 impl ShardRepairState {
@@ -231,52 +199,43 @@ impl ShardRepairState {
         shard: usize,
         partitioner: Arc<dyn Partitioner>,
     ) -> Self {
-        let t_max = state.iterations();
-        let mut rows = FxHashMap::default();
-        for v in 0..state.num_vertices() as VertexId {
-            if partitioner.assign(v) != shard {
-                continue;
-            }
-            rows.insert(
-                v,
-                VertexRowData {
-                    labels: state.label_sequence(v).to_vec(),
-                    picks: (1..=t_max as u32).map(|t| state.pick(v, t)).collect(),
-                    epochs: (1..=t_max as u32).map(|t| state.epoch(v, t)).collect(),
-                    records: state.records(v).to_vec(),
-                    neighbors: graph.neighbors(v).to_vec(),
-                    pending: Vec::new(),
-                },
+        let n = state.num_vertices();
+        let owned: Vec<VertexId> = (0..n as VertexId)
+            .filter(|&v| partitioner.assign(v) == shard)
+            .collect();
+        let mut local = LabelState::new(owned.len(), state.iterations(), state.seed());
+        let mut index = vec![VACANT; n];
+        for (i, &v) in owned.iter().enumerate() {
+            index[v as usize] = i as u32;
+            local.set_row(
+                i as VertexId,
+                state.label_sequence(v),
+                state.picks(v),
+                state.epochs(v),
+                state.records(v),
             );
         }
+        let adj = owned.iter().map(|&v| graph.neighbors(v).to_vec()).collect();
         Self {
             shard,
-            t_max,
-            seed: state.seed(),
-            // Paper-faithful unconditional forwarding by default;
-            // `set_value_pruned` selects the ablation semantics.
-            value_pruned: false,
-            damping: None,
             partitioner,
-            rows,
+            state: local,
+            rows: ShardRows {
+                ids: owned,
+                index,
+                adj,
+                free: Vec::new(),
+            },
+            damper: None,
+            flush: Flush::new(state.iterations()),
             slot_deltas: Vec::new(),
-            touched: FxHashSet::default(),
-            flush_dirty: FxHashSet::default(),
-            local: Vec::new(),
-            pending_set: FxHashSet::default(),
         }
-    }
-
-    /// Select the cascade semantics (paper-faithful unconditional
-    /// forwarding vs value-pruned ablation).
-    pub fn set_value_pruned(&mut self, pruned: bool) {
-        self.value_pruned = pruned;
     }
 
     /// Enable (or disable) degree-capped cascade damping. Must be set
     /// identically on every shard of an engine, before the first flush.
     pub fn set_damping(&mut self, damping: Option<DampingConfig>) {
-        self.damping = damping;
+        self.damper = damping.map(CascadeDamper::new);
     }
 
     /// Shard index.
@@ -296,111 +255,78 @@ impl ShardRepairState {
         self.partitioner.assign(v)
     }
 
-    /// Apply this shard's per-vertex deltas (Phase A of Algorithm 2), then
-    /// drain the local cascade; cross-shard envelopes are appended to
-    /// `out`. Starts a new flush (resets the distinct-slot and dirty-vertex
-    /// accounting), so every shard runs it once per flush, with an empty
-    /// slice if no delta is routed to it: that also runs its damping
-    /// releases, as the centralized engine does every flush.
+    /// Start a flush: bring this shard's adjacency rows to the post-batch
+    /// topology, then run the kernel's damping releases, Phase A and
+    /// sweep; envelopes for other shards are appended to `out`. Every
+    /// shard runs it once per flush, with an empty slice if no delta is
+    /// routed to it: that also runs its damping releases, as the single
+    /// writer does every flush.
     pub fn apply_deltas(
         &mut self,
         deltas: &[(VertexId, VertexDelta)],
         out: &mut Vec<Envelope>,
-    ) -> ShardFlushReport {
-        self.touched.clear();
-        self.flush_dirty.clear();
-        let mut report = ShardFlushReport::default();
-        let mut staged = Vec::new();
-        // Bring the adjacency rows to the post-batch topology first:
-        // every muting decision of this flush — the release gate below
-        // included — reads post-batch degrees, exactly like the
-        // centralized engine's `graph_after`.
+    ) -> UpdateReport {
+        let t_max = self.state.iterations();
+        let fresh: Vec<VertexId> = deltas
+            .iter()
+            .map(|&(v, _)| v)
+            .filter(|&v| self.rows.local(v).is_none())
+            .collect();
+        self.reserve(fresh.len());
+        for v in fresh {
+            self.install(v, VertexRowData::fresh(v, t_max));
+        }
+        // Every muting decision of this flush — the release gate included
+        // — reads post-batch degrees, like the single writer's
+        // `graph_after`.
         for (v, delta) in deltas {
             debug_assert!(self.owns(*v), "delta routed to the wrong shard");
-            self.apply_adjacency(*v, delta);
+            let i = self.rows.local(*v).expect("the row was installed above");
+            let row = &mut self.rows.adj[i as usize];
+            for gone in &delta.removed {
+                if let Ok(i) = row.binary_search(gone) {
+                    row.remove(i);
+                }
+            }
+            for new in &delta.added {
+                if let Err(i) = row.binary_search(new) {
+                    row.insert(i, *new);
+                }
+            }
         }
-        // Damping: release parked re-sprays next, against the
-        // pre-Phase-A labels and records (the centralized engine stages
-        // its releases at the same point).
-        self.stage_releases(&mut staged);
-        for (v, delta) in deltas {
-            self.phase_a(*v, delta, &mut staged, &mut report);
-        }
-        self.route(staged, out, &mut report);
-        self.drain_local(out, &mut report);
+        self.flush.reset();
+        let mut report = UpdateReport::default();
+        let mut kernel = self.kernel(&mut report, out);
+        kernel.phase_a(deltas.iter().map(|(v, delta)| (*v, delta)));
+        kernel.sweep();
         report
-    }
-
-    /// Damping release: for every owned vertex with parked slots whose
-    /// degree dropped back to the cap or under, in ascending (vertex,
-    /// slot) order, forward the current value of each parked slot to its
-    /// receivers under the per-hub `flush_budget` (always at least one
-    /// slot, so pending work cannot starve). Vertices still over the cap
-    /// stay parked untouched. The staged `Value`s carry the pick-origin
-    /// guard, so a receiver that re-picks away this very flush drops
-    /// them.
-    fn stage_releases(&mut self, staged: &mut Vec<Envelope>) {
-        let Some(cfg) = self.damping else { return };
-        if self.pending_set.is_empty() {
-            return;
-        }
-        let budget = cfg.flush_budget.max(1);
-        let mut vids: Vec<VertexId> = self.pending_set.iter().copied().collect();
-        vids.sort_unstable();
-        for v in vids {
-            let row = self
-                .rows
-                .get_mut(&v)
-                .expect("pending index points to a row");
-            if row.neighbors.len() > cfg.degree_cap {
-                continue; // still muted: receivers keep waiting
-            }
-            let slots = std::mem::take(&mut row.pending);
-            let mut kept: Vec<u32> = Vec::new();
-            let mut used = 0usize;
-            let mut released_any = false;
-            let mut stopped = false;
-            for t in slots {
-                if stopped {
-                    kept.push(t);
-                    continue;
-                }
-                let fanout = row.records.iter().filter(|r| r.slot == t).count();
-                if released_any && used + fanout > budget {
-                    stopped = true;
-                    kept.push(t);
-                    continue;
-                }
-                used += fanout;
-                released_any = true;
-                let current = row.labels[t as usize];
-                for r in row.records.iter().filter(|r| r.slot == t) {
-                    staged.push(Envelope {
-                        to: r.receiver,
-                        from: v,
-                        msg: ShardMsg::Value {
-                            t: r.k,
-                            origin_pos: t,
-                            label: current,
-                        },
-                    });
-                }
-            }
-            if kept.is_empty() {
-                self.pending_set.remove(&v);
-            }
-            row.pending = kept;
-        }
     }
 
     /// Deliver a round of inbound envelopes (all addressed to owned
-    /// vertices), drain the local cascade, and append outbound cross-shard
-    /// envelopes to `out`.
-    pub fn exchange(&mut self, inbox: Vec<Envelope>, out: &mut Vec<Envelope>) -> ShardFlushReport {
-        let mut report = ShardFlushReport::default();
-        self.local.extend(inbox);
-        self.drain_local(out, &mut report);
+    /// vertices), sweep the cascade they start, and append outbound
+    /// cross-shard envelopes to `out`.
+    pub fn exchange(&mut self, inbox: Vec<Envelope>, out: &mut Vec<Envelope>) -> UpdateReport {
+        let mut report = UpdateReport::default();
+        let mut kernel = self.kernel(&mut report, out);
+        kernel.receive(&inbox);
+        kernel.sweep();
         report
+    }
+
+    fn kernel<'k>(
+        &'k mut self,
+        report: &'k mut UpdateReport,
+        out: &'k mut Vec<Envelope>,
+    ) -> Kernel<'k, ShardRows> {
+        Kernel {
+            rows: &self.rows,
+            state: &mut self.state,
+            damper: self.damper.as_mut(),
+            flush: &mut self.flush,
+            report,
+            slot_deltas: &mut self.slot_deltas,
+            out,
+        }
     }
 
     /// Replace the ownership map (repartitioning). The caller is
@@ -412,8 +338,8 @@ impl ShardRepairState {
     }
 
     /// Remove and return the rows of `ids` (vertices this shard no longer
-    /// owns). Must only be called between flushes (no envelopes in
-    /// flight).
+    /// owns), parked damping slots included. Must only be called between
+    /// flushes (no envelopes in flight).
     pub fn extract_rows(&mut self, ids: &[VertexId]) -> Vec<(VertexId, VertexRowData)> {
         debug_assert!(
             self.slot_deltas.is_empty(),
@@ -421,26 +347,108 @@ impl ShardRepairState {
         );
         ids.iter()
             .map(|&v| {
-                let row = self.rows.remove(&v).expect("extracting a row we own");
-                self.pending_set.remove(&v);
+                let i = self.rows.local(v).expect("extracting a row we own");
+                let row = VertexRowData {
+                    labels: self.state.label_sequence(i).to_vec(),
+                    picks: self.state.picks(i).collect(),
+                    epochs: self.state.epochs(i).to_vec(),
+                    records: self.state.records(i).to_vec(),
+                    neighbors: std::mem::take(&mut self.rows.adj[i as usize]),
+                    pending: self.damper.as_mut().map_or_else(Vec::new, |d| d.take(v)),
+                };
+                self.state.clear_records(i);
+                self.rows.index[v as usize] = VACANT;
+                self.rows.ids[i as usize] = NO_SOURCE;
+                self.rows.free.push(i);
                 (v, row)
             })
             .collect()
     }
 
-    /// Install rows migrated from other shards.
+    /// Install rows migrated from other shards into the rows
+    /// [`extract_rows`](Self::extract_rows) vacated, then close the
+    /// vacated rows left over, so a shard that exports rows shrinks.
     pub fn adopt_rows(&mut self, rows: Vec<(VertexId, VertexRowData)>) {
         debug_assert!(
             self.slot_deltas.is_empty(),
             "slot deltas must be drained before rows migrate"
         );
+        self.reserve(rows.len());
         for (v, row) in rows {
             debug_assert!(self.owns(v), "adopting a row we do not own");
-            if !row.pending.is_empty() {
-                self.pending_set.insert(v);
+            self.install(v, row);
+        }
+        if !self.rows.free.is_empty() {
+            self.compact();
+        }
+    }
+
+    /// Move the last rows into the vacated ones, then truncate the arrays
+    /// and hand their spare capacity back to the allocator.
+    fn compact(&mut self) {
+        let mut holes = std::mem::take(&mut self.rows.free);
+        holes.sort_unstable();
+        let rows = &mut self.rows;
+        let mut len = rows.ids.len();
+        for hole in holes {
+            while len > 0 && rows.ids[len - 1] == NO_SOURCE {
+                len -= 1;
             }
-            let prev = self.rows.insert(v, row);
-            debug_assert!(prev.is_none(), "adopted row collides with a live one");
+            if hole as usize >= len {
+                break;
+            }
+            let last = len - 1;
+            let v = std::mem::replace(&mut rows.ids[last], NO_SOURCE);
+            self.state.move_row(last as u32, hole);
+            rows.adj.swap(hole as usize, last);
+            rows.ids[hole as usize] = v;
+            rows.index[v as usize] = hole;
+            len = last;
+        }
+        rows.ids.truncate(len);
+        rows.ids.shrink_to_fit();
+        rows.adj.truncate(len);
+        rows.adj.shrink_to_fit();
+        self.state.truncate(len);
+    }
+
+    /// Make room for `rows` more installs: vacated rows first, then exact
+    /// growth (no doubling slack).
+    fn reserve(&mut self, rows: usize) {
+        let more = rows.saturating_sub(self.rows.free.len());
+        self.state.reserve_rows(more);
+        self.rows.ids.reserve_exact(more);
+        self.rows.adj.reserve_exact(more);
+    }
+
+    /// Give `v` a local row holding `row`.
+    fn install(&mut self, v: VertexId, row: VertexRowData) {
+        debug_assert!(
+            self.rows.local(v).is_none(),
+            "installed row collides with a live one"
+        );
+        let i = self.rows.free.pop().unwrap_or_else(|| {
+            let i = self.rows.ids.len();
+            self.state.grow(i + 1);
+            self.rows.ids.push(NO_SOURCE);
+            self.rows.adj.push(Vec::new());
+            i as u32
+        });
+        if self.rows.index.len() <= v as usize {
+            self.rows.index.resize(v as usize + 1, VACANT);
+        }
+        self.rows.index[v as usize] = i;
+        self.rows.ids[i as usize] = v;
+        self.rows.adj[i as usize] = row.neighbors;
+        self.state.set_row(
+            i,
+            &row.labels,
+            row.picks.iter().copied(),
+            &row.epochs,
+            &row.records,
+        );
+        if let Some(d) = self.damper.as_mut() {
+            d.restore(v, row.pending);
         }
     }
 
@@ -460,360 +468,18 @@ impl ShardRepairState {
     /// Copy this shard's rows back into a global [`LabelState`] (test and
     /// inspection support; `state` must be sized to cover the owned ids).
     pub fn export_into(&self, state: &mut LabelState) {
-        let mut owned: Vec<&VertexId> = self.rows.keys().collect();
-        owned.sort_unstable();
-        for &v in owned {
-            let row = &self.rows[&v];
-            for t in 1..=self.t_max as u32 {
-                state.set_label(v, t, row.labels[t as usize]);
-                let (src, pos) = row.picks[t as usize - 1];
-                state.set_pick(v, t, src, pos);
-                while state.epoch(v, t) < row.epochs[t as usize - 1] {
-                    state.bump_epoch(v, t);
-                }
-            }
-            for r in &row.records {
-                state.add_record(v, r.slot, r.receiver, r.k);
+        for (v, &i) in self.rows.index.iter().enumerate() {
+            if i != VACANT {
+                state.set_row(
+                    v as VertexId,
+                    self.state.label_sequence(i),
+                    self.state.picks(i),
+                    self.state.epochs(i),
+                    self.state.records(i),
+                );
             }
         }
     }
-
-    /// Fold one vertex's edge delta into its adjacency row (creating the
-    /// row for a fresh vertex). Runs for the whole shard before release
-    /// staging and Phase A, so both see post-batch degrees.
-    fn apply_adjacency(&mut self, v: VertexId, delta: &VertexDelta) {
-        let t_max = self.t_max;
-        let row = self
-            .rows
-            .entry(v)
-            .or_insert_with(|| VertexRowData::fresh(v, t_max));
-        for &gone in &delta.removed {
-            if let Ok(i) = row.neighbors.binary_search(&gone) {
-                row.neighbors.remove(i);
-            }
-        }
-        for &new in &delta.added {
-            if let Err(i) = row.neighbors.binary_search(&new) {
-                row.neighbors.insert(i, new);
-            }
-        }
-    }
-
-    /// Phase A for one owned vertex: re-examine every pick slot against
-    /// the (already updated) adjacency row, stage protocol messages.
-    fn phase_a(
-        &mut self,
-        v: VertexId,
-        delta: &VertexDelta,
-        staged: &mut Vec<Envelope>,
-        report: &mut ShardFlushReport,
-    ) {
-        let t_max = self.t_max as u32;
-        let seed = self.seed;
-        let value_pruned = self.value_pruned;
-        let row = self
-            .rows
-            .get_mut(&v)
-            .expect("apply_adjacency materialized the row");
-        for t in 1..=t_max {
-            let ti = t as usize - 1;
-            let (old_src, old_pos) = row.picks[ti];
-            if row.neighbors.is_empty() {
-                if old_src != NO_SOURCE {
-                    staged.push(Envelope {
-                        to: old_src,
-                        from: v,
-                        msg: ShardMsg::Unrecord {
-                            slot: old_pos,
-                            k: t,
-                        },
-                    });
-                    row.picks[ti] = (NO_SOURCE, 0);
-                    let own = row.labels[0];
-                    let old = row.labels[t as usize];
-                    let changed = old != own;
-                    row.labels[t as usize] = own;
-                    report.repicks += 1;
-                    if self.touched.insert((v, t)) {
-                        report.eta += 1;
-                    }
-                    if changed {
-                        if self.flush_dirty.insert(v) {
-                            report.dirty_vertices += 1;
-                        }
-                        self.slot_deltas.push(SlotDelta {
-                            v,
-                            slot: t,
-                            old,
-                            new: own,
-                        });
-                    }
-                    // A reverted slot gets no incoming Value to trigger
-                    // forwarding, so notify its receivers directly. (A
-                    // reverted vertex has degree 0 — always under any
-                    // damping cap — but a former hub may still carry a
-                    // parked entry; this forward supersedes it.)
-                    if !value_pruned || changed {
-                        pending_clear(&mut row.pending, t);
-                        if row.pending.is_empty() {
-                            self.pending_set.remove(&v);
-                        }
-                        for r in &row.records {
-                            if r.slot == t {
-                                staged.push(Envelope {
-                                    to: r.receiver,
-                                    from: v,
-                                    msg: ShardMsg::Value {
-                                        t: r.k,
-                                        origin_pos: t,
-                                        label: own,
-                                    },
-                                });
-                            }
-                        }
-                    }
-                }
-                continue;
-            }
-            let needs_full_repick =
-                old_src == NO_SOURCE || delta.removed.binary_search(&old_src).is_ok();
-            if needs_full_repick {
-                row.epochs[ti] += 1;
-                let (src, pos) = draw_pick(seed, v, t, row.epochs[ti], &row.neighbors);
-                stage_repick(v, t, old_src, old_pos, src, pos, row, staged, report);
-                continue;
-            }
-            if delta.added.is_empty() {
-                continue; // Category 2, source survived (Theorem 4).
-            }
-            // Category 3, surviving pick: keep with probability n_u / deg.
-            let deg = row.neighbors.len();
-            let na = delta.added.len();
-            row.epochs[ti] += 1;
-            let key = rslpa_graph::rng::PickKey {
-                seed,
-                vertex: v,
-                iteration: t,
-                epoch: row.epochs[ti],
-            };
-            report.coins += 1;
-            if key.unit_f64(rslpa_graph::rng::Stream::Cat3Coin) < na as f64 / deg as f64 {
-                // Redraw from the new neighbors only (Theorem 5).
-                row.epochs[ti] += 1;
-                let (src, pos) = draw_pick(seed, v, t, row.epochs[ti], &delta.added);
-                stage_repick(v, t, old_src, old_pos, src, pos, row, staged, report);
-            }
-        }
-    }
-
-    /// Apply every locally-deliverable envelope, batch-by-destination with
-    /// the BSP step ordering, until only cross-shard envelopes remain.
-    fn drain_local(&mut self, out: &mut Vec<Envelope>, report: &mut ShardFlushReport) {
-        while !self.local.is_empty() {
-            let pending = std::mem::take(&mut self.local);
-            // Group by destination, preserving arrival order per vertex.
-            let mut by_dest: FxHashMap<VertexId, Vec<Envelope>> = FxHashMap::default();
-            for env in pending {
-                by_dest.entry(env.to).or_default().push(env);
-            }
-            let mut dests: Vec<VertexId> = by_dest.keys().copied().collect();
-            dests.sort_unstable();
-            let mut staged = Vec::new();
-            for v in dests {
-                self.step_vertex(v, &by_dest[&v], &mut staged, report);
-            }
-            self.route(staged, out, report);
-        }
-    }
-
-    /// One vertex's superstep: unrecords, values (coalesced), fetches,
-    /// then forwards — the exact ordering of the BSP correction program.
-    fn step_vertex(
-        &mut self,
-        v: VertexId,
-        inbox: &[Envelope],
-        staged: &mut Vec<Envelope>,
-        report: &mut ShardFlushReport,
-    ) {
-        let damping = self.damping;
-        let row = self.rows.get_mut(&v).expect("message to unknown vertex");
-        // 1. Unrecords: detach receivers that repicked away.
-        for env in inbox {
-            if let ShardMsg::Unrecord { slot, k } = env.msg {
-                let i = row
-                    .records
-                    .iter()
-                    .position(|r| r.slot == slot && r.receiver == env.from && r.k == k)
-                    .expect("unrecord must reference a live record");
-                row.records.swap_remove(i);
-            }
-        }
-        // 2. Values, staleness-guarded; collect slots whose forward is due.
-        let mut changed_slots: Vec<u32> = Vec::new();
-        for env in inbox {
-            if let ShardMsg::Value {
-                t,
-                origin_pos,
-                label,
-            } = env.msg
-            {
-                let ti = t as usize - 1;
-                if row.picks[ti] != (env.from, origin_pos) {
-                    continue; // stale: the slot was repicked meanwhile
-                }
-                report.deliveries += 1;
-                let old = row.labels[t as usize];
-                let changed = old != label;
-                row.labels[t as usize] = label;
-                if self.touched.insert((v, t)) {
-                    report.eta += 1;
-                }
-                if changed {
-                    report.value_changes += 1;
-                    if self.flush_dirty.insert(v) {
-                        report.dirty_vertices += 1;
-                    }
-                    self.slot_deltas.push(SlotDelta {
-                        v,
-                        slot: t,
-                        old,
-                        new: label,
-                    });
-                    // Damping: a muted vertex parks the changed slot —
-                    // its receivers catch up at the unmute release.
-                    if let Some(cfg) = damping {
-                        if row.neighbors.len() > cfg.degree_cap {
-                            pending_park(&mut row.pending, t);
-                            self.pending_set.insert(v);
-                        }
-                    }
-                }
-                if !self.value_pruned || changed {
-                    changed_slots.push(t);
-                }
-            }
-        }
-        changed_slots.sort_unstable();
-        changed_slots.dedup();
-        // 3. Serve fetches with post-update labels; snapshot the record
-        //    count first so step 4 does not double-deliver to them.
-        //    A muted owner (over the degree cap) registers the record but
-        //    suppresses the reply: the requester keeps its own previous
-        //    value by silence, and the parked slot re-delivers at the
-        //    unmute release. (The centralized engine's muted re-pick read
-        //    is the same move.)
-        let muted_owner = damping.is_some_and(|cfg| row.neighbors.len() > cfg.degree_cap);
-        let pre_fetch_records = row.records.len();
-        for env in inbox {
-            if let ShardMsg::Fetch { pos, k } = env.msg {
-                row.records.push(Record {
-                    slot: pos,
-                    receiver: env.from,
-                    k,
-                });
-                if muted_owner {
-                    pending_park(&mut row.pending, pos);
-                    self.pending_set.insert(v);
-                    report.damped_deferrals += 1;
-                    continue;
-                }
-                staged.push(Envelope {
-                    to: env.from,
-                    from: v,
-                    msg: ShardMsg::Value {
-                        t: k,
-                        origin_pos: pos,
-                        label: row.labels[pos as usize],
-                    },
-                });
-            }
-        }
-        // 4. Forward corrections to previously-registered receivers — or,
-        //    at an over-cap vertex under damping, defer the whole
-        //    re-spray (changes were parked at their change sites).
-        if let Some(cfg) = damping {
-            if row.neighbors.len() > cfg.degree_cap {
-                report.damped_deferrals += changed_slots.len();
-                return;
-            }
-        }
-        for &t in &changed_slots {
-            if damping.is_some() {
-                // Under the cap (again): this forward updates every
-                // receiver, superseding any parked entry.
-                pending_clear(&mut row.pending, t);
-                if row.pending.is_empty() {
-                    self.pending_set.remove(&v);
-                }
-            }
-            let label = row.labels[t as usize];
-            for i in 0..pre_fetch_records {
-                let r = row.records[i];
-                if r.slot == t {
-                    staged.push(Envelope {
-                        to: r.receiver,
-                        from: v,
-                        msg: ShardMsg::Value {
-                            t: r.k,
-                            origin_pos: t,
-                            label,
-                        },
-                    });
-                }
-            }
-        }
-    }
-
-    /// Split staged envelopes into the local queue and the cross-shard
-    /// outbox.
-    fn route(
-        &mut self,
-        staged: Vec<Envelope>,
-        out: &mut Vec<Envelope>,
-        report: &mut ShardFlushReport,
-    ) {
-        for env in staged {
-            if self.owns(env.to) {
-                self.local.push(env);
-            } else {
-                report.boundary_msgs += 1;
-                out.push(env);
-            }
-        }
-    }
-}
-
-/// Stage the bookkeeping of a re-drawn pick: unrecord the old source,
-/// register with (and fetch from) the new one.
-#[allow(clippy::too_many_arguments)]
-fn stage_repick(
-    v: VertexId,
-    t: u32,
-    old_src: VertexId,
-    old_pos: u32,
-    src: VertexId,
-    pos: u32,
-    row: &mut VertexRowData,
-    staged: &mut Vec<Envelope>,
-    report: &mut ShardFlushReport,
-) {
-    if old_src != NO_SOURCE {
-        staged.push(Envelope {
-            to: old_src,
-            from: v,
-            msg: ShardMsg::Unrecord {
-                slot: old_pos,
-                k: t,
-            },
-        });
-    }
-    row.picks[t as usize - 1] = (src, pos);
-    staged.push(Envelope {
-        to: src,
-        from: v,
-        msg: ShardMsg::Fetch { pos, k: t },
-    });
-    report.repicks += 1;
 }
 
 /// Shared state of a peer-to-peer mailbox mesh: the round barrier, a
@@ -987,7 +653,7 @@ impl MailboxPort {
         &mut self,
         state: &mut ShardRepairState,
         first_out: Vec<Envelope>,
-        report: &mut ShardFlushReport,
+        report: &mut UpdateReport,
     ) -> MeshExchangeReport {
         let mut mesh = MeshExchangeReport::default();
         let mut staged = first_out;
@@ -1098,6 +764,7 @@ mod tests {
     use crate::incremental::apply_correction;
     use crate::propagation::run_propagation;
     use crate::verify::check_consistency;
+    use rslpa_graph::compact_slot_deltas;
     use rslpa_graph::{DynamicGraph, EditBatch, HashPartitioner};
 
     /// Drive a set of shards over one applied batch until quiescence,
@@ -1108,7 +775,7 @@ mod tests {
         shards: &mut [ShardRepairState],
         partitioner: &dyn Partitioner,
         applied: &rslpa_graph::AppliedBatch,
-    ) -> ShardFlushReport {
+    ) -> UpdateReport {
         run_shards_streaming(shards, partitioner, applied).0
     }
 
@@ -1116,9 +783,9 @@ mod tests {
         shards: &mut [ShardRepairState],
         partitioner: &dyn Partitioner,
         applied: &rslpa_graph::AppliedBatch,
-    ) -> (ShardFlushReport, Vec<SlotDelta>) {
+    ) -> (UpdateReport, Vec<SlotDelta>) {
         let per_shard = rslpa_graph::sharding::split_deltas(applied, partitioner);
-        let mut total = ShardFlushReport::default();
+        let mut total = UpdateReport::default();
         let mut outbox = Vec::new();
         for (shard, deltas) in shards.iter_mut().zip(&per_shard) {
             total.absorb(&shard.apply_deltas(deltas, &mut outbox));
@@ -1186,24 +853,37 @@ mod tests {
         )
     }
 
-    fn exercise(batch: EditBatch, seed: u64, parts: usize, pruned: bool) {
+    /// The single writer's undamped repair of one batch.
+    fn central_repair(
+        state: &mut LabelState,
+        graph: &AdjacencyGraph,
+        applied: &rslpa_graph::AppliedBatch,
+    ) -> Vec<SlotDelta> {
+        let mut deltas = Vec::new();
+        apply_correction(state, graph, applied, None, &mut deltas);
+        deltas
+    }
+
+    /// A slot-change stream's net movement, in a canonical order.
+    fn net(deltas: &[SlotDelta]) -> Vec<SlotDelta> {
+        let mut net = compact_slot_deltas(deltas);
+        net.sort_unstable_by_key(|d| (d.v, d.slot));
+        net
+    }
+
+    fn exercise(batch: EditBatch, seed: u64, parts: usize) {
         let t_max = 10usize;
         let mut dg = DynamicGraph::new(cube_graph());
         let state0 = run_propagation(dg.graph(), t_max, seed);
         let applied = dg.apply(&batch).unwrap();
 
         let mut central = state0.clone();
-        apply_correction(&mut central, dg.graph(), &applied, pruned);
+        central_repair(&mut central, dg.graph(), &applied);
 
         let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
         let pre_batch = cube_graph(); // pre-batch adjacency
         let mut shards: Vec<ShardRepairState> = (0..parts)
-            .map(|s| {
-                let mut shard =
-                    ShardRepairState::from_state(&state0, &pre_batch, s, Arc::clone(&partitioner));
-                shard.set_value_pruned(pruned);
-                shard
-            })
+            .map(|s| ShardRepairState::from_state(&state0, &pre_batch, s, Arc::clone(&partitioner)))
             .collect();
         run_shards(&mut shards, partitioner.as_ref(), &applied);
         let sharded = assemble(&shards, 8, t_max, seed);
@@ -1215,7 +895,7 @@ mod tests {
     fn matches_centralized_on_deletion() {
         for seed in 0..5 {
             for parts in [1, 2, 4] {
-                exercise(EditBatch::from_lists([], [(0, 1)]), seed, parts, false);
+                exercise(EditBatch::from_lists([], [(0, 1)]), seed, parts);
             }
         }
     }
@@ -1224,7 +904,7 @@ mod tests {
     fn matches_centralized_on_insertion() {
         for seed in 0..5 {
             for parts in [1, 2, 4] {
-                exercise(EditBatch::from_lists([(1, 5)], []), seed, parts, false);
+                exercise(EditBatch::from_lists([(1, 5)], []), seed, parts);
             }
         }
     }
@@ -1237,16 +917,8 @@ mod tests {
                     EditBatch::from_lists([(1, 7), (3, 5)], [(0, 1), (5, 6)]),
                     seed,
                     parts,
-                    false,
                 );
             }
-        }
-    }
-
-    #[test]
-    fn matches_centralized_pruned_mode() {
-        for seed in 0..5 {
-            exercise(EditBatch::from_lists([(1, 7)], [(2, 3)]), seed, 3, true);
         }
     }
 
@@ -1277,7 +949,7 @@ mod tests {
                 .collect();
             for batch in &batches {
                 let applied = dg_c.apply(batch).unwrap();
-                apply_correction(&mut central, dg_c.graph(), &applied, false);
+                central_repair(&mut central, dg_c.graph(), &applied);
                 run_shards(&mut shards, partitioner.as_ref(), &applied);
                 let sharded = assemble(&shards, 8, t_max, seed);
                 compare_states(&central, &sharded, 8, t_max as u32);
@@ -1302,7 +974,7 @@ mod tests {
 
         let batch1 = EditBatch::from_lists([(0, 2)], [(6, 7)]);
         let applied = dg_c.apply(&batch1).unwrap();
-        apply_correction(&mut central, dg_c.graph(), &applied, false);
+        central_repair(&mut central, dg_c.graph(), &applied);
         run_shards(&mut shards, p_old.as_ref(), &applied);
 
         // Migrate to a different ownership map, the way the coordinator
@@ -1324,7 +996,7 @@ mod tests {
 
         let batch2 = EditBatch::from_lists([(1, 6), (5, 7)], [(0, 2)]);
         let applied = dg_c.apply(&batch2).unwrap();
-        apply_correction(&mut central, dg_c.graph(), &applied, false);
+        central_repair(&mut central, dg_c.graph(), &applied);
         run_shards(&mut shards, p_new.as_ref(), &applied);
         let sharded = assemble(&shards, 8, t_max, seed);
         compare_states(&central, &sharded, 8, t_max as u32);
@@ -1350,7 +1022,7 @@ mod tests {
         let applied = dg
             .apply(&EditBatch::from_lists([(8, 0), (8, 5)], []))
             .unwrap();
-        apply_correction(&mut central, dg.graph(), &applied, false);
+        central_repair(&mut central, dg.graph(), &applied);
         run_shards(&mut shards, partitioner.as_ref(), &applied);
         let sharded = assemble(&shards, 9, t_max, seed);
         compare_states(&central, &sharded, 9, t_max as u32);
@@ -1361,7 +1033,6 @@ mod tests {
         // The coordinator feeds shard-emitted deltas to a central counter
         // store; their compacted net effect must equal the centralized
         // engine's, whatever the shard count or message interleaving.
-        use rslpa_graph::compact_slot_deltas;
         for seed in 0..4u64 {
             for parts in [1usize, 2, 4] {
                 let t_max = 10usize;
@@ -1372,15 +1043,7 @@ mod tests {
                     .unwrap();
 
                 let mut central = state0.clone();
-                let mut central_deltas = Vec::new();
-                crate::incremental::apply_correction_damped(
-                    &mut central,
-                    dg.graph(),
-                    &applied,
-                    false,
-                    None,
-                    &mut central_deltas,
-                );
+                let central_deltas = central_repair(&mut central, dg.graph(), &applied);
 
                 let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
                 let pre_batch = cube_graph();
@@ -1397,14 +1060,9 @@ mod tests {
                 let (_, sharded_deltas) =
                     run_shards_streaming(&mut shards, partitioner.as_ref(), &applied);
 
-                let norm = |deltas: &[SlotDelta]| {
-                    let mut net = compact_slot_deltas(deltas);
-                    net.sort_unstable_by_key(|d| (d.v, d.slot));
-                    net
-                };
                 assert_eq!(
-                    norm(&central_deltas),
-                    norm(&sharded_deltas),
+                    net(&central_deltas),
+                    net(&sharded_deltas),
                     "net slot movement diverged at {parts} shards (seed {seed})"
                 );
             }
@@ -1417,10 +1075,10 @@ mod tests {
         shards: Vec<ShardRepairState>,
         applied: &rslpa_graph::AppliedBatch,
         partitioner: &dyn Partitioner,
-    ) -> (Vec<ShardRepairState>, ShardFlushReport, Vec<SlotDelta>) {
+    ) -> (Vec<ShardRepairState>, UpdateReport, Vec<SlotDelta>) {
         let per_shard = rslpa_graph::sharding::split_deltas(applied, partitioner);
         let ports = build_mesh(shards.len());
-        let mut joined: Vec<(usize, ShardRepairState, ShardFlushReport, Vec<SlotDelta>)> =
+        let mut joined: Vec<(usize, ShardRepairState, UpdateReport, Vec<SlotDelta>)> =
             std::thread::scope(|s| {
                 let handles: Vec<_> = shards
                     .into_iter()
@@ -1442,7 +1100,7 @@ mod tests {
                     .collect()
             });
         joined.sort_unstable_by_key(|(idx, ..)| *idx);
-        let mut total = ShardFlushReport::default();
+        let mut total = UpdateReport::default();
         let mut all_deltas = Vec::new();
         let shards = joined
             .into_iter()
@@ -1466,7 +1124,7 @@ mod tests {
                 let applied = dg.apply(&batch).unwrap();
 
                 let mut central = state0.clone();
-                apply_correction(&mut central, dg.graph(), &applied, false);
+                central_repair(&mut central, dg.graph(), &applied);
 
                 let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
                 let pre_batch = cube_graph();
@@ -1514,7 +1172,7 @@ mod tests {
         let mut ports = build_mesh(parts);
         for batch in &batches {
             let applied = dg.apply(batch).unwrap();
-            apply_correction(&mut central, dg.graph(), &applied, false);
+            central_repair(&mut central, dg.graph(), &applied);
             let per_shard = rslpa_graph::sharding::split_deltas(&applied, partitioner.as_ref());
             std::thread::scope(|s| {
                 for ((shard, port), deltas) in
@@ -1557,11 +1215,10 @@ mod tests {
             .iter()
             .map(|batch| {
                 let applied = dg.apply(batch).unwrap();
-                crate::incremental::apply_correction_damped(
+                apply_correction(
                     &mut state,
                     dg.graph(),
                     &applied,
-                    false,
                     Some(&mut damper),
                     &mut Vec::new(),
                 );
@@ -1765,57 +1422,10 @@ mod tests {
         // release windows. (Regression: full-scale skew_burst first
         // diverged at the window where a burst vertex dropped back
         // under the cap.)
-        let cfg = DampingConfig {
-            degree_cap: 4,
-            flush_budget: 2,
-        };
         let t_max = 8usize;
         for seed in 0..6u64 {
-            // Script the windows against a shadow graph.
-            let mut rng_state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
-            let mut rng = move || {
-                rng_state ^= rng_state << 13;
-                rng_state ^= rng_state >> 7;
-                rng_state ^= rng_state << 17;
-                rng_state
-            };
-            let mut shadow = DynamicGraph::new(hub_graph());
-            let mut batches = Vec::new();
-            for w in 0..12usize {
-                let mut ins: Vec<(VertexId, VertexId)> = Vec::new();
-                let mut del: Vec<(VertexId, VertexId)> = Vec::new();
-                let g = shadow.graph();
-                if w % 4 < 2 {
-                    // Burst: wire the hub to every current non-neighbor.
-                    for u in 1..11u32 {
-                        if g.neighbors(0).binary_search(&u).is_err() {
-                            ins.push((0, u));
-                        }
-                    }
-                } else {
-                    // Calm: unwire every other hub edge.
-                    for (i, &u) in g.neighbors(0).iter().enumerate() {
-                        if i % 2 == w % 2 {
-                            del.push((0, u));
-                        }
-                    }
-                }
-                // Peripheral churn: toggle one random non-hub pair.
-                let a = 1 + (rng() % 10) as u32;
-                let b = 1 + (rng() % 10) as u32;
-                if a != b {
-                    let (a, b) = (a.min(b), a.max(b));
-                    if g.neighbors(a).binary_search(&b).is_ok() {
-                        del.push((a, b));
-                    } else {
-                        ins.push((a, b));
-                    }
-                }
-                let batch = EditBatch::from_lists(ins, del);
-                shadow.apply(&batch).unwrap();
-                batches.push(batch);
-            }
-            let (reference, _) = central_damped_script(&batches, seed, t_max, cfg);
+            let batches = cap_crossing_script(seed);
+            let (reference, _) = central_damped_script(&batches, seed, t_max, CAP_CROSSING);
             for parts in [2usize, 3, 4] {
                 let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(parts));
                 let state0 = run_propagation(&hub_graph(), t_max, seed);
@@ -1827,7 +1437,7 @@ mod tests {
                             s,
                             Arc::clone(&partitioner),
                         );
-                        sh.set_damping(Some(cfg));
+                        sh.set_damping(Some(CAP_CROSSING));
                         sh
                     })
                     .collect();
@@ -1837,6 +1447,117 @@ mod tests {
                     run_shards(&mut shards, partitioner.as_ref(), &applied);
                     let sharded = assemble(&shards, 11, t_max, seed);
                     compare_states(&reference[i], &sharded, 11, t_max as u32);
+                }
+            }
+        }
+    }
+
+    /// The damping of [`cap_crossing_script`]: cap 4, budget 2.
+    const CAP_CROSSING: DampingConfig = DampingConfig {
+        degree_cap: 4,
+        flush_budget: 2,
+    };
+
+    /// Twelve windows that drive the hub of [`hub_graph`] over and back
+    /// under the cap (burst / calm cycles), each with one random
+    /// peripheral toggle.
+    fn cap_crossing_script(seed: u64) -> Vec<EditBatch> {
+        let mut rng_state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut rng = move || {
+            rng_state ^= rng_state << 13;
+            rng_state ^= rng_state >> 7;
+            rng_state ^= rng_state << 17;
+            rng_state
+        };
+        // Script the windows against a shadow graph.
+        let mut shadow = DynamicGraph::new(hub_graph());
+        let mut batches = Vec::new();
+        for w in 0..12usize {
+            let mut ins: Vec<(VertexId, VertexId)> = Vec::new();
+            let mut del: Vec<(VertexId, VertexId)> = Vec::new();
+            let g = shadow.graph();
+            if w % 4 < 2 {
+                // Burst: wire the hub to every current non-neighbor.
+                for u in 1..11u32 {
+                    if g.neighbors(0).binary_search(&u).is_err() {
+                        ins.push((0, u));
+                    }
+                }
+            } else {
+                // Calm: unwire every other hub edge.
+                for (i, &u) in g.neighbors(0).iter().enumerate() {
+                    if i % 2 == w % 2 {
+                        del.push((0, u));
+                    }
+                }
+            }
+            // Peripheral churn: toggle one random non-hub pair.
+            let a = 1 + (rng() % 10) as u32;
+            let b = 1 + (rng() % 10) as u32;
+            if a != b {
+                let (a, b) = (a.min(b), a.max(b));
+                if g.neighbors(a).binary_search(&b).is_ok() {
+                    del.push((a, b));
+                } else {
+                    ins.push((a, b));
+                }
+            }
+            let batch = EditBatch::from_lists(ins, del);
+            shadow.apply(&batch).unwrap();
+            batches.push(batch);
+        }
+        batches
+    }
+
+    #[test]
+    fn one_shard_counts_exactly_the_single_writers_work() {
+        // At one shard every vertex is local, so no envelope exists and
+        // the shard runs the single writer's code. After every flush of
+        // the damped hub script and of the cap-crossing churn script, its
+        // work counts, its slot-change stream and its state must equal
+        // the single writer's.
+        let scripts = |seed| {
+            [
+                (
+                    damped_script(),
+                    10usize,
+                    DampingConfig {
+                        degree_cap: 4,
+                        flush_budget: 3,
+                    },
+                ),
+                (cap_crossing_script(seed), 8, CAP_CROSSING),
+            ]
+        };
+        for seed in 0..6u64 {
+            for (batches, t_max, cfg) in scripts(seed) {
+                let mut dg = DynamicGraph::new(hub_graph());
+                let mut central = run_propagation(dg.graph(), t_max, seed);
+                let mut damper = crate::incremental::CascadeDamper::new(cfg);
+                let partitioner: Arc<dyn Partitioner> = Arc::new(HashPartitioner::new(1));
+                let mut shards = [ShardRepairState::from_state(
+                    &central,
+                    dg.graph(),
+                    0,
+                    Arc::clone(&partitioner),
+                )];
+                shards[0].set_damping(Some(cfg));
+                for (i, batch) in batches.iter().enumerate() {
+                    let applied = dg.apply(batch).unwrap();
+                    let mut want_deltas = Vec::new();
+                    let want = apply_correction(
+                        &mut central,
+                        dg.graph(),
+                        &applied,
+                        Some(&mut damper),
+                        &mut want_deltas,
+                    );
+                    let (got, deltas) =
+                        run_shards_streaming(&mut shards, partitioner.as_ref(), &applied);
+                    assert_eq!(got, want, "work counts differ at flush {i} (seed {seed})");
+                    assert_eq!(net(&deltas), net(&want_deltas), "flush {i} (seed {seed})");
+                    let sharded = assemble(&shards, 11, t_max, seed);
+                    compare_states(&central, &sharded, 11, t_max as u32);
                 }
             }
         }

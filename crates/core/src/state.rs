@@ -160,6 +160,74 @@ impl LabelState {
         self.pos[i] = pos;
     }
 
+    /// Picks `(src, pos)` of `v` for `t ∈ 1..=T`.
+    pub(crate) fn picks(&self, v: VertexId) -> impl Iterator<Item = (VertexId, u32)> + '_ {
+        let base = v as usize * self.t_max;
+        let span = base..base + self.t_max;
+        self.src[span.clone()]
+            .iter()
+            .copied()
+            .zip(self.pos[span].iter().copied())
+    }
+
+    /// Repick epochs of `v` for `t ∈ 1..=T`.
+    pub(crate) fn epochs(&self, v: VertexId) -> &[u32] {
+        let base = v as usize * self.t_max;
+        &self.epoch[base..base + self.t_max]
+    }
+
+    /// Overwrite every row of `v`: its `T + 1` labels (the initial one
+    /// included), picks, epochs and receiver records. A shard copies
+    /// vertices into and out of its dense rows with this.
+    pub(crate) fn set_row(
+        &mut self,
+        v: VertexId,
+        labels: &[Label],
+        picks: impl IntoIterator<Item = (VertexId, u32)>,
+        epochs: &[u32],
+        records: &[Record],
+    ) {
+        let base = v as usize * self.t_max;
+        let l = self.lidx(v, 0);
+        self.labels[l..l + self.t_max + 1].copy_from_slice(labels);
+        for (i, (src, pos)) in picks.into_iter().enumerate() {
+            self.src[base + i] = src;
+            self.pos[base + i] = pos;
+        }
+        self.epoch[base..base + self.t_max].copy_from_slice(epochs);
+        self.records.set_row(v as usize, records);
+    }
+
+    /// Empty the receiver records of `v` (a shard vacating its row).
+    pub(crate) fn clear_records(&mut self, v: VertexId) {
+        self.records.clear(v as usize);
+    }
+
+    /// Move row `from` into row `to`, whose records must be empty;
+    /// `from` is left without records.
+    pub(crate) fn move_row(&mut self, from: VertexId, to: VertexId) {
+        let (f, d, t1) = (from as usize, to as usize, self.t_max + 1);
+        self.labels.copy_within(f * t1..(f + 1) * t1, d * t1);
+        for flat in [&mut self.src, &mut self.pos, &mut self.epoch] {
+            flat.copy_within(f * self.t_max..(f + 1) * self.t_max, d * self.t_max);
+        }
+        self.records.move_row(f, d);
+    }
+
+    /// Drop the rows from `n` on (their records must be empty) and hand
+    /// every spare byte back to the allocator, receiver-record pages
+    /// included (a shard that migrated rows away shrinks).
+    pub(crate) fn truncate(&mut self, n: usize) {
+        self.labels.truncate(n * (self.t_max + 1));
+        self.labels.shrink_to_fit();
+        for flat in [&mut self.src, &mut self.pos, &mut self.epoch] {
+            flat.truncate(n * self.t_max);
+            flat.shrink_to_fit();
+        }
+        self.records.compact(n);
+        self.n = n;
+    }
+
     /// Current repick epoch of `(v, t)`.
     #[inline]
     pub fn epoch(&self, v: VertexId, t: u32) -> u32 {
@@ -240,6 +308,16 @@ impl LabelState {
     /// Approximate resident memory of the state in bytes.
     pub fn memory_bytes(&self) -> usize {
         self.mem_footprint().capacity_bytes
+    }
+
+    /// Reserve room for `rows` more vertices, without the doubling slack a
+    /// [`grow`](Self::grow) by a few rows would leave (a shard adds the
+    /// rows one flush or one migration brings).
+    pub(crate) fn reserve_rows(&mut self, rows: usize) {
+        self.labels.reserve_exact(rows * (self.t_max + 1));
+        for flat in [&mut self.src, &mut self.pos, &mut self.epoch] {
+            flat.reserve_exact(rows * self.t_max);
+        }
     }
 
     /// Grow the state to `n_new ≥ n` vertices (vertex insertion support);

@@ -154,7 +154,7 @@ fn exercise(seed: u64, rounds: &[(Vec<(VertexId, VertexId)>, u8)], parts: usize)
             continue;
         }
         let applied = dg.apply(&batch).expect("batch built to validate");
-        apply_correction(&mut central, dg.graph(), &applied, false);
+        apply_correction(&mut central, dg.graph(), &applied, None, &mut Vec::new());
         let deltas = sharded_flush(&mut shards, partitioner.as_ref(), &applied);
 
         // Feed the counter store the way the serve loop does: eager
@@ -249,7 +249,7 @@ fn exercise_mesh(
             continue;
         }
         let applied = dg.apply(&batch).expect("batch built to validate");
-        apply_correction(&mut central, dg.graph(), &applied, false);
+        apply_correction(&mut central, dg.graph(), &applied, None, &mut Vec::new());
 
         // Phase A + p2p exchange on real threads; each worker drains its
         // stream once per flush, as its one flush reply does.

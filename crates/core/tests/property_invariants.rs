@@ -62,8 +62,7 @@ fn toggles_to_batch(g: &AdjacencyGraph, toggles: &[(u32, u32)]) -> EditBatch {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// One batch on a random graph keeps all invariants, in both cascade
-    /// modes, and both modes agree bit-for-bit on the final labels.
+    /// One batch on a random graph keeps all invariants.
     #[test]
     fn single_batch_preserves_invariants(
         edges in arb_edges(),
@@ -73,19 +72,11 @@ proptest! {
     ) {
         let g = build_graph(&edges);
         let batch = toggles_to_batch(&g, &toggles);
-        let run = |pruned: bool| {
-            let mut dg = DynamicGraph::new(g.clone());
-            let mut state = run_propagation(dg.graph(), t_max, seed);
-            let applied = dg.apply(&batch).expect("toggle batches always validate");
-            apply_correction(&mut state, dg.graph(), &applied, pruned);
-            (state, dg)
-        };
-        let (faithful, dg) = run(false);
-        check_consistency(&faithful, dg.graph()).map_err(TestCaseError::fail)?;
-        let (pruned, _) = run(true);
-        for v in 0..N {
-            prop_assert_eq!(faithful.label_sequence(v), pruned.label_sequence(v));
-        }
+        let mut dg = DynamicGraph::new(g);
+        let mut state = run_propagation(dg.graph(), t_max, seed);
+        let applied = dg.apply(&batch).expect("toggle batches always validate");
+        apply_correction(&mut state, dg.graph(), &applied, None, &mut Vec::new());
+        check_consistency(&state, dg.graph()).map_err(TestCaseError::fail)?;
     }
 
     /// A sequence of batches keeps invariants at every step.
@@ -101,7 +92,7 @@ proptest! {
         for toggles in rounds {
             let batch = toggles_to_batch(dg.graph(), &toggles);
             let applied = dg.apply(&batch).expect("valid");
-            apply_correction(&mut state, dg.graph(), &applied, false);
+            apply_correction(&mut state, dg.graph(), &applied, None, &mut Vec::new());
             check_consistency(&state, dg.graph()).map_err(TestCaseError::fail)?;
         }
     }
@@ -119,7 +110,7 @@ proptest! {
         let mut dg = DynamicGraph::new(g);
         let mut state = run_propagation(dg.graph(), 6, seed);
         let applied = dg.apply(&batch).expect("valid");
-        apply_correction(&mut state, dg.graph(), &applied, false);
+        apply_correction(&mut state, dg.graph(), &applied, None, &mut Vec::new());
         let live_picks = (0..N)
             .map(|v| {
                 (1..=6u32)

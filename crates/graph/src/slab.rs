@@ -185,6 +185,56 @@ impl<T: Copy> SlabRows<T> {
         out
     }
 
+    /// Empty row `i` and recycle its page.
+    pub fn clear(&mut self, i: usize) {
+        let s = std::mem::take(&mut self.spans[i]);
+        if s.class > 0 {
+            self.recycle_page(s.head, s.class);
+        }
+        self.live -= s.len as usize;
+    }
+
+    /// Replace row `i` with `items`, on one page of the class they need.
+    pub fn set_row(&mut self, i: usize, items: &[T]) {
+        self.clear(i);
+        let len = items.len() as u32;
+        let class = class_for(len);
+        if class > 0 {
+            let head = self.alloc_page(class);
+            self.arena[head as usize..(head + len) as usize].copy_from_slice(items);
+            self.spans[i] = Span { head, len, class };
+            self.live += len as usize;
+        }
+    }
+
+    /// Move row `from`'s page to the empty row `to`, leaving `from` empty.
+    pub fn move_row(&mut self, from: usize, to: usize) {
+        debug_assert_eq!(self.spans[to].class, 0, "moving onto a live row");
+        self.spans[to] = std::mem::take(&mut self.spans[from]);
+    }
+
+    /// Keep rows `..rows` (the rest must be empty), slide every live page
+    /// down over the free ones, and hand the spare arena back to the
+    /// allocator.
+    pub fn compact(&mut self, rows: usize) {
+        debug_assert!(self.spans[rows..].iter().all(|s| s.class == 0));
+        self.spans.truncate(rows);
+        self.spans.shrink_to_fit();
+        let mut order: Vec<usize> = (0..rows).filter(|&i| self.spans[i].class > 0).collect();
+        order.sort_unstable_by_key(|&i| self.spans[i].head);
+        let mut next = 0u32;
+        for i in order {
+            let s = &mut self.spans[i];
+            let live = s.head as usize..(s.head + s.len) as usize;
+            self.arena.copy_within(live, next as usize);
+            s.head = next;
+            next += class_cap(s.class);
+        }
+        self.arena.truncate(next as usize);
+        self.arena.shrink_to_fit();
+        self.free.clear();
+    }
+
     /// Verify every structural invariant (tests and debug assertions).
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut live = 0usize;
@@ -301,20 +351,31 @@ mod tests {
     }
 
     proptest! {
-        /// Random push / swap-remove streams — the two mutations
-        /// receiver records make — agree with a `Vec<Vec>` model and keep
-        /// every invariant after each op, while rows grow through several
-        /// size classes and recycle the pages they leave behind.
+        /// Random push / swap-remove / clear / set-row / compact streams —
+        /// the mutations receiver records make, and a shard row's
+        /// migration — agree with
+        /// a `Vec<Vec>` model and keep every invariant after each op, while
+        /// rows grow through several size classes and recycle the pages
+        /// they leave behind.
         #[test]
         fn random_ops_match_vec_model(ops in proptest::collection::vec(
-            (0usize..8, 0u8..3, 0u32..1000), 1..400))
+            (0usize..8, 0u8..9, 0u32..1000), 1..400))
         {
             let mut s = SlabRows::with_rows(8, 0u32);
             let mut model: Vec<Vec<u32>> = vec![Vec::new(); 8];
             for (row, op, x) in ops {
-                if op < 2 {
+                if op < 5 {
                     s.push(row, x);
                     model[row].push(x);
+                } else if op == 8 {
+                    s.clear(row);
+                    model[row].clear();
+                } else if op == 7 {
+                    let items: Vec<u32> = (0..x % 40).collect();
+                    s.set_row(row, &items);
+                    model[row] = items;
+                } else if op == 6 {
+                    s.compact(8);
                 } else if !model[row].is_empty() {
                     let idx = x as usize % model[row].len();
                     prop_assert_eq!(s.swap_remove(row, idx), model[row].swap_remove(idx));

@@ -3,15 +3,17 @@
 //! store.
 //!
 //! * [`Repair::Single`] — the pre-sharding hot path: one
-//!   [`RslpaDetector`] owned by the maintenance thread, repairing via
-//!   centralized Correction Propagation. Default (`shards = 1`).
+//!   [`RslpaDetector`] owned by the maintenance thread, repairing with
+//!   the Correction Propagation kernel over every vertex. Default
+//!   (`shards = 1`).
 //! * [`Repair::Mailbox`] — the decentralized engine for `shards > 1`:
-//!   workers exchange envelopes **directly** over a [`MailboxPort`] mesh
-//!   in BSP supersteps (each round's batches go through shared mailbox
-//!   cells, one hop per envelope; rounds synchronize on a shared barrier
-//!   with a monotone sent-counter for termination, with no coordinator
-//!   traffic per round), and each worker owns the label rows of its
-//!   vertices. Every flush, the coordinator posts one `Flush` with its
+//!   each worker owns the label rows of its vertices and runs the same
+//!   kernel over them, and workers exchange the envelopes of cross-shard
+//!   steps **directly** over a [`MailboxPort`] mesh in BSP supersteps
+//!   (each round's batches go through shared mailbox cells, one hop per
+//!   envelope; rounds synchronize on a shared barrier with a monotone
+//!   sent-counter for termination, with no coordinator traffic per
+//!   round). Every flush, the coordinator posts one `Flush` with its
 //!   routed deltas (possibly none) to every worker; each runs Phase A
 //!   and its damping releases, joins the exchange, and sends back one
 //!   reply carrying its counts and the slot changes it made.
@@ -33,11 +35,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use rslpa_core::shard::{
-    build_mesh, MailboxPort, MeshPoisoner, ShardFlushReport, ShardRepairState, VertexRowData,
-};
+use rslpa_core::shard::{build_mesh, MailboxPort, MeshPoisoner, ShardRepairState, VertexRowData};
 use rslpa_core::{
-    result_from_weights, EdgeCounters, PostprocessResult, RslpaConfig, RslpaDetector,
+    result_from_weights, EdgeCounters, PostprocessResult, RslpaConfig, RslpaDetector, UpdateReport,
 };
 use rslpa_graph::sharding::split_deltas;
 use rslpa_graph::Cover;
@@ -79,7 +79,7 @@ enum MeshReply {
     /// changes on this shard, in application order.
     Flushed {
         shard: usize,
-        report: ShardFlushReport,
+        report: UpdateReport,
         rounds: u64,
         envelopes_sent: u64,
         slot_deltas: Vec<SlotDelta>,
@@ -472,7 +472,7 @@ impl MailboxEngine {
                 .send(MeshCmd::Flush(deltas))
                 .expect("mesh worker alive");
         }
-        let mut reports = vec![ShardFlushReport::default(); self.workers.len()];
+        let mut reports = vec![UpdateReport::default(); self.workers.len()];
         let mut rounds = 0u64;
         let mut delivered = 0u64;
         for _ in 0..self.workers.len() {
@@ -492,7 +492,7 @@ impl MailboxEngine {
                 _ => unreachable!("only flush replies in flight"),
             }
         }
-        let mut total = ShardFlushReport::default();
+        let mut total = UpdateReport::default();
         for report in &reports {
             total.absorb(report);
         }
