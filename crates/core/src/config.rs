@@ -35,7 +35,9 @@ impl Default for DampingConfig {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct RslpaConfig {
     /// Label-propagation iterations `T`. The paper's convergence study
-    /// (Fig. 7a) settles on 200 for rSLPA (vs 100 for SLPA).
+    /// (Fig. 7a) settles on 200 for rSLPA (vs 100 for SLPA). At most
+    /// [`MAX_ITERATIONS`](crate::MAX_ITERATIONS) (65,535): a receiver
+    /// record packs its slot and iteration into 16 bits each.
     pub iterations: usize,
     /// Run-level RNG seed; every random pick is a pure function of this.
     pub seed: u64,

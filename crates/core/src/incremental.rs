@@ -311,6 +311,9 @@ pub(crate) struct Flush {
     touched: FxHashSet<(u32, u32)>,
     /// Rows whose labels changed this flush.
     dirty: FxHashSet<u32>,
+    /// The receivers of the slot being forwarded, one buffer reused for
+    /// every slot of the sweep.
+    receivers: Vec<(VertexId, u32)>,
 }
 
 impl Flush {
@@ -440,17 +443,26 @@ impl<L: Locality> Kernel<'_, L> {
             let mut kept: Vec<u32> = Vec::new();
             let (mut used, mut released_any) = (0usize, false);
             for t in d.take(v) {
-                let fanout = self.state.receivers_of(i, t).count();
-                if !kept.is_empty() || (released_any && used + fanout > budget) {
+                if !kept.is_empty() {
+                    kept.push(t);
+                    continue;
+                }
+                // Stage the slot, then take it back if it overruns the budget.
+                let mark = released.len();
+                let current = self.state.label(i, t);
+                released.extend(
+                    self.state
+                        .receivers_of(i, t)
+                        .map(|(r, k)| (v, t, r, k, current)),
+                );
+                let fanout = released.len() - mark;
+                if released_any && used + fanout > budget {
+                    released.truncate(mark);
                     kept.push(t);
                     continue;
                 }
                 used += fanout;
                 released_any = true;
-                let current = self.state.label(i, t);
-                for (r, k) in self.state.receivers_of(i, t) {
-                    released.push((v, t, r, k, current));
-                }
             }
             d.restore(v, kept);
         }
@@ -510,6 +522,8 @@ impl<L: Locality> Kernel<'_, L> {
     /// sweep; a remote one gets a `Value` envelope.
     pub(crate) fn sweep(&mut self) {
         let rows = self.rows;
+        // Collect each slot's receivers first: delivering mutates the state.
+        let mut receivers = std::mem::take(&mut self.flush.receivers);
         for t in 1..=self.state.iterations() as u32 {
             let bucket = std::mem::take(&mut self.flush.buckets[t as usize]);
             for i in bucket {
@@ -526,9 +540,9 @@ impl<L: Locality> Kernel<'_, L> {
                     d.clear(v, t);
                 }
                 let l = self.state.label(i, t);
-                // Collect receivers first: delivering mutates the state.
-                let receivers: Vec<(VertexId, u32)> = self.state.receivers_of(i, t).collect();
-                for (r, k) in receivers {
+                receivers.clear();
+                receivers.extend(self.state.receivers_of(i, t));
+                for &(r, k) in &receivers {
                     debug_assert!(k > t);
                     match rows.local(r) {
                         Some(j) => self.deliver(j, k, l),
@@ -545,6 +559,7 @@ impl<L: Locality> Kernel<'_, L> {
                 }
             }
         }
+        self.flush.receivers = receivers;
         self.flush.scheduled.clear();
     }
 

@@ -108,11 +108,11 @@ impl<'a> CorrectionProgram<'a> {
                     // The reverted slot has no incoming Value to trigger
                     // forwarding (unlike repicks), so notify receivers now.
                     for r in &state.records {
-                        if r.slot == t {
+                        if r.slot() == t {
                             ctx.send(
-                                r.receiver,
+                                r.receiver(),
                                 CorrMsg::Value {
-                                    t: r.k,
+                                    t: r.k(),
                                     origin_pos: t,
                                     label: own,
                                 },
@@ -201,11 +201,8 @@ impl VertexProgram for CorrectionProgram<'_> {
         // 1. Unrecords first: detach receivers that repicked away.
         for &(from, msg) in inbox {
             if let CorrMsg::Unrecord { slot, k } = msg {
-                if let Some(i) = state
-                    .records
-                    .iter()
-                    .position(|r| r.slot == slot && r.receiver == from && r.k == k)
-                {
+                let key = Record::new(slot, from, k);
+                if let Some(i) = state.records.iter().position(|&r| r == key) {
                     state.records.swap_remove(i);
                 }
             }
@@ -234,11 +231,7 @@ impl VertexProgram for CorrectionProgram<'_> {
         let pre_fetch_records = state.records.len();
         for &(from, msg) in inbox {
             if let CorrMsg::Fetch { pos, k } = msg {
-                state.records.push(Record {
-                    slot: pos,
-                    receiver: from,
-                    k,
-                });
+                state.records.push(Record::new(pos, from, k));
                 ctx.send(
                     from,
                     CorrMsg::Value {
@@ -254,11 +247,11 @@ impl VertexProgram for CorrectionProgram<'_> {
             let label = state.labels[t as usize];
             for i in 0..pre_fetch_records {
                 let r = state.records[i];
-                if r.slot == t {
+                if r.slot() == t {
                     ctx.send(
-                        r.receiver,
+                        r.receiver(),
                         CorrMsg::Value {
-                            t: r.k,
+                            t: r.k(),
                             origin_pos: t,
                             label,
                         },

@@ -57,4 +57,4 @@ pub use shard::{
     build_mesh, Envelope, MailboxPort, MeshExchangeReport, MeshPoisoner, ShardMsg,
     ShardRepairState, VertexRowData,
 };
-pub use state::LabelState;
+pub use state::{LabelState, MAX_ITERATIONS};

@@ -97,11 +97,7 @@ impl VertexProgram for PropagationProgram {
         for &(from, msg) in inbox {
             match msg {
                 PropMsg::Request { pos, t } => {
-                    state.records.push(Record {
-                        slot: pos,
-                        receiver: from,
-                        k: t,
-                    });
+                    state.records.push(Record::new(pos, from, t));
                     let label = state.labels[pos as usize];
                     ctx.send(from, PropMsg::Reply { t, label });
                 }
@@ -148,7 +144,7 @@ pub fn run_propagation_bsp(
             state.set_pick(v, t, src, pos);
         }
         for r in ps.records {
-            state.add_record(v, r.slot, r.receiver, r.k);
+            state.add_record(v, r.slot(), r.receiver(), r.k());
         }
     }
     (state, stats)

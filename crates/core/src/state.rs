@@ -13,9 +13,23 @@
 //! touch one row at a time, and flat `Vec<u32>`s keep that row contiguous.
 //! Receiver records live in one [`SlabRows`] arena with a per-vertex span
 //! (see `rslpa_graph::slab`) instead of `n` separate `Vec`s — same
-//! `&[Record]` row surface, no per-vertex heap allocation, and record
-//! mutation mirrors `Vec` push/swap-remove exactly so cascade iteration
-//! order (and with it every downstream pick) is unchanged.
+//! `&[Record]` row surface, no per-vertex heap allocation.
+//!
+//! A [`Record`] is one 8-byte word, `receiver << 32 | slot << 16 | k`, so
+//! `slot` and `k` (both at most `T`) must fit in 16 bits:
+//! [`LabelState::new`] rejects `T` above [`MAX_ITERATIONS`] (65,535)
+//! before it allocates. [`LabelState::remove_record`] finds a record by
+//! whole-word equality over fixed-width chunks with no early exit inside a
+//! chunk, so the compares run branch-free: SIMD lane compares where the
+//! target has 64-bit lane equality (SSE4.1 on x86-64), an unrolled scalar
+//! run on baseline x86-64. The scan is still O(row).
+//! Record mutation mirrors `Vec` push/swap-remove exactly, so a row's
+//! order is a pure function of its mutation sequence. That order decides
+//! only the order of the cascade's deliveries and of the slot-delta
+//! stream, never a pick: picks depend on the seed, the epochs and the
+//! neighbor rows alone.
+
+use std::fmt;
 
 use rslpa_graph::{Label, MemAccounted, MemFootprint, SlabRows, VertexId};
 
@@ -38,16 +52,73 @@ pub fn histogram_of(labels: &[Label]) -> Vec<(Label, u32)> {
     out
 }
 
+/// Largest iteration count `T` a [`LabelState`] holds: a [`Record`]
+/// packs `slot` and `k` into 16 bits each.
+pub const MAX_ITERATIONS: usize = u16::MAX as usize;
+
 /// One receiver record: `receiver` picked this vertex's label at slot
-/// `slot`, storing it at the receiver's iteration `k`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct Record {
+/// `slot`, storing it at the receiver's iteration `k`. Packed into one
+/// word, `receiver << 32 | slot << 16 | k`.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct Record(u64);
+
+impl Record {
+    /// The record of `receiver` picking slot `slot` at its iteration `k`;
+    /// `slot` and `k` must be at most [`MAX_ITERATIONS`].
+    #[inline]
+    pub fn new(slot: u32, receiver: VertexId, k: u32) -> Self {
+        debug_assert!(slot as usize <= MAX_ITERATIONS && k as usize <= MAX_ITERATIONS);
+        Self(u64::from(receiver) << 32 | u64::from(slot) << 16 | u64::from(k))
+    }
+
     /// Slot (iteration index into this vertex's label sequence) picked.
-    pub slot: u32,
+    #[inline]
+    pub fn slot(self) -> u32 {
+        u32::from((self.0 >> 16) as u16)
+    }
+
     /// The picking vertex.
-    pub receiver: VertexId,
+    #[inline]
+    pub fn receiver(self) -> VertexId {
+        (self.0 >> 32) as VertexId
+    }
+
     /// The iteration at which the receiver stored the label (`k > slot`).
-    pub k: u32,
+    #[inline]
+    pub fn k(self) -> u32 {
+        u32::from(self.0 as u16)
+    }
+}
+
+impl fmt::Debug for Record {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Record")
+            .field("slot", &self.slot())
+            .field("receiver", &self.receiver())
+            .field("k", &self.k())
+            .finish()
+    }
+}
+
+/// Records compared per step of [`position_of`]'s scan.
+const SCAN_CHUNK: usize = 32;
+
+/// Position of `key` in `row`. Each full chunk is tested with no early
+/// exit, so its compares run branch-free; only the chunk holding the
+/// match is searched for its index.
+fn position_of(row: &[Record], key: Record) -> Option<usize> {
+    let mut chunks = row.chunks_exact(SCAN_CHUNK);
+    for (c, chunk) in chunks.by_ref().enumerate() {
+        if chunk.iter().fold(false, |hit, &x| hit | (x == key)) {
+            return chunk
+                .iter()
+                .position(|&x| x == key)
+                .map(|i| c * SCAN_CHUNK + i);
+        }
+    }
+    let tail = chunks.remainder();
+    let base = row.len() - tail.len();
+    tail.iter().position(|&x| x == key).map(|i| base + i)
 }
 
 /// Full provenance state after `T` iterations (and any number of
@@ -70,15 +141,16 @@ pub struct LabelState {
 }
 
 /// Fill value for reserved-but-unwritten record arena space (never read).
-const RECORD_FILL: Record = Record {
-    slot: 0,
-    receiver: 0,
-    k: 0,
-};
+const RECORD_FILL: Record = Record(0);
 
 impl LabelState {
     /// Fresh state before propagation: `l_v^0 = v`, all picks unset.
+    /// Panics if `t_max` exceeds [`MAX_ITERATIONS`].
     pub fn new(n: usize, t_max: usize, seed: u64) -> Self {
+        assert!(
+            t_max <= MAX_ITERATIONS,
+            "T = {t_max} exceeds the iteration bound {MAX_ITERATIONS}"
+        );
         let mut labels = vec![0 as Label; n * (t_max + 1)];
         for v in 0..n {
             labels[v * (t_max + 1)] = v as Label;
@@ -248,17 +320,14 @@ impl LabelState {
     pub fn add_record(&mut self, owner: VertexId, slot: u32, receiver: VertexId, k: u32) {
         debug_assert!(slot < k, "receivers pick strictly earlier slots");
         self.records
-            .push(owner as usize, Record { slot, receiver, k });
+            .push(owner as usize, Record::new(slot, receiver, k));
     }
 
     /// Remove the record `(owner, slot) -> (receiver, k)`; panics if absent
     /// (that would mean the reverse index is corrupt).
     pub fn remove_record(&mut self, owner: VertexId, slot: u32, receiver: VertexId, k: u32) {
-        let idx = self
-            .records
-            .row(owner as usize)
-            .iter()
-            .position(|r| r.slot == slot && r.receiver == receiver && r.k == k)
+        let key = Record::new(slot, receiver, k);
+        let idx = position_of(self.records.row(owner as usize), key)
             .expect("record to remove must exist");
         self.records.swap_remove(owner as usize, idx);
     }
@@ -278,8 +347,8 @@ impl LabelState {
         self.records
             .row(owner as usize)
             .iter()
-            .filter(move |r| r.slot == slot)
-            .map(|r| (r.receiver, r.k))
+            .filter(move |r| r.slot() == slot)
+            .map(|r| (r.receiver(), r.k()))
     }
 
     /// Total number of records (should equal the number of non-isolated
@@ -360,6 +429,17 @@ impl MemAccounted for LabelState {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A record as its three fields.
+    type Fields = (u32, VertexId, u32);
+
+    fn fields(s: &LabelState, v: VertexId) -> Vec<Fields> {
+        s.records(v)
+            .iter()
+            .map(|r| (r.slot(), r.receiver(), r.k()))
+            .collect()
+    }
 
     #[test]
     fn initial_labels_are_vertex_ids() {
@@ -407,6 +487,216 @@ mod tests {
     fn removing_missing_record_panics() {
         let mut s = LabelState::new(2, 2, 1);
         s.remove_record(0, 1, 1, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "iteration bound 65535")]
+    fn iterations_above_the_bound_panic() {
+        LabelState::new(1, 65_536, 1);
+    }
+
+    #[test]
+    fn record_packs_every_field_in_one_word() {
+        assert_eq!(std::mem::size_of::<Record>(), 8);
+        let t = MAX_ITERATIONS as u32;
+        for want in [
+            (0, 0, 0),
+            (t, u32::MAX - 1, 0),
+            (0, u32::MAX, t),
+            (t, 7, t),
+            (0xAAAA, 0x5555_5555, 0x5555),
+        ] {
+            let r = Record::new(want.0, want.1, want.2);
+            assert_eq!((r.slot(), r.receiver(), r.k()), want);
+        }
+        assert_eq!(
+            format!("{:?}", Record::new(3, 9, 4)),
+            "Record { slot: 3, receiver: 9, k: 4 }"
+        );
+    }
+
+    #[test]
+    fn records_differing_in_one_field_are_told_apart() {
+        let t = MAX_ITERATIONS as u32;
+        // Each pair shares two fields. The 16-bit values overlap in their
+        // set bits, so a packing that let `slot` and `k` share bits would
+        // give both records of a pair one word.
+        let pairs: [(Fields, Fields); 3] = [
+            ((1, 5, t), (2, 5, t)),                     // another slot
+            ((1, 0, t), (1, u32::MAX - 1, t)),          // another receiver
+            ((0x00FF, 5, 0x0100), (0x00FF, 5, 0x0200)), // another k
+        ];
+        for (a, b) in pairs {
+            let mut s = LabelState::new(2, MAX_ITERATIONS, 1);
+            s.add_record(1, a.0, a.1, a.2);
+            s.add_record(1, b.0, b.1, b.2);
+            for slot in [a.0, b.0] {
+                let want: Vec<_> = [a, b]
+                    .iter()
+                    .filter(|e| e.0 == slot)
+                    .map(|e| (e.1, e.2))
+                    .collect();
+                assert_eq!(s.receivers_of(1, slot).collect::<Vec<_>>(), want);
+            }
+            for (gone, kept) in [(a, b), (b, a)] {
+                let mut left = s.clone();
+                left.remove_record(1, gone.0, gone.1, gone.2);
+                assert_eq!(fields(&left, 1), vec![kept], "removing {gone:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn remove_finds_a_record_in_every_chunk() {
+        // Three full scan chunks and a partial one.
+        let n = 3 * SCAN_CHUNK + 5;
+        for idx in [
+            0,
+            SCAN_CHUNK - 1,
+            SCAN_CHUNK,
+            3 * SCAN_CHUNK - 1,
+            3 * SCAN_CHUNK,
+            n - 1,
+        ] {
+            let mut s = LabelState::new(1, 4, 1);
+            let mut model: Vec<Fields> = (0..n as u32).map(|i| (i % 3, i, 4)).collect();
+            for &(slot, r, k) in &model {
+                s.add_record(0, slot, r, k);
+            }
+            let (slot, r, k) = model[idx];
+            s.remove_record(0, slot, r, k);
+            model.swap_remove(idx);
+            assert_eq!(fields(&s, 0), model, "removing position {idx}");
+        }
+    }
+
+    const ROWS: usize = 3;
+
+    /// A record with `slot < k ≤ t`, biased towards the edges of every
+    /// field: `slot` 0 and `t - 1`, `k` `slot + 1` and `t`, receivers 0,
+    /// `u32::MAX - 1` and a small pool that repeats.
+    fn draw_record(t: u32, x: u64, y: u32) -> Fields {
+        let lo = x as u32;
+        let slot = match lo % 4 {
+            0 => 0,
+            1 => t - 1,
+            _ => (lo >> 2) % t,
+        };
+        let hi = (x >> 32) as u32;
+        let k = match hi % 4 {
+            0 => t,
+            1 => slot + 1,
+            _ => slot + 1 + (hi >> 2) % (t - slot),
+        };
+        let receiver = match y % 8 {
+            0 => 0,
+            1 => u32::MAX - 1,
+            2..=4 => (y >> 3) % 5,
+            _ => y.min(u32::MAX - 1),
+        };
+        (slot, receiver, k)
+    }
+
+    /// `e` with one field changed (which one picked by `x`), keeping
+    /// `slot < k ≤ t`.
+    fn near(e: Fields, t: u32, x: u64) -> Fields {
+        let (slot, r, k) = e;
+        match x % 3 {
+            0 if slot > 0 => (slot - 1, r, k),
+            0 if slot + 1 < k => (slot + 1, r, k),
+            2 if k < t => (slot, r, k + 1),
+            2 if k > slot + 1 => (slot, r, k - 1),
+            _ if r == u32::MAX - 1 => (slot, r - 1, k),
+            _ => (slot, r ^ 1, k),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Random record mutations of every kind — add, add a record one
+        /// field away from a live one, remove, query, set a row from
+        /// another row's words, move a row, clear, truncate and grow —
+        /// agree with a `Vec<Vec>` model that uses `Vec::swap_remove`,
+        /// so row order must match exactly. Rows start with up to 160
+        /// records each, past three scan chunks, and `T` reaches 65,535.
+        #[test]
+        fn records_match_a_vec_model(
+            t_pick in 0usize..4,
+            fill in 0usize..160,
+            ops in proptest::collection::vec(
+                (0u16..1000, 0usize..ROWS, 0u64..=u64::MAX, 0u32..=u32::MAX),
+                1..500,
+            ),
+        ) {
+            let t_max = [1, 50, MAX_ITERATIONS - 1, MAX_ITERATIONS][t_pick];
+            let t = t_max as u32;
+            let mut s = LabelState::new(ROWS, t_max, 1);
+            let mut model: Vec<Vec<Fields>> = vec![Vec::new(); ROWS];
+            for i in 0..fill * ROWS {
+                let x = (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+                let e = draw_record(t, x, (x >> 17) as u32);
+                s.add_record((i % ROWS) as VertexId, e.0, e.1, e.2);
+                model[i % ROWS].push(e);
+            }
+            for (op, row, x, y) in ops {
+                let v = row as VertexId;
+                let len = model[row].len();
+                let live = (len > 0).then(|| model[row][y as usize % len]);
+                match op {
+                    0..=599 => {
+                        let e = match live {
+                            Some(e) if op >= 500 => near(e, t, x),
+                            _ => draw_record(t, x, y),
+                        };
+                        s.add_record(v, e.0, e.1, e.2);
+                        model[row].push(e);
+                    }
+                    600..=849 => {
+                        if let Some(e) = live {
+                            s.remove_record(v, e.0, e.1, e.2);
+                            let first = model[row].iter().position(|&m| m == e).unwrap();
+                            model[row].swap_remove(first);
+                        }
+                    }
+                    850..=989 => {
+                        let slot = live.map_or(draw_record(t, x, y).0, |e| e.0);
+                        let want: Vec<_> = model[row]
+                            .iter()
+                            .filter(|e| e.0 == slot)
+                            .map(|e| (e.1, e.2))
+                            .collect();
+                        prop_assert_eq!(s.receivers_of(v, slot).collect::<Vec<_>>(), want);
+                    }
+                    990..=993 => {
+                        let other = y as usize % ROWS;
+                        let words = s.records(other as VertexId).to_vec();
+                        let labels = s.label_sequence(v).to_vec();
+                        let picks: Vec<_> = s.picks(v).collect();
+                        let epochs = s.epochs(v).to_vec();
+                        s.set_row(v, &labels, picks, &epochs, &words);
+                        model[row] = model[other].clone();
+                    }
+                    994..=996 => {
+                        let to = (row + 1) % ROWS;
+                        s.clear_records(to as VertexId);
+                        s.move_row(v, to as VertexId);
+                        model[to] = std::mem::take(&mut model[row]);
+                    }
+                    _ => {
+                        let last = ROWS - 1;
+                        s.clear_records(last as VertexId);
+                        s.truncate(last);
+                        s.grow(ROWS);
+                        model[last].clear();
+                    }
+                }
+                prop_assert_eq!(s.total_records(), model.iter().map(Vec::len).sum::<usize>());
+                for (r, want) in model.iter().enumerate() {
+                    prop_assert_eq!(&fields(&s, r as VertexId), want);
+                }
+            }
+        }
     }
 
     #[test]

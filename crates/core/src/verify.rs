@@ -75,11 +75,11 @@ pub fn check_consistency(state: &LabelState, graph: &AdjacencyGraph) -> Result<(
     for owner in 0..n as VertexId {
         let mut seen: FxHashSet<(u32, VertexId, u32)> = FxHashSet::default();
         for r in state.records(owner) {
-            if !seen.insert((r.slot, r.receiver, r.k)) {
+            if !seen.insert((r.slot(), r.receiver(), r.k())) {
                 return Err(format!("duplicate record {r:?} at owner {owner}"));
             }
-            let (src, pos) = state.pick(r.receiver, r.k);
-            if src != owner || pos != r.slot {
+            let (src, pos) = state.pick(r.receiver(), r.k());
+            if src != owner || pos != r.slot() {
                 return Err(format!(
                     "dangling record {r:?} at owner {owner}: receiver picks ({src}, {pos})"
                 ));

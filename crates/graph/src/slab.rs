@@ -351,15 +351,14 @@ mod tests {
     }
 
     proptest! {
-        /// Random push / swap-remove / clear / set-row / compact streams —
-        /// the mutations receiver records make, and a shard row's
-        /// migration — agree with
-        /// a `Vec<Vec>` model and keep every invariant after each op, while
-        /// rows grow through several size classes and recycle the pages
-        /// they leave behind.
+        /// Random push / swap-remove / clear / set-row / move-row /
+        /// compact streams — the mutations receiver records make, and a
+        /// shard row's migration — agree with a `Vec<Vec>` model and keep
+        /// every invariant after each op, while rows grow through several
+        /// size classes and recycle the pages they leave behind.
         #[test]
         fn random_ops_match_vec_model(ops in proptest::collection::vec(
-            (0usize..8, 0u8..9, 0u32..1000), 1..400))
+            (0usize..8, 0u8..10, 0u32..1000), 1..400))
         {
             let mut s = SlabRows::with_rows(8, 0u32);
             let mut model: Vec<Vec<u32>> = vec![Vec::new(); 8];
@@ -376,6 +375,15 @@ mod tests {
                     model[row] = items;
                 } else if op == 6 {
                     s.compact(8);
+                } else if op == 9 {
+                    // A row moves onto a cleared one, as a shard's rows do.
+                    let to = x as usize % 8;
+                    if to != row {
+                        s.clear(to);
+                        s.move_row(row, to);
+                        model[to] = std::mem::take(&mut model[row]);
+                        prop_assert_eq!(s.row(to), model[to].as_slice());
+                    }
                 } else if !model[row].is_empty() {
                     let idx = x as usize % model[row].len();
                     prop_assert_eq!(s.swap_remove(row, idx), model[row].swap_remove(idx));

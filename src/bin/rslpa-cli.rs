@@ -91,6 +91,7 @@ use std::io::{BufRead, Write};
 use std::path::Path;
 use std::process::ExitCode;
 
+use rslpa::core::MAX_ITERATIONS;
 use rslpa::gen::lfr::LfrParams;
 use rslpa::gen::webgraph::{barabasi_albert, rmat, RmatParams};
 use rslpa::graph::io::{load_binary_graph, write_edge_list};
@@ -163,6 +164,20 @@ fn opt_parse<T: std::str::FromStr>(
     }
 }
 
+/// `--iterations`, within the bound the label state holds.
+fn opt_iterations(
+    options: &std::collections::HashMap<&str, &str>,
+    default: usize,
+) -> Result<usize, String> {
+    let iterations = opt_parse(options, "iterations", default)?;
+    if iterations > MAX_ITERATIONS {
+        return Err(format!(
+            "--iterations: {iterations} exceeds the maximum of {MAX_ITERATIONS}"
+        ));
+    }
+    Ok(iterations)
+}
+
 fn cmd_stats(args: &[String]) -> CliResult {
     let (pos, _) = split_options(args);
     let [path] = pos[..] else {
@@ -191,8 +206,8 @@ fn cmd_detect(args: &[String]) -> CliResult {
     let [path] = pos[..] else {
         return Err("detect needs exactly one graph file".into());
     };
+    let iterations = opt_iterations(&options, 200)?;
     let graph = load_binary_graph(Path::new(path))?;
-    let iterations: usize = opt_parse(&options, "iterations", 200)?;
     let seed: u64 = opt_parse(&options, "seed", 42)?;
     let detector = RslpaDetector::new(graph, RslpaConfig::quick(iterations, seed));
     let detection = detector.detect();
@@ -287,8 +302,8 @@ fn cmd_stream(args: &[String]) -> CliResult {
     let [graph_path, edits_path] = pos[..] else {
         return Err("stream needs a graph file and an edits file".into());
     };
+    let iterations = opt_iterations(&options, 200)?;
     let graph = load_binary_graph(Path::new(graph_path))?;
-    let iterations: usize = opt_parse(&options, "iterations", 200)?;
     let seed: u64 = opt_parse(&options, "seed", 42)?;
     let detect_every: usize = opt_parse(&options, "detect-every", 1)?;
     let file = std::fs::File::open(edits_path)?;
@@ -336,8 +351,8 @@ fn cmd_replay(args: &[String]) -> CliResult {
     let [graph_path, edits_path] = pos[..] else {
         return Err("replay needs a graph file and an edits file".into());
     };
+    let iterations = opt_iterations(&options, 50)?;
     let graph = load_binary_graph(Path::new(graph_path))?;
-    let iterations: usize = opt_parse(&options, "iterations", 50)?;
     let seed: u64 = opt_parse(&options, "seed", 42)?;
     let flush_size: usize = opt_parse(&options, "flush-size", 256)?;
     let snapshot_every: usize = opt_parse(&options, "snapshot-every", 1)?;

@@ -233,6 +233,29 @@ fn replay_fails_on_malformed_edit_lines() {
 }
 
 #[test]
+fn iterations_above_the_bound_are_a_usage_error() {
+    let dir = tmp_dir("iterations_bound");
+    let graph = dir.join("graph.txt");
+    let edits = dir.join("edits.txt");
+    fs::write(&graph, TINY_GRAPH).unwrap();
+    fs::write(&edits, "+ 0 3\n").unwrap();
+    for cmd in ["detect", "stream", "replay", "serve"] {
+        let mut run = cli();
+        run.arg(cmd).arg(&graph);
+        if cmd != "detect" {
+            run.arg(&edits);
+        }
+        let out = run.args(["--iterations", "65536"]).output().expect("spawn");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{cmd}: {stderr}");
+        assert!(
+            stderr.starts_with("error: --iterations") && stderr.contains("65535"),
+            "{cmd}: diagnostic should name the bound, got: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn generate_detect_round_trip() {
     let dir = tmp_dir("generate");
     let graph = dir.join("ba.txt");
